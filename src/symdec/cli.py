@@ -14,15 +14,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
 from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                        FORM_NORMAL, Tolerances, decouple)
-from .dirac import rdm_coefficients, symplectic_unit
+                        FORM_NORMAL, Tolerances, decouple,
+                        normal_form_scaling)
+from .dirac import (rdm_coefficients, symplectic_unit, symplex_residual,
+                    symplex_cosymplex_split)
 from .emeq import emeq_from_symplex, lax_invariants, spectral_invariants
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, MaxStepsExceeded, NotASymplex,
@@ -31,7 +32,7 @@ from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
-from .transform import block_scaling, compose, replay, symplectic_residual
+from .transform import compose, replay, symplectic_residual
 
 SCHEMA = "symdec-report/1"
 
@@ -143,11 +144,6 @@ def _load(path: str):
         raise _Failure(str(exc), EXIT_IO) from exc
 
 
-def _symplex_residual(M: np.ndarray) -> float:
-    g0 = symplectic_unit(M.shape[0] // 2)
-    return float(np.linalg.norm(M.T - g0 @ M @ g0))
-
-
 # ---------------------------------------------------------------------------
 # check
 
@@ -160,7 +156,7 @@ def cmd_check(args) -> int:
            "input": _input_doc(args.path, mf),
            "kind": kind, "tolerance": args.tol}
     if kind == "force":
-        resid = _symplex_residual(M)
+        resid = symplex_residual(M)
         doc["symplex_residual"] = resid
         ok = resid <= args.tol * scale
         if M.shape[0] == 4:
@@ -180,7 +176,7 @@ def cmd_check(args) -> int:
         resid = symplectic_residual(M)
         doc["symplectic_residual"] = resid
         ok = resid <= args.tol * scale
-        doc["invariants"] = _invariant_doc((M - np.linalg.inv(M)) / 2.0) \
+        doc["invariants"] = _invariant_doc(symplex_cosymplex_split(M)[0]) \
             if ok else {}
     doc["valid"] = bool(ok)
     _emit(doc, args.json)
@@ -218,17 +214,12 @@ def _decouple_large(M, form, tolerances, jacobi_tol, max_steps):
         hamiltonian=form in ("hamiltonian", "normal"), tolerances=tolerances)
     final = out.matrix
     if form == "normal":
-        n = out.n
-        exponents = []
-        for k in range(n):
-            alpha = final[2 * k, 2 * k + 1]
-            beta = -final[2 * k + 1, 2 * k]
-            if alpha * beta <= 0.0:
+        scaling, freqs = normal_form_scaling(final, tolerances)
+        for k, w in enumerate(freqs):
+            if w.nature != "imaginary":
                 raise UnstableBlock(
-                    f"block {k} has no rotation normal form "
-                    f"(entries {alpha:.6e}, {beta:.6e})", block=k)
-            exponents.append(0.25 * math.log(alpha / beta))
-        scaling = block_scaling(exponents)
+                    f"block {k} has a {w.nature} eigenvalue pair and no "
+                    "rotation normal form", block=k)
         final = scaling.r @ final @ scaling.rinv
         transform = compose(scaling, transform)
     doc = {
@@ -255,7 +246,7 @@ def cmd_decouple(args) -> int:
             "kind=transfer (use 'tunes' for transfer matrices)",
             EXIT_VALIDATION)
     M = mf.matrix
-    resid = _symplex_residual(M)
+    resid = symplex_residual(M)
     scale = max(1.0, float(np.linalg.norm(M)))
     if resid > args.check_tol * scale:
         raise _Failure(
@@ -299,12 +290,12 @@ def cmd_tunes(args) -> int:
             "kind=force (use 'decouple' for force matrices)",
             EXIT_VALIDATION)
     tau = args.tau if args.tau is not None else (mf.tau or 1.0)
+    t0 = time.perf_counter()
     try:
         report = analyze_one_turn(mf.matrix, tau=tau,
                                   symplectic_tol=args.symplectic_tol)
     except NotSymplectic as exc:
         raise _Failure(f"{args.path}: {exc}", EXIT_VALIDATION) from exc
-    t0 = time.perf_counter()
     doc = {"schema": SCHEMA, "command": "tunes",
            "input": _input_doc(args.path, mf),
            "tau": float(tau),

@@ -33,7 +33,8 @@ from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (SymplecticTransform, apply_similarity,
-                        basic_transform, compose, identity_transform)
+                        basic_transform, block_scaling, compose,
+                        identity_transform)
 
 __all__ = [
     "FORM_BLOCK_DIAGONAL",
@@ -51,6 +52,8 @@ __all__ = [
     "complex_intermediate",
     "decouple",
     "closed_form_block_coefficients",
+    "off_block_max",
+    "normal_form_scaling",
 ]
 
 FORM_BLOCK_DIAGONAL = "block_diagonal"
@@ -178,8 +181,14 @@ def _coefficient_scale(sym: Symplex4) -> float:
     return max(1.0, float(np.linalg.norm(sym.state.coefficients)))
 
 
-def _off_block_residual(M: np.ndarray) -> float:
-    return float(max(np.max(np.abs(M[:2, 2:])), np.max(np.abs(M[2:, :2]))))
+def off_block_max(M: np.ndarray) -> float:
+    """Largest entry modulus outside the 2x2 diagonal blocks of a 2n x 2n
+    matrix (0 for n = 1)."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0] // 2
+    amp = np.abs(M).reshape(n, 2, n, 2).max(axis=(1, 3))
+    np.fill_diagonal(amp, 0.0)
+    return float(amp.max())
 
 
 def _hamiltonian_residual(M: np.ndarray) -> float:
@@ -235,7 +244,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
     return DecoupleResult(
         source=sym.matrix, transform=pipe.transform, final=pipe.sym,
         form=FORM_BLOCK_DIAGONAL,
-        residual=_off_block_residual(pipe.sym.matrix), invariants=inv,
+        residual=off_block_max(pipe.sym.matrix), invariants=inv,
         frequencies=(inv.omega1, inv.omega2))
 
 
@@ -274,51 +283,71 @@ def to_hamiltonian_form(res: DecoupleResult,
         final=pipe.sym, form=FORM_HAMILTONIAN, residual=resid)
 
 
+def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
+                        ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
+    """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
+
+    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n matrix H is
+    classified by a*b against the zero band (tol.step * scale)^2, with
+    scale = max(1, ||H||_F).  Above it the pair is imaginary, +-i w with
+    w = sign(a) sqrt(a b), and the block_scaling exponent log|a/b|/4
+    turns the block into [[0, w], [-w, 0]].  Below minus the band the
+    pair is real (value sqrt(-a b)); in between it is zero.  Real and
+    zero blocks keep exponent 0.  Returns the scaling and one Frequency
+    per block.
+    """
+    H = np.asarray(H, dtype=float)
+    band = (tol.step * max(1.0, float(np.linalg.norm(H)))) ** 2
+    exponents = []
+    freqs = []
+    for k in range(H.shape[0] // 2):
+        a, b = H[2 * k, 2 * k + 1], -H[2 * k + 1, 2 * k]
+        prod = a * b
+        if prod > band:
+            exponents.append(0.25 * math.log(a / b))
+            freqs.append(Frequency(value=math.copysign(math.sqrt(prod), a),
+                                   nature="imaginary"))
+            continue
+        exponents.append(0.0)
+        if prod < -band:
+            freqs.append(Frequency(value=math.sqrt(-prod), nature="real"))
+        else:
+            freqs.append(Frequency(value=0.0, nature="zero"))
+    return block_scaling(exponents), tuple(freqs)
+
+
 def to_normal_form(res: DecoupleResult,
                    tol: Tolerances = Tolerances()) -> DecoupleResult:
     """Scale a Hamiltonian-form result to antisymmetric normal form.
 
-    Each block [[0, a], [-b, 0]] with a*b > 0 is scaled by the diagonal
-    transform generated by gamma(3) and gamma(4) into [[0, w], [-w, 0]]
-    with w = sign(a) sqrt(a b); the scaling exponent is log|a/b|/4.  A
-    block with a*b <= 0 has a real (or vanishing) eigenvalue pair and no
-    rotation normal form: UnstableBlock is raised and the Hamiltonian
-    form stands.
+    normal_form_scaling turns each block [[0, a], [-b, 0]] with an
+    imaginary eigenvalue pair into [[0, w], [-w, 0]].  A block with a
+    real (or vanishing) pair has no rotation normal form: UnstableBlock
+    is raised and the Hamiltonian form stands.
     """
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
     M = res.final.matrix
-    scale = _coefficient_scale(res.final)
-    alpha, beta = M[0, 1], -M[1, 0]
-    gam, delta = M[2, 3], -M[3, 2]
-    freqs = []
-    exponents = []
-    for idx, (a, b) in enumerate(((alpha, beta), (gam, delta))):
-        if a * b <= tol.step * scale**2:
+    scaling, freqs = normal_form_scaling(M, tol)
+    for idx, w in enumerate(freqs):
+        if w.nature != "imaginary":
             raise UnstableBlock(
-                f"block {idx} has entries ({a:.6e}, {b:.6e}) with "
-                "non-positive product; real eigenvalue pair has no "
-                "rotation normal form", block=idx)
-        exponents.append(0.25 * math.log(a / b))
-        freqs.append(Frequency(value=math.copysign(math.sqrt(a * b), a),
-                               nature="imaginary"))
-    s, t = exponents
-    pipe = _Pipeline(res.final, tol)
-    pipe.step(3, s + t)
-    pipe.step(4, s - t)
+                f"block {idx} has entries ({M[2 * idx, 2 * idx + 1]:.6e}, "
+                f"{-M[2 * idx + 1, 2 * idx]:.6e}): a {w.nature} eigenvalue "
+                "pair has no rotation normal form", block=idx)
+    final = Symplex4.from_matrix(apply_similarity(scaling, M), tol=1e-8)
 
-    Mn = pipe.sym.matrix
+    Mn = final.matrix
     target = np.zeros((4, 4))
     target[0, 1], target[1, 0] = freqs[0].value, -freqs[0].value
     target[2, 3], target[3, 2] = freqs[1].value, -freqs[1].value
     resid = float(np.max(np.abs(Mn - target)))
-    if resid > tol.post * scale:
+    if resid > tol.post * _coefficient_scale(res.final):
         raise PrecisionLoss(
             f"normal form off by {resid:.3e} after scaling")
     return replace(
-        res, transform=compose(pipe.transform, res.transform),
-        final=pipe.sym, form=FORM_NORMAL, residual=resid,
-        frequencies=(freqs[0], freqs[1]))
+        res, transform=compose(scaling, res.transform),
+        final=final, form=FORM_NORMAL, residual=resid, frequencies=freqs)
 
 
 def diagonalize(res: DecoupleResult,

@@ -30,6 +30,7 @@ __all__ = [
     "symplectic_unit",
     "rdm_coefficients",
     "from_coefficients",
+    "symplex_residual",
     "is_symplex",
     "is_cosymplex",
     "symplex_cosymplex_split",
@@ -135,15 +136,19 @@ def _relative_scale(M: np.ndarray) -> float:
     return max(1.0, float(np.linalg.norm(M)))
 
 
+def symplex_residual(M: np.ndarray) -> float:
+    """|| M^T - g0 M g0 ||_F for the block-diagonal symplectic unit."""
+    M = np.asarray(M, dtype=float)
+    g0 = symplectic_unit(M.shape[0] // 2)
+    return float(np.linalg.norm(M.T - g0 @ M @ g0))
+
+
 def is_symplex(M: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff M^T = g0 M g0 within tol relative to the Frobenius norm.
 
     Works for any even dimension 2n with the block-diagonal symplectic unit.
     """
-    M = np.asarray(M, dtype=float)
-    g0 = symplectic_unit(M.shape[0] // 2)
-    resid = np.linalg.norm(M.T - g0 @ M @ g0)
-    return resid <= tol * _relative_scale(M)
+    return symplex_residual(M) <= tol * _relative_scale(M)
 
 
 def is_cosymplex(M: np.ndarray, tol: float = 1e-10) -> bool:

@@ -5,8 +5,11 @@ picks the off-diagonal block of largest mean-square amplitude, extracts
 the corresponding degree-of-freedom pair as a 4x4 symplex, decouples it
 with the geometric 4x4 pipeline, and applies the embedded transform to
 the full matrix.  Convergence is declared when the summed Frobenius
-norms of all off-diagonal blocks fall below a relative threshold; a
-final pass can push every diagonal block to Hamiltonian form.
+norms of all off-diagonal blocks fall below a relative threshold.  A
+final pass brings every diagonal block to Hamiltonian form with one
+phase rotation per degree of freedom; such rotations are orthogonal
+and symplectic per block, so they leave every off-block norm unchanged.
+The same iteration serves every n, n = 1 and 2 included.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decouple4 import (Tolerances, decouple_block_diagonal,
-                        to_hamiltonian_form)
-from .dirac import symplectic_unit
+from .decouple4 import Tolerances, decouple_block_diagonal
+from .dirac import symplectic_unit, symplex_residual
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      NotASymplex, PivotComplex)
-from .transform import (SymplecticTransform, compose, embed_4x4,
-                        identity_transform)
+from .transform import (DOF_ROTATION, SymplecticTransform, compose,
+                        dof_transform, embed_4x4, identity_transform)
 
 __all__ = [
     "SymplexN",
@@ -45,8 +47,7 @@ class SymplexN:
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise ValueError(f"expected a square even matrix, got {M.shape}")
         n = M.shape[0] // 2
-        g0 = symplectic_unit(n)
-        resid = np.linalg.norm(M.T - g0 @ M @ g0)
+        resid = symplex_residual(M)
         if resid > tol * max(1.0, np.linalg.norm(M)):
             raise NotASymplex(
                 f"symplex condition violated with residual {resid:.3e}")
@@ -65,7 +66,8 @@ class IterationStats:
 
     @property
     def total_steps(self) -> int:
-        """4x4 decoupling steps to Hamiltonian form (pivots + block passes)."""
+        """Steps to Hamiltonian form: pivots plus the pair transforms of the
+        Hamiltonian pass."""
         return self.pivot_steps + self.hamiltonian_steps
 
 
@@ -83,14 +85,11 @@ def off_block_norms(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _off_residual(F: np.ndarray) -> float:
-    """Sum of off-diagonal block Frobenius norms relative to ||F||_F."""
-    n = F.shape[0] // 2
-    blocks = F.reshape(n, 2, n, 2)
-    norms = np.sqrt(np.einsum("iajb,iajb->ij", blocks, blocks))
-    np.fill_diagonal(norms, 0.0)
-    total = float(np.linalg.norm(F))
-    return float(norms.sum()) / max(total, 1e-300)
+def _off_residual(M: np.ndarray, amp: np.ndarray) -> float:
+    """Sum of off-diagonal block Frobenius norms relative to ||M||_F,
+    from the off_block_norms amplitudes of M."""
+    return (float(np.sqrt(4.0 * amp).sum())
+            / max(float(np.linalg.norm(M)), 1e-300))
 
 
 def random_test_symplex(n: int, seed: int) -> SymplexN:
@@ -140,7 +139,9 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         Pivot budget; defaults to 40 n^2.
     hamiltonian : bool
         After convergence, push every diagonal block to Hamiltonian form
-        (zero block diagonals) with per-pair passes.
+        (zero block diagonals) with one phase rotation per degree of
+        freedom; hamiltonian_steps counts the embedded pair transforms
+        that act.
 
     Returns
     -------
@@ -156,77 +157,58 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
     if max_steps is None:
         max_steps = 40 * n * n
 
-    if n > 1:
-        while True:
-            resid = _off_residual(M)
-            stats.residuals.append(resid)
-            if resid <= tol:
-                break
-            if stats.pivot_steps >= max_steps:
-                raise MaxStepsExceeded(
-                    f"no convergence after {stats.pivot_steps} pivots "
-                    f"(residual {resid:.3e})")
-            amp = off_block_norms(M)
-            # lexicographically smallest pair among maximal blocks
-            flat = np.argmax(amp)
-            i, j = divmod(int(flat), n)
-            if i > j:
-                i, j = j, i
-            sub = _extract_pair(M, i, j)
-            try:
-                res4 = decouple_block_diagonal(sub, tolerances)
-            except (ComplexEigenvalues, DegenerateB) as exc:
-                raise PivotComplex(
-                    f"pivot ({i}, {j}) cannot be decoupled over the "
-                    f"reals: {exc}", pivot=(i, j)) from exc
-            t = embed_4x4(res4.transform, i, j, n)
-            M = t.r @ M @ t.rinv
-            total = compose(t, total)
-            stats.pivots.append((i, j, float(np.sqrt(amp[i, j]))))
-            stats.pivot_steps += 1
+    while True:
+        amp = off_block_norms(M)
+        resid = _off_residual(M, amp)
+        stats.residuals.append(resid)
+        if resid <= tol:
+            break
+        if stats.pivot_steps >= max_steps:
+            raise MaxStepsExceeded(
+                f"no convergence after {stats.pivot_steps} pivots "
+                f"(residual {resid:.3e})")
+        # lexicographically smallest pair among maximal blocks
+        flat = np.argmax(amp)
+        i, j = divmod(int(flat), n)
+        if i > j:
+            i, j = j, i
+        sub = _extract_pair(M, i, j)
+        try:
+            res4 = decouple_block_diagonal(sub, tolerances)
+        except (ComplexEigenvalues, DegenerateB) as exc:
+            raise PivotComplex(
+                f"pivot ({i}, {j}) cannot be decoupled over the "
+                f"reals: {exc}", pivot=(i, j)) from exc
+        t = embed_4x4(res4.transform, i, j, n)
+        M = t.r @ M @ t.rinv
+        total = compose(t, total)
+        stats.pivots.append((i, j, float(np.sqrt(amp[i, j]))))
+        stats.pivot_steps += 1
 
     if hamiltonian:
-        if n == 1:
-            t = _single_dof_hamiltonian(M, tolerances)
-            if t is not None:
-                M = t.r @ M @ t.rinv
-                total = compose(t, total)
-                stats.hamiltonian_steps += 1
-        else:
-            pairs = [(k, k + 1) for k in range(0, n - 1, 2)]
-            if n % 2:
-                pairs.append((n - 2, n - 1))
-            for (i, j) in pairs:
-                sub = _extract_pair(M, i, j)
-                res4 = decouple_block_diagonal(sub, tolerances)
-                res4 = to_hamiltonian_form(res4, tolerances)
-                if all(s.skipped for s in res4.transform.steps):
-                    continue
-                t = embed_4x4(res4.transform, i, j, n)
-                M = t.r @ M @ t.rinv
-                total = compose(t, total)
-                stats.hamiltonian_steps += 1
+        t = dof_transform(DOF_ROTATION, _hamiltonian_angles(M, tolerances))
+        # one count per embedded pair transform that acts
+        stats.hamiltonian_steps = len({s.block for s in t.steps
+                                       if not s.skipped})
+        if stats.hamiltonian_steps:
+            M = t.r @ M @ t.rinv
+            total = compose(t, total)
 
-    stats.final_residual = _off_residual(M)
+    stats.final_residual = _off_residual(M, off_block_norms(M))
     return total, SymplexN(matrix=M, n=n), stats
 
 
-def _single_dof_hamiltonian(M: np.ndarray,
-                            tolerances: Tolerances) -> SymplecticTransform | None:
-    """Rotation zeroing the diagonal of a single 2x2 symplex, or None.
+def _hamiltonian_angles(M: np.ndarray, tolerances: Tolerances) -> list:
+    """Per-dof rotation angles zeroing the diagonal blocks' diagonals.
 
     A 2x2 symplex [[a, b], [c, -a]] conjugated by the phase rotation of
     angle theta has diagonal a cos(2 theta) + (b + c)/2 sin(2 theta);
-    theta = atan2(-2a, b + c)/2 removes it.
+    the full angle 2 theta = atan2(-2a, b + c) removes it.  Blocks with
+    |2a| below the step tolerance keep angle 0.
     """
-    a, bc = M[0, 0], M[0, 1] + M[1, 0]
-    if max(abs(a), abs(bc)) < tolerances.step:
-        return None
-    eps = np.arctan2(-2.0 * a, bc)  # full angle of the dof rotation pair
-    if abs(eps) < tolerances.step:
-        return None
-    c, s = np.cos(eps / 2.0), np.sin(eps / 2.0)
-    r = np.array([[c, s], [-s, c]])
-    from .transform import TransformStep
-    step = TransformStep(generator=0, epsilon=float(eps))
-    return SymplecticTransform(r=r, rinv=r.T, steps=(step,))
+    angles = []
+    for k in range(M.shape[0] // 2):
+        a, bc = M[2 * k, 2 * k], M[2 * k, 2 * k + 1] + M[2 * k + 1, 2 * k]
+        angles.append(0.0 if abs(2.0 * a) < tolerances.step
+                      else float(np.arctan2(-2.0 * a, bc)))
+    return angles

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decouple4 import (Tolerances, decouple_block_diagonal,
-                        to_hamiltonian_form)
+from .decouple4 import Tolerances, normal_form_scaling, off_block_max
 from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
 from .emeq import EmeqState
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import jacobi_decouple
-from .transform import (SymplecticTransform, TransferMatrix, block_scaling,
-                        compose, matrix_exponential, symplectic_residual)
+from .transform import (SymplecticTransform, TransferMatrix, compose,
+                        matrix_exponential, symplectic_residual)
 
 __all__ = [
     "SigmaMatrix",
@@ -124,53 +123,15 @@ def _as_transfer(M, tau: float | None) -> TransferMatrix:
                           symplectic_residual=symplectic_residual(M))
 
 
-def _off_block_norm(M: np.ndarray) -> float:
-    n = M.shape[0] // 2
-    out = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out = max(out, float(np.max(np.abs(
-                    M[2 * i:2 * i + 2, 2 * j:2 * j + 2]))))
-    return out
-
-
 def _decouple_symplex_part(Ms: np.ndarray, tolerances: Tolerances,
                            jacobi_tol: float):
     """Bring the symplex part to Hamiltonian form, then scale each block
-    with positive entry product to rotation form.  Returns the transform
-    and the per-block (sine, nature) pairs."""
-    dim = Ms.shape[0]
-    n = dim // 2
-    if dim == 4:
-        res = to_hamiltonian_form(decouple_block_diagonal(Ms, tolerances),
-                                  tolerances)
-        transform = res.transform
-        H = res.final.matrix
-    else:
-        transform, out, _ = jacobi_decouple(Ms, tol=jacobi_tol,
-                                            tolerances=tolerances)
-        H = out.matrix
-
-    scale = max(1.0, float(np.linalg.norm(Ms)))
-    exponents = []
-    sines = []
-    for k in range(n):
-        alpha = H[2 * k, 2 * k + 1]
-        beta = -H[2 * k + 1, 2 * k]
-        prod = alpha * beta
-        if prod > (tolerances.step * scale) ** 2:
-            exponents.append(0.25 * math.log(alpha / beta))
-            sines.append((math.copysign(math.sqrt(prod), alpha),
-                          NATURE_IMAGINARY))
-        elif prod < -(tolerances.step * scale) ** 2:
-            exponents.append(0.0)
-            sines.append((None, NATURE_REAL))
-        else:
-            exponents.append(0.0)
-            sines.append((0.0, NATURE_ZERO))
-    scaling = block_scaling(exponents)
-    return compose(scaling, transform), sines
+    with an imaginary eigenvalue pair to rotation form.  Returns the
+    transform and one Frequency per block."""
+    transform, out, _ = jacobi_decouple(Ms, tol=jacobi_tol,
+                                        tolerances=tolerances)
+    scaling, freqs = normal_form_scaling(out.matrix, tolerances)
+    return compose(scaling, transform), freqs
 
 
 def analyze_one_turn(M, tau: float | None = None,
@@ -195,7 +156,7 @@ def analyze_one_turn(M, tau: float | None = None,
             f"symplectic residual {tm.symplectic_residual:.3e} above "
             f"tolerance {symplectic_tol:.1e}")
     Ms, Mc = symplex_cosymplex_split(tm.matrix)
-    transform, sines = _decouple_symplex_part(Ms, tolerances, jacobi_tol)
+    transform, freqs = _decouple_symplex_part(Ms, tolerances, jacobi_tol)
     Mt = transform.r @ tm.matrix @ transform.rinv
     Ms_t = transform.r @ Ms @ transform.rinv
     Mc_t = transform.r @ Mc @ transform.rinv
@@ -205,7 +166,7 @@ def analyze_one_turn(M, tau: float | None = None,
     for k in range(n):
         blk = Mt[2 * k:2 * k + 2, 2 * k:2 * k + 2]
         cosine = float(np.trace(blk)) / 2.0
-        sine, nature = sines[k]
+        sine, nature = freqs[k].value, freqs[k].nature
         if nature == NATURE_REAL:
             blocks.append(BlockTune(
                 cosine=cosine, sine=None, nature=nature, tune=None,
@@ -222,8 +183,8 @@ def analyze_one_turn(M, tau: float | None = None,
     return OpticsReport(
         tau=tm.tau, transform=transform, blocks=tuple(blocks),
         symplectic_residual=tm.symplectic_residual,
-        symplex_offblock_residual=_off_block_norm(Ms_t),
-        cosymplex_offblock_residual=_off_block_norm(Mc_t),
+        symplex_offblock_residual=off_block_max(Ms_t),
+        cosymplex_offblock_residual=off_block_max(Mc_t),
         stable=stable)
 
 

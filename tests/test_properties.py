@@ -1,0 +1,119 @@
+"""Property tests of the per-dof block layout: transform builder, step-log
+replay, off-block measures and the normal-form scaling."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from symdec.decouple4 import normal_form_scaling, off_block_max
+from symdec.dirac import symplectic_unit
+from symdec.jacobi import off_block_norms
+from symdec.transform import (DOF_ROTATION, DOF_SCALING, dof_transform,
+                              replay, symplectic_residual)
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+dofs = st.integers(min_value=1, max_value=6)
+params = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def per_dof(elements=params):
+    """One element per degree of freedom, n = 1..6."""
+    return st.lists(elements, min_size=1, max_size=6)
+
+
+def dof_block(pair, eps):
+    """exp(G eps / 2) for the 2x2 block G of the generator pair."""
+    c, s = (np.cos(eps / 2), np.sin(eps / 2)) if pair == DOF_ROTATION \
+        else (np.cosh(eps / 2), np.sinh(eps / 2))
+    G = np.array([[0.0, 1.0], [-1.0, 0.0]]) if pair == DOF_ROTATION \
+        else np.diag([-1.0, 1.0])
+    return c * np.eye(2) + s * G
+
+
+def random_symplex(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (2 * n, 2 * n))
+    return symplectic_unit(n) @ (A + A.T)
+
+
+@PROPERTY
+@given(eps=per_dof(), pair=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
+def test_dof_transform_is_per_dof_block_exponential(eps, pair):
+    t = dof_transform(pair, eps)
+    n = len(eps)
+    scale = max(1.0, float(np.max(np.abs(t.r))))**2
+    assert symplectic_residual(t.r) <= 1e-13 * scale
+    np.testing.assert_allclose(t.r @ t.rinv, np.eye(2 * n), atol=1e-13 * scale)
+    want = np.zeros((2 * n, 2 * n))
+    for k, e in enumerate(eps):
+        want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = dof_block(pair, e)
+    np.testing.assert_allclose(t.r, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+@PROPERTY
+@given(eps=per_dof(), pair=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
+def test_replay_rebuilds_dof_transform(eps, pair):
+    t = dof_transform(pair, eps)
+    rebuilt = replay(t.steps, dim=2 * len(eps))
+    scale = max(1.0, float(np.max(np.abs(t.r))))
+    np.testing.assert_allclose(rebuilt.r, t.r, rtol=1e-14, atol=1e-14 * scale)
+    np.testing.assert_allclose(rebuilt.rinv, t.rinv, rtol=1e-14,
+                               atol=1e-14 * scale)
+
+
+@PROPERTY
+@given(eps=per_dof(), seed=seeds)
+def test_rotation_keeps_off_block_norms(eps, seed):
+    M = random_symplex(len(eps), seed)
+    t = dof_transform(DOF_ROTATION, eps)
+    Mt = t.r @ M @ t.rinv
+    np.testing.assert_allclose(off_block_norms(Mt), off_block_norms(M),
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(Mt), np.linalg.norm(M),
+                               rtol=1e-13)
+
+
+@PROPERTY
+@given(seed=seeds, n=dofs)
+def test_off_block_max_matches_blockwise_loop(seed, n):
+    M = random_symplex(n, seed)
+    want = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                want = max(want, float(np.max(np.abs(
+                    M[2 * i:2 * i + 2, 2 * j:2 * j + 2]))))
+    assert off_block_max(M) == want
+
+
+nonzero = st.one_of(st.floats(min_value=0.05, max_value=5.0),
+                    st.floats(min_value=-5.0, max_value=-0.05))
+
+
+@PROPERTY
+@given(entries=per_dof(st.tuples(nonzero, nonzero)))
+def test_normal_form_scaling_matches_eigenvalues(entries):
+    n = len(entries)
+    H = np.zeros((2 * n, 2 * n))
+    for k, (a, b) in enumerate(entries):
+        H[2 * k, 2 * k + 1], H[2 * k + 1, 2 * k] = a, -b
+    scaling, freqs = normal_form_scaling(H)
+    got = []
+    for w in freqs:
+        assert w.nature in ("imaginary", "real")
+        pair = 1j * w.value if w.nature == "imaginary" else w.value
+        got += [pair, -pair]
+    ev = list(np.linalg.eigvals(H))
+    for z in got:
+        k = int(np.argmin([abs(z - e) for e in ev]))
+        assert abs(z - ev.pop(k)) <= 1e-12
+    Hn = scaling.r @ H @ scaling.rinv
+    for k, w in enumerate(freqs):
+        blk = Hn[2 * k:2 * k + 2, 2 * k:2 * k + 2]
+        if w.nature == "imaginary":
+            np.testing.assert_allclose(blk, [[0.0, w.value], [-w.value, 0.0]],
+                                       atol=1e-12)
+        else:
+            np.testing.assert_allclose(blk, H[2 * k:2 * k + 2, 2 * k:2 * k + 2],
+                                       rtol=1e-14)

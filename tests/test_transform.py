@@ -219,6 +219,19 @@ def test_replay_rebuilds_transform():
     np.testing.assert_allclose(r.rinv, t.rinv, atol=1e-13)
 
 
+def test_replay_single_dof_needs_block_diagonal_generator():
+    from symdec.transform import TransformStep
+    steps = (TransformStep(generator=0, epsilon=0.3),
+             TransformStep(generator=3, epsilon=-0.2))
+    r = replay(steps, dim=2)
+    c, s = np.cos(0.15), np.sin(0.15)
+    np.testing.assert_allclose(
+        r.r, np.diag([np.exp(0.1), np.exp(-0.1)]) @ [[c, s], [-s, c]],
+        atol=1e-15)
+    with pytest.raises(DimensionMismatch):
+        replay((TransformStep(generator=2, epsilon=0.3),), dim=2)
+
+
 def test_block_scaling_diagonal():
     t = block_scaling([0.2, -0.4, 0.1])
     expected = np.diag([np.exp(-0.2), np.exp(0.2), np.exp(0.4),
