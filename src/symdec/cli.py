@@ -118,6 +118,11 @@ def _input_doc(path: str, mf) -> dict:
             "label": mf.label}
 
 
+def _frequencies_doc(freqs) -> list:
+    return [None if w is None else {"value": float(w.value),
+                                    "nature": w.nature} for w in freqs]
+
+
 def _invariant_doc(M: np.ndarray) -> dict:
     doc = {}
     lax = lax_invariants(M)
@@ -130,10 +135,7 @@ def _invariant_doc(M: np.ndarray) -> dict:
         doc.update({"k1": inv.k1, "k2": inv.k2, "det": inv.det,
                     "classification": inv.classification,
                     "stable": inv.stable, "degenerate": inv.degenerate})
-        doc["frequencies"] = [
-            None if w is None else {"value": float(w.value),
-                                    "nature": w.nature}
-            for w in (inv.omega1, inv.omega2)]
+        doc["frequencies"] = _frequencies_doc((inv.omega1, inv.omega2))
     return doc
 
 
@@ -201,8 +203,7 @@ def _decouple_small(M, form, tolerances):
         "final_matrix": _matrix_doc(res.final.matrix),
     }
     if res.frequencies is not None:
-        doc["frequencies"] = [{"value": float(w.value), "nature": w.nature}
-                              for w in res.frequencies]
+        doc["frequencies"] = _frequencies_doc(res.frequencies)
     if res.complex_radius is not None:
         doc["complex_radius"] = float(res.complex_radius)
     return res.transform, res.final.matrix, doc
@@ -212,7 +213,7 @@ def _decouple_large(M, form, tolerances, jacobi_tol, max_steps):
     transform, out, stats = jacobi_decouple(
         M, tol=jacobi_tol, max_steps=max_steps,
         hamiltonian=form in ("hamiltonian", "normal"), tolerances=tolerances)
-    final = out.matrix
+    final, freqs = out.matrix, None
     if form == "normal":
         scaling, freqs = normal_form_scaling(final, tolerances)
         for k, w in enumerate(freqs):
@@ -223,7 +224,7 @@ def _decouple_large(M, form, tolerances, jacobi_tol, max_steps):
         final = scaling.r @ final @ scaling.rinv
         transform = compose(scaling, transform)
     doc = {
-        "form_reached": form,
+        "form_reached": _FORMS[form],
         "residual": float(stats.final_residual),
         "iteration_stats": {
             "pivot_steps": stats.pivot_steps,
@@ -235,6 +236,8 @@ def _decouple_large(M, form, tolerances, jacobi_tol, max_steps):
         "transform_symplectic_residual": transform.residual(),
         "final_matrix": _matrix_doc(final),
     }
+    if freqs is not None:
+        doc["frequencies"] = _frequencies_doc(freqs)
     return transform, final, doc
 
 

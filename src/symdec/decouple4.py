@@ -14,10 +14,11 @@ quadruples) cannot be block-diagonalized over the reals; two dedicated
 procedures bring them to the real canonical form with only the E_y, E_z
 and B_y coefficients surviving.
 
-The EMEQ coefficients are recomputed from the matrix after every step.
-A step whose target coefficient is already below the step tolerance is
-logged as a skip, so inputs in canonical position pass through with the
-identity transform.
+Each step moves the ten coefficients (energy, P, E, B) in closed form
+(emeq.transform_coefficients); R F R^-1 is built once per stage and every
+pattern check reads its re-extracted coefficients.  A step whose target
+coefficient is already below the step tolerance is logged as a skip, so
+inputs in canonical position pass through with the identity transform.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dirac import GAMMA
 from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
-                   SpectralInvariants, aux_vectors, emeq_from_symplex,
-                   mass_components, spectral_invariants)
+                   SpectralInvariants, _cross, aux_vectors,
+                   emeq_from_symplex, mass_components, spectral_invariants,
+                   state_from_coefficients, transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (SymplecticTransform, apply_similarity,
-                        basic_transform, block_scaling, compose,
-                        identity_transform)
+                        basic_transform, block_scaling, compose)
 
 __all__ = [
     "FORM_BLOCK_DIAGONAL",
@@ -67,7 +69,7 @@ class Tolerances:
     """Tolerance ladder separating skip logic from acceptance.
 
     step  -- angles below this are logged as skips,
-    post  -- postcondition check on the reached canonical pattern,
+    post  -- postconditions: the reached pattern, coefficient drift,
     cross -- closed-form cross-checks against the pipeline.
     """
 
@@ -78,7 +80,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Symplex4:
-    """A 4x4 symplex with its cached EMEQ state (kept consistent)."""
+    """A 4x4 symplex and its EMEQ state; the two always agree."""
 
     matrix: np.ndarray
     state: EmeqState
@@ -115,24 +117,21 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """Mutable pipeline state: current symplex plus accumulated transform."""
+    """One stage: propagated EMEQ state, accumulated R, R^-1, step log."""
 
     def __init__(self, sym: Symplex4, tol: Tolerances):
-        self.sym = sym
+        self.source = sym
+        self.state = sym.state
         self.tol = tol
-        self.transform = identity_transform(4)
-
-    @property
-    def state(self) -> EmeqState:
-        return self.sym.state
+        self.r, self.rinv, self.steps = np.eye(4), np.eye(4), []
 
     @property
     def masses(self) -> MassComponents:
-        return mass_components(self.sym.state)
+        return mass_components(self.state)
 
     @property
     def aux(self) -> AuxVectors:
-        return aux_vectors(self.sym.state)
+        return aux_vectors(self.state)
 
     def zeroing_angle(self, num: float, den: float) -> float:
         """Rotation angle atan2(num, den) that removes `num`.
@@ -149,14 +148,13 @@ class _Pipeline:
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator, or log a skip for negligible angles."""
         if abs(epsilon) < self.tol.step:
-            t = basic_transform(b, 0.0, skipped=True)
-            self.transform = compose(t, self.transform)
+            self.steps.append(basic_transform(b, 0.0, skipped=True).steps[0])
             return
         t = basic_transform(b, epsilon)
-        M = apply_similarity(t, self.sym.matrix)
-        # coefficients must be refreshed after every transformation
-        self.sym = Symplex4.from_matrix(M, tol=1e-8)
-        self.transform = compose(t, self.transform)
+        self.state = state_from_coefficients(transform_coefficients(
+            self.state.coefficients, b, epsilon))
+        self.r, self.rinv = t.r @ self.r, self.rinv @ t.rinv
+        self.steps.append(t.steps[0])
 
     def boost(self, b: int, num: float, den: float, sign: float,
               step_index: int) -> None:
@@ -169,6 +167,18 @@ class _Pipeline:
                 f"step {step_index}: arctanh argument {num:.3e}/{den:.3e} "
                 "has modulus >= 1", step=step_index)
         self.step(b, sign * math.atanh(num / den))
+
+    def finish(self) -> tuple[SymplecticTransform, Symplex4]:
+        """The stage transform and R F R^-1, re-extracted (NotASymplex if
+        it left the symplices, PrecisionLoss if the propagation drifted)."""
+        t = SymplecticTransform(self.r, self.rinv, tuple(self.steps))
+        final = Symplex4.from_matrix(
+            apply_similarity(t, self.source.matrix), tol=1e-8)
+        c = final.state.coefficients
+        drift = float(np.max(np.abs(c - self.state.coefficients)))
+        if drift > self.tol.post * _coefficient_scale(final):
+            raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
+        return t, final
 
 
 def _as_symplex(F) -> Symplex4:
@@ -235,16 +245,17 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
     else:
         pipe.step(2, 0.0)
 
-    c = pipe.state.coefficients
+    transform, final = pipe.finish()
+    c = final.state.coefficients
     pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
     if pattern > tol.post * scale:
         raise DegenerateB(
             "geometric strategy exhausted with off-block coefficients up to "
             f"{pattern:.3e}; auxiliary vector b gives no usable direction")
     return DecoupleResult(
-        source=sym.matrix, transform=pipe.transform, final=pipe.sym,
+        source=sym.matrix, transform=transform, final=final,
         form=FORM_BLOCK_DIAGONAL,
-        residual=off_block_max(pipe.sym.matrix), invariants=inv,
+        residual=off_block_max(final.matrix), invariants=inv,
         frequencies=(inv.omega1, inv.omega2))
 
 
@@ -273,14 +284,15 @@ def to_hamiltonian_form(res: DecoupleResult,
         # degenerate momentum: align E with the z-axis directly
         pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))
 
-    resid = _hamiltonian_residual(pipe.sym.matrix)
+    transform, final = pipe.finish()
+    resid = _hamiltonian_residual(final.matrix)
     if resid > tol.post * scale:
         raise PrecisionLoss(
             f"off-pattern entries up to {resid:.3e} after Hamiltonian-form "
             "rotations")
     return replace(
-        res, transform=compose(pipe.transform, res.transform),
-        final=pipe.sym, form=FORM_HAMILTONIAN, residual=resid)
+        res, transform=compose(transform, res.transform),
+        final=final, form=FORM_HAMILTONIAN, residual=resid)
 
 
 def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
@@ -361,7 +373,6 @@ def diagonalize(res: DecoupleResult,
     """
     if res.form != FORM_NORMAL:
         raise ValueError(f"expected a normal-form result, got {res.form!r}")
-    from .dirac import GAMMA
     e0 = 0.5 * (np.eye(4) - GAMMA[0] + 1j * GAMMA[3] + 1j * GAMMA[6])
     vecs = res.transform.rinv @ e0
     w1, w2 = res.frequencies[0].value, res.frequencies[1].value
@@ -374,20 +385,20 @@ def diagonalize(res: DecoupleResult,
     return vecs, values
 
 
-def _complex_canonical_result(pipe: _Pipeline, source: np.ndarray,
-                              inv: SpectralInvariants,
+def _complex_canonical_result(pipe: _Pipeline, inv: SpectralInvariants,
                               tol: Tolerances) -> DecoupleResult:
-    c = pipe.state.coefficients
+    transform, final = pipe.finish()
+    c = final.state.coefficients
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
     resid = float(np.max(off))
-    scale = _coefficient_scale(pipe.sym)
+    scale = _coefficient_scale(final)
     if resid > tol.post * scale:
         raise PrecisionLoss(
             f"complex canonical coefficients off by {resid:.3e}")
     rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
     return DecoupleResult(
-        source=source, transform=pipe.transform, final=pipe.sym,
+        source=pipe.source.matrix, transform=transform, final=final,
         form=FORM_COMPLEX_CANONICAL, residual=resid, invariants=inv,
         frequencies=None, complex_radius=float(rho))
 
@@ -437,7 +448,7 @@ def complex_low_energy(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     pipe.step(9, -pipe.zeroing_angle(s.b[0], s.b[1]))            # 8
     s = pipe.state
     pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 9
-    return _complex_canonical_result(pipe, sym.matrix, inv, tol)
+    return _complex_canonical_result(pipe, inv, tol)
 
 
 def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
@@ -484,7 +495,7 @@ def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=7)          # 7
     s = pipe.state
     pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 8
-    return _complex_canonical_result(pipe, sym.matrix, inv, tol)
+    return _complex_canonical_result(pipe, inv, tol)
 
 
 def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
@@ -543,5 +554,5 @@ def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:
                / (m_x * b_yz * b_norm),
         "e_z": (m.m_r * (bv[1] * e[2] - bv[2] * e[1])
                 + m.m_g * (bv[1] * p[2] - bv[2] * p[1])) / (m_x * b_yz),
-        "b_y": (e0 * float(b @ b) - float(p @ np.cross(e, b))) / b_norm,
+        "b_y": (e0 * float(b @ b) - float(p @ _cross(e, b))) / b_norm,
     }

@@ -81,6 +81,11 @@ GAMMA = _build_basis()
 # (boost generators), -1 for the skew-symmetric ones (rotation generators).
 _SIGNATURE = tuple(int(round((m @ m)[0, 0])) for m in GAMMA)
 
+# row k is gamma(k) flattened; gamma(k)^T = s_k gamma(k), so the trace
+# formula m_k = s_k Tr(M gamma_k) / 4 is row k . vec(M) / 4
+_STACKED = np.array([m.ravel() for m in GAMMA])
+_STACKED.flags.writeable = False
+
 
 def gamma(k: int) -> np.ndarray:
     """Return the k-th real Dirac matrix, k in 0..15 (read-only view)."""
@@ -108,16 +113,13 @@ def symplectic_unit(n: int = 2) -> np.ndarray:
 def rdm_coefficients(M: np.ndarray) -> np.ndarray:
     """Expansion coefficients of a real 4x4 matrix over the Dirac basis.
 
-    Returns the length-16 vector m with M = sum_k m[k] * gamma(k), computed
-    from m_k = Tr(gamma_k^2) * Tr(M gamma_k + gamma_k M) / 32.
+    Returns the length-16 vector m with M = sum_k m[k] * gamma(k): the
+    trace formula m_k = s_k Tr(M gamma_k) / 4 as one 16x16 matrix product.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
-    out = np.empty(16)
-    for k in range(16):
-        out[k] = _SIGNATURE[k] * np.trace(M @ GAMMA[k]) / 4.0
-    return out
+    return _STACKED @ M.ravel() / 4.0
 
 
 def from_coefficients(c: np.ndarray) -> np.ndarray:
@@ -125,11 +127,7 @@ def from_coefficients(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (16,):
         raise ValueError(f"expected 16 coefficients, got shape {c.shape}")
-    M = np.zeros((4, 4))
-    for k in range(16):
-        if c[k] != 0.0:
-            M += c[k] * GAMMA[k]
-    return M
+    return (c @ _STACKED).reshape(4, 4)
 
 
 def _relative_scale(M: np.ndarray) -> float:

@@ -9,11 +9,12 @@ into a vector orthogonalization/alignment problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import from_coefficients, rdm_coefficients
+from .dirac import GAMMA, from_coefficients, gamma_signature, rdm_coefficients
 from .errors import NotASymplex
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "state_from_coefficients",
     "mass_components",
     "aux_vectors",
+    "transform_coefficients",
     "spectral_invariants",
     "lax_invariants",
 ]
@@ -42,6 +44,13 @@ CLASS_COMPLEX_QUADRUPLE = "complex_quadruple"
 # |K2| below this (relative to max(1, K1^2)) marks a degenerate boundary
 # where the classification branches meet.
 DEGENERATE_K2_BAND = 1e-12
+
+
+# ad(gamma_b) / 2 on the ten symplex coefficients: six +-1 entries each
+_ACTION = np.array([[rdm_coefficients(gb @ g - g @ gb)[:10] / 2.0
+                     for g in GAMMA[:10]] for gb in GAMMA[:10]]
+                   ).transpose(0, 2, 1)
+_ACTION.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -60,9 +69,8 @@ class EmeqState:
 
     def matrix(self) -> np.ndarray:
         """Reassemble the 4x4 symplex carrying this state."""
-        c = np.zeros(16)
-        c[:10] = self.coefficients
-        return from_coefficients(c)
+        return from_coefficients(np.concatenate((self.coefficients,
+                                                 np.zeros(6))))
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,29 @@ def mass_components(s: EmeqState) -> MassComponents:
 def aux_vectors(s: EmeqState) -> AuxVectors:
     """The auxiliary vectors r, g, b built from energy and cross products."""
     return AuxVectors(
-        r=s.energy * s.p + np.cross(s.b, s.e),
-        g=s.energy * s.e + np.cross(s.p, s.b),
-        b=s.energy * s.b + np.cross(s.e, s.p),
+        r=s.energy * s.p + _cross(s.b, s.e),
+        g=s.energy * s.e + _cross(s.p, s.b),
+        b=s.energy * s.b + _cross(s.e, s.p),
     )
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v for two 3-vectors, without np.cross's general-shape overhead."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+
+
+def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
+    """The ten coefficients of R F R^-1, R = basic_transform(b, epsilon),
+    from those of F: c + sin(eps) A c + (1 - cos(eps)) A^2 c, A = _ACTION[b],
+    as A^3 = -A; a boost (A^3 = A) takes sinh(eps) and cosh(eps) - 1."""
+    # 1 - cos(eps) = 2 sin(eps/2)^2, free of cancellation at small eps
+    if gamma_signature(b) < 0:
+        s, k = math.sin(epsilon), 2.0 * math.sin(epsilon / 2.0) ** 2
+    else:
+        s, k = math.sinh(epsilon), 2.0 * math.sinh(epsilon / 2.0) ** 2
+    a = _ACTION[b] @ c
+    return c + s * a + k * (_ACTION[b] @ a)
 
 
 def _frequency(radicand: float, tol: float) -> Frequency:
@@ -166,7 +193,7 @@ def spectral_invariants(s: EmeqState, tol: float = 1e-12) -> SpectralInvariants:
     """
     e0, p, e, b = s.energy, s.p, s.e, s.b
     k1 = e0**2 + b @ b - e @ e - p @ p
-    bvec = e0 * b + np.cross(e, p)
+    bvec = e0 * b + _cross(e, p)
     k2 = bvec @ bvec - (e @ b) ** 2 - (p @ b) ** 2
     k1, k2 = float(k1), float(k2)
     det = k1**2 - 4.0 * k2

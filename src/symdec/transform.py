@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA, gamma_signature, symplectic_unit
+from .dirac import GAMMA, symplectic_unit
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -38,6 +38,8 @@ BOOST_GENERATORS = (1, 2, 3, 4, 5, 6)
 # (a, b) with gamma(a) = diag(G, G), gamma(b) = diag(G, -G): dof_transform
 DOF_ROTATION = (0, 8)
 DOF_SCALING = (3, 4)
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,13 @@ def basic_transform(b: int, epsilon: float,
     if not math.isfinite(epsilon):
         raise ValueError(f"non-finite transform parameter: {epsilon}")
     g = GAMMA[b]
-    eye = np.eye(4)
-    if gamma_signature(b) < 0:
+    if b in ROTATION_GENERATORS:
         c, s = math.cos(epsilon / 2.0), math.sin(epsilon / 2.0)
     else:
         c, s = math.cosh(epsilon / 2.0), math.sinh(epsilon / 2.0)
     step = TransformStep(generator=b, epsilon=float(epsilon), skipped=skipped)
-    return SymplecticTransform(r=c * eye + s * g, rinv=c * eye - s * g,
-                               steps=(step,))
+    ce, sg = c * _EYE4, s * g
+    return SymplecticTransform(r=ce + sg, rinv=ce - sg, steps=(step,))
 
 
 def apply_similarity(t: SymplecticTransform, F: np.ndarray) -> np.ndarray:

@@ -233,6 +233,28 @@ def test_decouple_single_dof(tmp_path, capsys):
                                    doc["invariants_after"]["lax"], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("form, reached", [("block", "block_diagonal"),
+                                           ("normal", "normal")])
+def test_decouple_2n_report_shape(tmp_path, capsys, n, form, reached):
+    # the 2x2 and 2n reports name the form as the library does, and the
+    # normal form carries its frequencies like the 4x4 report
+    F = (np.array([[0.3, 0.5], [-2.0, -0.3]]) if n == 1
+         else random_test_symplex(n, 0).matrix)
+    path = tmp_path / "f.json"
+    save_matrix_json(path, F, kind="force")
+    assert main(["decouple", str(path), "--json", "--form", form]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["form_reached"] == reached
+    if form == "block":
+        assert "frequencies" not in doc
+        return
+    assert [w["nature"] for w in doc["frequencies"]] == ["imaginary"] * n
+    got = np.sort([abs(w["value"]) for w in doc["frequencies"]])
+    want = np.sort(np.linalg.eigvals(F).imag)[n:]
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # tunes command
 
