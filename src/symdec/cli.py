@@ -16,12 +16,12 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                        FORM_NORMAL, Tolerances, decouple,
-                        normal_form_scaling)
+                        FORM_NORMAL, Tolerances, decouple)
 from .dirac import (rdm_coefficients, symplectic_unit, symplex_residual,
                     symplex_cosymplex_split)
 from .emeq import emeq_from_symplex, lax_invariants, spectral_invariants
@@ -32,7 +32,7 @@ from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
-from .transform import compose, replay, symplectic_residual
+from .transform import replay, symplectic_residual
 
 SCHEMA = "symdec-report/1"
 
@@ -112,7 +112,7 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 def _input_doc(path: str, mf) -> dict:
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return {"path": str(path), "sha256": digest, "dim": int(mf.dim),
             "n": int(mf.n), "kind": mf.kind, "tau": mf.tau,
             "label": mf.label}
@@ -192,55 +192,6 @@ _FORMS = {"block": FORM_BLOCK_DIAGONAL, "hamiltonian": FORM_HAMILTONIAN,
           "normal": FORM_NORMAL}
 
 
-def _decouple_small(M, form, tolerances):
-    res = decouple(M, form=_FORMS[form], tol=tolerances)
-    doc = {
-        "form_reached": res.form,
-        "classification": res.invariants.classification,
-        "residual": float(res.residual),
-        "transform_log": _steps_doc(res.transform.steps),
-        "transform_symplectic_residual": res.transform.residual(),
-        "final_matrix": _matrix_doc(res.final.matrix),
-    }
-    if res.frequencies is not None:
-        doc["frequencies"] = _frequencies_doc(res.frequencies)
-    if res.complex_radius is not None:
-        doc["complex_radius"] = float(res.complex_radius)
-    return res.transform, res.final.matrix, doc
-
-
-def _decouple_large(M, form, tolerances, jacobi_tol, max_steps):
-    transform, out, stats = jacobi_decouple(
-        M, tol=jacobi_tol, max_steps=max_steps,
-        hamiltonian=form in ("hamiltonian", "normal"), tolerances=tolerances)
-    final, freqs = out.matrix, None
-    if form == "normal":
-        scaling, freqs = normal_form_scaling(final, tolerances)
-        for k, w in enumerate(freqs):
-            if w.nature != "imaginary":
-                raise UnstableBlock(
-                    f"block {k} has a {w.nature} eigenvalue pair and no "
-                    "rotation normal form", block=k)
-        final = scaling.r @ final @ scaling.rinv
-        transform = compose(scaling, transform)
-    doc = {
-        "form_reached": _FORMS[form],
-        "residual": float(stats.final_residual),
-        "iteration_stats": {
-            "pivot_steps": stats.pivot_steps,
-            "hamiltonian_steps": stats.hamiltonian_steps,
-            "total_steps": stats.total_steps,
-            "residual_trend": [float(r) for r in stats.residuals],
-        },
-        "transform_log": _steps_doc(transform.steps),
-        "transform_symplectic_residual": transform.residual(),
-        "final_matrix": _matrix_doc(final),
-    }
-    if freqs is not None:
-        doc["frequencies"] = _frequencies_doc(freqs)
-    return transform, final, doc
-
-
 def cmd_decouple(args) -> int:
     mf = _load(args.path)
     if mf.kind == "transfer":
@@ -255,26 +206,39 @@ def cmd_decouple(args) -> int:
         raise _Failure(
             f"{args.path}: not a symplex (residual {resid:.3e})",
             EXIT_VALIDATION)
-    tolerances = Tolerances(step=args.step_tol, post=args.tol,
-                            cross=args.cross_tol)
     t0 = time.perf_counter()
-    if M.shape[0] == 4:
-        transform, final, body = _decouple_small(M, args.form, tolerances)
-    else:
-        transform, final, body = _decouple_large(
-            M, args.form, tolerances, args.jacobi_tol, args.max_steps)
+    res = decouple(M, form=_FORMS[args.form],
+                   tol=Tolerances(step=args.step_tol, post=args.tol),
+                   jacobi_tol=args.jacobi_tol, max_steps=args.max_steps)
     elapsed = time.perf_counter() - t0
 
-    replayed = replay(transform.steps, dim=M.shape[0])
+    final = res.final.matrix
+    replayed = replay(res.transform.steps, dim=M.shape[0])
     replay_resid = float(np.max(np.abs(
         replayed.r @ M @ replayed.rinv - final)))
     doc = {"schema": SCHEMA, "command": "decouple",
            "input": _input_doc(args.path, mf),
            "settings": {"form": args.form, "step_tol": args.step_tol,
-                        "post_tol": args.tol, "cross_tol": args.cross_tol,
-                        "jacobi_tol": args.jacobi_tol},
-           "invariants_before": _invariant_doc(M)}
-    doc.update(body)
+                        "post_tol": args.tol, "jacobi_tol": args.jacobi_tol},
+           "invariants_before": _invariant_doc(M),
+           "form_reached": res.form}
+    if res.invariants is not None:
+        doc["classification"] = res.invariants.classification
+    doc["residual"] = float(res.residual)
+    if res.stats is not None:
+        doc["iteration_stats"] = {
+            "pivot_steps": res.stats.pivot_steps,
+            "hamiltonian_steps": res.stats.hamiltonian_steps,
+            "total_steps": res.stats.total_steps,
+            "residual_trend": [float(r) for r in res.stats.residuals],
+        }
+    doc["transform_log"] = _steps_doc(res.transform.steps)
+    doc["transform_symplectic_residual"] = res.transform.residual()
+    doc["final_matrix"] = _matrix_doc(final)
+    if res.frequencies is not None:
+        doc["frequencies"] = _frequencies_doc(res.frequencies)
+    if res.complex_radius is not None:
+        doc["complex_radius"] = float(res.complex_radius)
     doc["invariants_after"] = _invariant_doc(final)
     doc["replay_residual"] = replay_resid
     doc["timing"] = {"seconds": elapsed}
@@ -388,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="postcondition tolerance")
     p.add_argument("--step-tol", type=float, default=1e-14,
                    help="angles below this are skipped")
-    p.add_argument("--cross-tol", type=float, default=1e-7,
-                   help="closed-form cross-check tolerance")
     p.add_argument("--check-tol", type=float, default=1e-8,
                    help="input symplex validation tolerance")
     p.add_argument("--jacobi-tol", type=float, default=1e-12,

@@ -1,4 +1,5 @@
-"""Geometric decoupling of a single 4x4 symplex.
+"""Geometric decoupling of a 4x4 symplex, and `decouple`, the one
+decoupling entry point for any 2n x 2n symplex (Jacobi for n != 2).
 
 The pipeline walks a symplex through successive canonical shapes by
 elementary symplectic similarity transforms chosen from the EMEQ
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +40,9 @@ from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (SymplecticTransform, apply_similarity,
                         basic_transform, block_scaling, compose)
+
+if TYPE_CHECKING:
+    from .jacobi import IterationStats, SymplexN
 
 __all__ = [
     "FORM_BLOCK_DIAGONAL",
@@ -68,14 +74,12 @@ FORM_COMPLEX_CANONICAL = "complex_canonical"
 class Tolerances:
     """Tolerance ladder separating skip logic from acceptance.
 
-    step  -- angles below this are logged as skips,
-    post  -- postconditions: the reached pattern, coefficient drift,
-    cross -- closed-form cross-checks against the pipeline.
+    step -- angles below this are logged as skips,
+    post -- postconditions: the reached pattern, coefficient drift.
     """
 
     step: float = 1e-14
     post: float = 1e-10
-    cross: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -94,26 +98,34 @@ class Symplex4:
     def from_state(cls, state: EmeqState) -> "Symplex4":
         return cls(matrix=state.matrix(), state=state)
 
+    @cached_property
+    def invariants(self) -> SpectralInvariants:
+        """spectral_invariants of the state, evaluated on first use."""
+        return spectral_invariants(self.state)
+
 
 @dataclass(frozen=True)
 class DecoupleResult:
     """Outcome of a decoupling pipeline.
 
-    final = transform applied to source; residual is the largest entry
-    (or coefficient, for the complex canonical form) violating the
-    target pattern; frequencies carry the eigenvalue pair natures, and
-    complex_radius the eigenvalue circle radius when the spectrum is a
-    complex quadruple.
+    final = transform applied to source, a Symplex4 for a 4x4 source and
+    a SymplexN for any other 2n.  residual is the largest entry (or
+    coefficient, for the complex canonical form) violating the target
+    pattern of a 4x4, and stats.final_residual of a 2n, whose Jacobi
+    counters are in stats and which has no invariants.  frequencies
+    carry the eigenvalue pair natures, one per block, and complex_radius
+    the eigenvalue circle radius when the spectrum is a complex quadruple.
     """
 
     source: np.ndarray
     transform: SymplecticTransform
-    final: Symplex4
+    final: Symplex4 | SymplexN
     form: str
     residual: float
-    invariants: SpectralInvariants
-    frequencies: tuple[Frequency, Frequency] | None = None
+    invariants: SpectralInvariants | None = None
+    frequencies: tuple[Frequency, ...] | None = None
     complex_radius: float | None = None
+    stats: IterationStats | None = None
 
 
 class _Pipeline:
@@ -221,7 +233,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
     the largest off-block matrix entry.
     """
     sym = _as_symplex(F)
-    inv = spectral_invariants(sym.state)
+    inv = sym.invariants
     scale = _coefficient_scale(sym)
     if inv.k2 < 0.0 and not inv.degenerate:
         raise ComplexEigenvalues(
@@ -268,8 +280,8 @@ def to_hamiltonian_form(res: DecoupleResult,
     entries.  If P vanishes, the same rotation aligns E with the z-axis
     instead.  PrecisionLoss is raised when off-pattern entries survive.
     """
-    if res.form != FORM_BLOCK_DIAGONAL:
-        raise ValueError(f"expected a block_diagonal result, got {res.form!r}")
+    if res.form != FORM_BLOCK_DIAGONAL or not isinstance(res.final, Symplex4):
+        raise ValueError(f"not a 4x4 block_diagonal result: {res.form!r}")
     pipe = _Pipeline(res.final, tol)
     scale = _coefficient_scale(res.final)
 
@@ -330,12 +342,14 @@ def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
 
 def to_normal_form(res: DecoupleResult,
                    tol: Tolerances = Tolerances()) -> DecoupleResult:
-    """Scale a Hamiltonian-form result to antisymmetric normal form.
+    """Scale a Hamiltonian-form 2n x 2n result to antisymmetric normal form.
 
     normal_form_scaling turns each block [[0, a], [-b, 0]] with an
     imaginary eigenvalue pair into [[0, w], [-w, 0]].  A block with a
     real (or vanishing) pair has no rotation normal form: UnstableBlock
-    is raised and the Hamiltonian form stands.
+    is raised and the Hamiltonian form stands.  A 4x4 result is checked
+    against the exact normal-form pattern (PrecisionLoss); a 2n result
+    keeps its Jacobi residual.
     """
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
@@ -347,9 +361,13 @@ def to_normal_form(res: DecoupleResult,
                 f"block {idx} has entries ({M[2 * idx, 2 * idx + 1]:.6e}, "
                 f"{-M[2 * idx + 1, 2 * idx]:.6e}): a {w.nature} eigenvalue "
                 "pair has no rotation normal form", block=idx)
-    final = Symplex4.from_matrix(apply_similarity(scaling, M), tol=1e-8)
+    Mn = apply_similarity(scaling, M)
+    res = replace(res, transform=compose(scaling, res.transform),
+                  form=FORM_NORMAL, frequencies=freqs)
+    if not isinstance(res.final, Symplex4):
+        return replace(res, final=replace(res.final, matrix=Mn))
+    final = Symplex4.from_matrix(Mn, tol=1e-8)
 
-    Mn = final.matrix
     target = np.zeros((4, 4))
     target[0, 1], target[1, 0] = freqs[0].value, -freqs[0].value
     target[2, 3], target[3, 2] = freqs[1].value, -freqs[1].value
@@ -357,9 +375,7 @@ def to_normal_form(res: DecoupleResult,
     if resid > tol.post * _coefficient_scale(res.final):
         raise PrecisionLoss(
             f"normal form off by {resid:.3e} after scaling")
-    return replace(
-        res, transform=compose(scaling, res.transform),
-        final=final, form=FORM_NORMAL, residual=resid, frequencies=freqs)
+    return replace(res, final=final, residual=resid)
 
 
 def diagonalize(res: DecoupleResult,
@@ -371,8 +387,8 @@ def diagonalize(res: DecoupleResult,
     so the source has eigenvector matrix E = Rinv E0 with eigenvalues
     (i w1, -i w1, i w2, -i w2).
     """
-    if res.form != FORM_NORMAL:
-        raise ValueError(f"expected a normal-form result, got {res.form!r}")
+    if res.form != FORM_NORMAL or not isinstance(res.final, Symplex4):
+        raise ValueError(f"not a 4x4 normal-form result: {res.form!r}")
     e0 = 0.5 * (np.eye(4) - GAMMA[0] + 1j * GAMMA[3] + 1j * GAMMA[6])
     vecs = res.transform.rinv @ e0
     w1, w2 = res.frequencies[0].value, res.frequencies[1].value
@@ -414,7 +430,7 @@ def complex_low_energy(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     (K1^2 + 4 |K2|)^(1/4).
     """
     sym = _as_symplex(F)
-    inv = spectral_invariants(sym.state)
+    inv = sym.invariants
     s = sym.state
     if inv.k2 >= 0.0:
         raise BranchMismatch(
@@ -461,7 +477,7 @@ def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     low-energy case.
     """
     sym = _as_symplex(F)
-    inv = spectral_invariants(sym.state)
+    inv = sym.invariants
     s = sym.state
     if inv.k2 >= 0.0:
         raise BranchMismatch(
@@ -499,30 +515,43 @@ def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
 
 
 def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
-             tol: Tolerances = Tolerances()) -> DecoupleResult:
-    """Route a symplex through the appropriate pipeline.
+             tol: Tolerances = Tolerances(), jacobi_tol: float = 1e-12,
+             max_steps: int | None = None) -> DecoupleResult:
+    """Decouple a 2n x 2n symplex to the form "block_diagonal",
+    "hamiltonian" or "normal".
 
-    For K2 < 0 the matching complex procedure is chosen (low energy if
-    energy^2 < max(P^2, E^2), intermediate otherwise) regardless of the
-    requested form.  Otherwise the pipeline runs to the requested form:
-    "block_diagonal", "hamiltonian" or "normal".
+    A 4x4 takes the geometric pipeline; for K2 < 0 the matching complex
+    procedure runs (low energy if energy^2 < max(P^2, E^2), intermediate
+    otherwise) regardless of the requested form.  Any other n runs
+    jacobi_decouple (threshold jacobi_tol, pivot budget max_steps) to
+    Hamiltonian form unless block-diagonal is asked for, and the result
+    carries its IterationStats.  Both reach normal form by to_normal_form.
     """
-    sym = _as_symplex(F)
-    inv = spectral_invariants(sym.state)
-    if inv.k2 < 0.0 and not inv.degenerate:
-        s = sym.state
-        if s.energy**2 < max(s.p @ s.p, s.e @ s.e):
-            return complex_low_energy(sym, tol)
-        return complex_intermediate(sym, tol)
-    res = decouple_block_diagonal(sym, tol)
-    if form == FORM_BLOCK_DIAGONAL:
-        return res
-    res = to_hamiltonian_form(res, tol)
-    if form == FORM_HAMILTONIAN:
-        return res
-    if form != FORM_NORMAL:
+    if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
-    return to_normal_form(res, tol)
+    M = getattr(F, "matrix", F)
+    if np.shape(M) == (4, 4):
+        sym = F if isinstance(F, Symplex4) else Symplex4.from_matrix(M)
+        inv = sym.invariants
+        if inv.k2 < 0.0 and not inv.degenerate:
+            s = sym.state
+            if s.energy**2 < max(s.p @ s.p, s.e @ s.e):
+                return complex_low_energy(sym, tol)
+            return complex_intermediate(sym, tol)
+        res = decouple_block_diagonal(sym, tol)
+        if form != FORM_BLOCK_DIAGONAL:
+            res = to_hamiltonian_form(res, tol)
+    else:
+        from .jacobi import jacobi_decouple  # jacobi imports this module
+        hamiltonian = form != FORM_BLOCK_DIAGONAL
+        transform, final, stats = jacobi_decouple(
+            F, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian,
+            tolerances=tol)
+        res = DecoupleResult(
+            source=np.asarray(M, dtype=float), transform=transform,
+            final=final, residual=stats.final_residual, stats=stats,
+            form=FORM_HAMILTONIAN if hamiltonian else FORM_BLOCK_DIAGONAL)
+    return to_normal_form(res, tol) if form == FORM_NORMAL else res
 
 
 def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:

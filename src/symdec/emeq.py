@@ -129,9 +129,11 @@ def state_from_coefficients(c) -> EmeqState:
 def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
     """Extract the EMEQ state of a 4x4 symplex.
 
-    Raises NotASymplex if any cosymplex coefficient exceeds tol relative
-    to the coefficient scale.
+    Raises NotASymplex if F has a non-finite entry or any cosymplex
+    coefficient exceeds tol relative to the coefficient scale.
     """
+    if not np.isfinite(F).all():
+        raise NotASymplex("matrix has non-finite entries")
     c = rdm_coefficients(F)
     scale = max(1.0, float(np.linalg.norm(c)))
     worst = float(np.max(np.abs(c[10:])))

@@ -46,6 +46,8 @@ class SymplexN:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise ValueError(f"expected a square even matrix, got {M.shape}")
+        if not np.isfinite(M).all():
+            raise NotASymplex("matrix has non-finite entries")
         n = M.shape[0] // 2
         resid = symplex_residual(M)
         if resid > tol * max(1.0, np.linalg.norm(M)):

@@ -111,6 +111,8 @@ class EffectiveForce:
 
 
 def _as_transfer(M, tau: float | None) -> TransferMatrix:
+    if not np.isfinite(getattr(M, "matrix", M)).all():
+        raise NotSymplectic("matrix has non-finite entries")
     if isinstance(M, TransferMatrix):
         if tau is not None and tau != M.tau:
             return TransferMatrix(matrix=M.matrix, tau=float(tau),
@@ -147,7 +149,8 @@ def analyze_one_turn(M, tau: float | None = None,
     transformed M; tunes are reported in [0, 1/2] with direction and
     branch flags.
 
-    Raises NotSymplectic when M violates the symplectic condition.
+    Raises NotSymplectic when M has a non-finite entry or violates the
+    symplectic condition.
     """
     tm = _as_transfer(M, tau)
     scale = max(1.0, float(np.linalg.norm(tm.matrix)))

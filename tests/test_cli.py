@@ -233,12 +233,13 @@ def test_decouple_single_dof(tmp_path, capsys):
                                    doc["invariants_after"]["lax"], atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("form, reached", [("block", "block_diagonal"),
                                            ("normal", "normal")])
 def test_decouple_2n_report_shape(tmp_path, capsys, n, form, reached):
-    # the 2x2 and 2n reports name the form as the library does, and the
-    # normal form carries its frequencies like the 4x4 report
+    # every 2n report names the form as the library does, the normal form
+    # carries its frequencies, only the Jacobi run (n != 2) carries its
+    # iteration counters and only the 4x4 its classification
     F = (np.array([[0.3, 0.5], [-2.0, -0.3]]) if n == 1
          else random_test_symplex(n, 0).matrix)
     path = tmp_path / "f.json"
@@ -246,8 +247,11 @@ def test_decouple_2n_report_shape(tmp_path, capsys, n, form, reached):
     assert main(["decouple", str(path), "--json", "--form", form]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["form_reached"] == reached
+    assert ("iteration_stats" in doc) == (n != 2)
+    assert ("classification" in doc) == (n == 2)
     if form == "block":
-        assert "frequencies" not in doc
+        # the 4x4 pipeline knows its frequencies from the invariants
+        assert ("frequencies" in doc) == (n == 2)
         return
     assert [w["nature"] for w in doc["frequencies"]] == ["imaginary"] * n
     got = np.sort([abs(w["value"]) for w in doc["frequencies"]])

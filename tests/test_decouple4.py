@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from symdec import decouple4, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               FORM_HAMILTONIAN, FORM_NORMAL, Symplex4,
                               closed_form_block_coefficients,
                               complex_intermediate, complex_low_energy,
                               decouple, decouple_block_diagonal, diagonalize,
-                              to_hamiltonian_form, to_normal_form)
+                              normal_form_scaling, to_hamiltonian_form,
+                              to_normal_form)
 from symdec.dirac import GAMMA
 from symdec.emeq import (aux_vectors, emeq_from_symplex, mass_components,
                          spectral_invariants, state_from_coefficients)
-from symdec.errors import (BranchMismatch, ComplexEigenvalues, UnstableBlock)
-from symdec.transform import apply_similarity, symplectic_residual
+from symdec.errors import (BranchMismatch, ComplexEigenvalues, NotASymplex,
+                           NotSymplectic, UnstableBlock)
+from symdec.jacobi import SymplexN, jacobi_decouple, random_test_symplex
+from symdec.optics import analyze_one_turn
+from symdec.transform import (apply_similarity, compose, matrix_exponential,
+                              symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
                       random_stable_symplex)
@@ -332,6 +338,79 @@ def test_decouple_dispatcher():
     assert res.form == FORM_COMPLEX_CANONICAL
     with pytest.raises(ValueError):
         decouple(random_stable_symplex(rng), form="bogus")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
+                                  FORM_NORMAL])
+def test_decouple_2n_is_jacobi(n, form):
+    # every n != 2 is the Jacobi iteration (plus the normal-form scaling),
+    # bit for bit, and the result carries its iteration counters
+    F = random_test_symplex(n, 5).matrix
+    res = decouple(F, form=form, jacobi_tol=1e-11, max_steps=500)
+    transform, out, stats = jacobi_decouple(
+        F, tol=1e-11, max_steps=500, hamiltonian=form != FORM_BLOCK_DIAGONAL)
+    final, freqs = out.matrix, None
+    if form == FORM_NORMAL:
+        scaling, freqs = normal_form_scaling(final)
+        final = scaling.r @ final @ scaling.rinv
+        transform = compose(scaling, transform)
+    assert res.form == form
+    assert isinstance(res.final, SymplexN) and res.final.n == n
+    np.testing.assert_array_equal(res.final.matrix, final)
+    np.testing.assert_array_equal(res.transform.r, transform.r)
+    np.testing.assert_array_equal(res.transform.rinv, transform.rinv)
+    assert res.transform.steps == transform.steps
+    assert res.stats == stats and res.residual == stats.final_residual
+    assert res.invariants is None and res.frequencies == freqs
+    np.testing.assert_array_equal(res.source, F)
+    # the later 4x4-only stages refuse a 2n result
+    with pytest.raises(ValueError):
+        (diagonalize if form == FORM_NORMAL else to_hamiltonian_form)(res)
+
+
+def test_decouple_2n_bad_form_before_any_pivot(monkeypatch):
+    def no_pivot(*args, **kwargs):
+        raise AssertionError("jacobi_decouple reached")
+    monkeypatch.setattr(jacobi, "jacobi_decouple", no_pivot)
+    with pytest.raises(ValueError, match="bogus"):
+        decouple(random_test_symplex(3, 0).matrix, form="bogus")
+
+
+def test_decouple_evaluates_invariants_once(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return spectral_invariants(state)
+    monkeypatch.setattr(decouple4, "spectral_invariants", counting)
+    rng = np.random.default_rng(167)
+    for F, form in ((random_stable_symplex(rng), FORM_NORMAL),
+                    (random_stable_symplex(rng), FORM_BLOCK_DIAGONAL),
+                    (random_complex_symplex(rng, "low"), FORM_NORMAL),
+                    (random_complex_symplex(rng, "intermediate"),
+                     FORM_BLOCK_DIAGONAL)):
+        calls.clear()
+        decouple(F, form=form)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("entry", ["decouple", "jacobi_decouple",
+                                   "analyze_one_turn"])
+def test_non_finite_input_rejected(entry, n, bad):
+    F = random_test_symplex(n, 0).matrix
+    if entry == "analyze_one_turn":
+        M = matrix_exponential(F, 0.3).matrix
+        M[0, 0] = bad
+        with pytest.raises(NotSymplectic):
+            analyze_one_turn(M, tau=0.3)
+        return
+    F[0, 0] = bad
+    run = decouple if entry == "decouple" else jacobi_decouple
+    with pytest.raises(NotASymplex):
+        run(F)
 
 
 def test_invariants_preserved_through_pipeline():
