@@ -18,7 +18,7 @@ from .transform import (SymplecticTransform, TransferMatrix, TransformStep,
                         compose, dof_transform, embed_4x4,
                         identity_transform, matrix_exponential, replay,
                         symplectic_residual)
-from .decouple4 import (DecoupleResult, Symplex4, Tolerances,
+from .decouple4 import (DecoupleResult, Symplex4,
                         closed_form_block_coefficients, complex_intermediate,
                         complex_low_energy, decouple, decouple_block_diagonal,
                         diagonalize, normal_form_scaling, off_block_max,

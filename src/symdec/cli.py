@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                        FORM_NORMAL, Tolerances, decouple)
+                        FORM_NORMAL, POST_TOL, STEP_TOL, decouple)
 from .dirac import (rdm_coefficients, symplectic_unit, symplex_residual,
                     symplex_cosymplex_split)
 from .emeq import emeq_from_symplex, lax_invariants, spectral_invariants
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
-                     DegenerateB, MaxStepsExceeded, NotASymplex,
-                     NotSymplectic, PivotComplex, PrecisionLoss,
-                     UnstableBlock, UnstableSystem)
+                     DegenerateB, DimensionMismatch, MaxStepsExceeded,
+                     NotASymplex, NotSymplectic, PivotComplex,
+                     PrecisionLoss, UnstableBlock, UnstableSystem)
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
@@ -200,16 +200,9 @@ def cmd_decouple(args) -> int:
             "kind=transfer (use 'tunes' for transfer matrices)",
             EXIT_VALIDATION)
     M = mf.matrix
-    resid = symplex_residual(M)
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if resid > args.check_tol * scale:
-        raise _Failure(
-            f"{args.path}: not a symplex (residual {resid:.3e})",
-            EXIT_VALIDATION)
     t0 = time.perf_counter()
-    res = decouple(M, form=_FORMS[args.form],
-                   tol=Tolerances(step=args.step_tol, post=args.tol),
-                   jacobi_tol=args.jacobi_tol, max_steps=args.max_steps)
+    res = decouple(M, form=_FORMS[args.form], jacobi_tol=args.jacobi_tol,
+                   max_steps=args.max_steps)
     elapsed = time.perf_counter() - t0
 
     final = res.final.matrix
@@ -218,8 +211,8 @@ def cmd_decouple(args) -> int:
         replayed.r @ M @ replayed.rinv - final)))
     doc = {"schema": SCHEMA, "command": "decouple",
            "input": _input_doc(args.path, mf),
-           "settings": {"form": args.form, "step_tol": args.step_tol,
-                        "post_tol": args.tol, "jacobi_tol": args.jacobi_tol},
+           "settings": {"form": args.form, "step_tol": STEP_TOL,
+                        "post_tol": POST_TOL, "jacobi_tol": args.jacobi_tol},
            "invariants_before": _invariant_doc(M),
            "form_reached": res.form}
     if res.invariants is not None:
@@ -256,16 +249,15 @@ def cmd_tunes(args) -> int:
             f"{args.path}: tunes expects a transfer matrix, file says "
             "kind=force (use 'decouple' for force matrices)",
             EXIT_VALIDATION)
-    tau = args.tau if args.tau is not None else (mf.tau or 1.0)
     t0 = time.perf_counter()
     try:
-        report = analyze_one_turn(mf.matrix, tau=tau,
-                                  symplectic_tol=args.symplectic_tol)
-    except NotSymplectic as exc:
+        report = analyze_one_turn(
+            mf.matrix, tau=mf.tau if args.tau is None else args.tau)
+    except (NotSymplectic, ValueError) as exc:
         raise _Failure(f"{args.path}: {exc}", EXIT_VALIDATION) from exc
     doc = {"schema": SCHEMA, "command": "tunes",
            "input": _input_doc(args.path, mf),
-           "tau": float(tau),
+           "tau": report.tau,
            "stable": report.stable,
            "blocks": [{
                "tune": b.tune, "cosine": b.cosine, "sine": b.sine,
@@ -280,9 +272,13 @@ def cmd_tunes(args) -> int:
            },
            "transform_log": _steps_doc(report.transform.steps)}
     if args.emittances is not None:
-        emit = [float(tok) for tok in args.emittances.split(",")]
-        sigma = matched_sigma(mf.matrix, emit, tau=tau, report=report,
-                              fixed_point_tol=args.fixed_point_tol)
+        try:
+            emit = [float(tok) for tok in args.emittances.split(",")]
+            sigma = matched_sigma(mf.matrix, emit, tau=report.tau,
+                                  report=report)
+        except (ValueError, DimensionMismatch) as exc:
+            raise _Failure(f"--emittances {args.emittances}: {exc}",
+                           EXIT_VALIDATION) from exc
         M, S = mf.matrix, sigma.matrix @ symplectic_unit(mf.n)
         doc["matched"] = {
             "emittances": emit,
@@ -348,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--form", choices=("block", "hamiltonian", "normal"),
                    default="block", help="target canonical form")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="postcondition tolerance")
-    p.add_argument("--step-tol", type=float, default=1e-14,
-                   help="angles below this are skipped")
-    p.add_argument("--check-tol", type=float, default=1e-8,
-                   help="input symplex validation tolerance")
     p.add_argument("--jacobi-tol", type=float, default=1e-12,
                    help="2n convergence threshold")
     p.add_argument("--max-steps", type=int, default=None,
@@ -370,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="period (overrides the file value)")
     p.add_argument("--emittances", default=None,
                    help="comma-separated emittances for the matched beam")
-    p.add_argument("--symplectic-tol", type=float, default=1e-8)
-    p.add_argument("--fixed-point-tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_tunes)
 

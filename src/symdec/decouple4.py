@@ -18,8 +18,8 @@ and B_y coefficients surviving.
 Each step moves the ten coefficients (energy, P, E, B) in closed form
 (emeq.transform_coefficients); R F R^-1 is built once per stage and every
 pattern check reads its re-extracted coefficients.  A step whose target
-coefficient is already below the step tolerance is logged as a skip, so
-inputs in canonical position pass through with the identity transform.
+coefficient is already below STEP_TOL is logged as a skip, so inputs in
+canonical position pass through with the identity transform.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ __all__ = [
     "FORM_HAMILTONIAN",
     "FORM_NORMAL",
     "FORM_COMPLEX_CANONICAL",
-    "Tolerances",
+    "STEP_TOL",
+    "POST_TOL",
     "Symplex4",
     "DecoupleResult",
     "decouple_block_diagonal",
@@ -70,16 +71,10 @@ FORM_NORMAL = "normal"
 FORM_COMPLEX_CANONICAL = "complex_canonical"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance ladder separating skip logic from acceptance.
-
-    step -- angles below this are logged as skips,
-    post -- postconditions: the reached pattern, coefficient drift.
-    """
-
-    step: float = 1e-14
-    post: float = 1e-10
+# Angles and target coefficients below STEP_TOL are logged as skips;
+# POST_TOL bounds the postconditions (the reached pattern, coefficient drift).
+STEP_TOL = 1e-14
+POST_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,10 +106,11 @@ class DecoupleResult:
     final = transform applied to source, a Symplex4 for a 4x4 source and
     a SymplexN for any other 2n.  residual is the largest entry (or
     coefficient, for the complex canonical form) violating the target
-    pattern of a 4x4, and stats.final_residual of a 2n, whose Jacobi
-    counters are in stats and which has no invariants.  frequencies
-    carry the eigenvalue pair natures, one per block, and complex_radius
-    the eigenvalue circle radius when the spectrum is a complex quadruple.
+    pattern of a 4x4, and the relative off-block residual of a 2n final
+    (stats.final_residual), whose Jacobi counters are in stats and which
+    has no invariants.  frequencies carry the eigenvalue pair natures, one
+    per block, and complex_radius the eigenvalue circle radius when the
+    spectrum is a complex quadruple.
     """
 
     source: np.ndarray
@@ -131,10 +127,9 @@ class DecoupleResult:
 class _Pipeline:
     """One stage: propagated EMEQ state, accumulated R, R^-1, step log."""
 
-    def __init__(self, sym: Symplex4, tol: Tolerances):
+    def __init__(self, sym: Symplex4):
         self.source = sym
         self.state = sym.state
-        self.tol = tol
         self.r, self.rinv, self.steps = np.eye(4), np.eye(4), []
 
     @property
@@ -153,13 +148,13 @@ class _Pipeline:
         two-argument form would otherwise rotate by pi whenever the
         denominator is negative, needlessly permuting the blocks).
         """
-        if abs(num) < self.tol.step:
+        if abs(num) < STEP_TOL:
             return 0.0
         return math.atan2(num, den)
 
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator, or log a skip for negligible angles."""
-        if abs(epsilon) < self.tol.step:
+        if abs(epsilon) < STEP_TOL:
             self.steps.append(basic_transform(b, 0.0, skipped=True).steps[0])
             return
         t = basic_transform(b, epsilon)
@@ -171,7 +166,7 @@ class _Pipeline:
     def boost(self, b: int, num: float, den: float, sign: float,
               step_index: int) -> None:
         """Boost with rapidity sign*arctanh(num/den), guarding the domain."""
-        if abs(num) < self.tol.step:
+        if abs(num) < STEP_TOL:
             self.step(b, 0.0)
             return
         if abs(den) <= abs(num):
@@ -188,7 +183,7 @@ class _Pipeline:
             apply_similarity(t, self.source.matrix), tol=1e-8)
         c = final.state.coefficients
         drift = float(np.max(np.abs(c - self.state.coefficients)))
-        if drift > self.tol.post * _coefficient_scale(final):
+        if drift > POST_TOL * _coefficient_scale(final):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
         return t, final
 
@@ -220,7 +215,7 @@ def _hamiltonian_residual(M: np.ndarray) -> float:
     return float(np.max(np.abs(M[mask])))
 
 
-def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
+def decouple_block_diagonal(F) -> DecoupleResult:
     """Block-diagonalize a 4x4 symplex with real/imaginary eigenvalues.
 
     Strategy: (1) phase rotation removing B.P, (2)-(3) spatial rotations
@@ -239,7 +234,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
         raise ComplexEigenvalues(
             f"second invariant K2 = {inv.k2:.6e} < 0; eigenvalues form a "
             "complex quadruple")
-    pipe = _Pipeline(sym, tol)
+    pipe = _Pipeline(sym)
 
     m = pipe.masses
     pipe.step(0, pipe.zeroing_angle(m.m_g, m.m_r))
@@ -248,7 +243,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
     a = pipe.aux
     pipe.step(9, -pipe.zeroing_angle(a.b[0], a.b[1]))
     m, a = pipe.masses, pipe.aux
-    if abs(m.m_r) >= tol.step * scale:
+    if abs(m.m_r) >= STEP_TOL * scale:
         if abs(m.m_r) >= abs(a.b[1]):
             raise ComplexEigenvalues(
                 f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "
@@ -260,7 +255,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
     transform, final = pipe.finish()
     c = final.state.coefficients
     pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
-    if pattern > tol.post * scale:
+    if pattern > POST_TOL * scale:
         raise DegenerateB(
             "geometric strategy exhausted with off-block coefficients up to "
             f"{pattern:.3e}; auxiliary vector b gives no usable direction")
@@ -271,8 +266,7 @@ def decouple_block_diagonal(F, tol: Tolerances = Tolerances()) -> DecoupleResult
         frequencies=(inv.omega1, inv.omega2))
 
 
-def to_hamiltonian_form(res: DecoupleResult,
-                        tol: Tolerances = Tolerances()) -> DecoupleResult:
+def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     """Continue a block-diagonal result to Hamiltonian form.
 
     A phase rotation removes E.P, then a rotation about the y-axis sends
@@ -282,7 +276,7 @@ def to_hamiltonian_form(res: DecoupleResult,
     """
     if res.form != FORM_BLOCK_DIAGONAL or not isinstance(res.final, Symplex4):
         raise ValueError(f"not a 4x4 block_diagonal result: {res.form!r}")
-    pipe = _Pipeline(res.final, tol)
+    pipe = _Pipeline(res.final)
     scale = _coefficient_scale(res.final)
 
     s, m = pipe.state, pipe.masses
@@ -290,7 +284,7 @@ def to_hamiltonian_form(res: DecoupleResult,
     p2 = float(s.p @ s.p)
     pipe.step(0, 0.5 * pipe.zeroing_angle(2.0 * m.m_b, e2 - p2))
     s = pipe.state
-    if np.linalg.norm(s.p) >= tol.step * scale:
+    if np.linalg.norm(s.p) >= STEP_TOL * scale:
         pipe.step(8, -pipe.zeroing_angle(s.p[2], s.p[0]))
     else:
         # degenerate momentum: align E with the z-axis directly
@@ -298,7 +292,7 @@ def to_hamiltonian_form(res: DecoupleResult,
 
     transform, final = pipe.finish()
     resid = _hamiltonian_residual(final.matrix)
-    if resid > tol.post * scale:
+    if resid > POST_TOL * scale:
         raise PrecisionLoss(
             f"off-pattern entries up to {resid:.3e} after Hamiltonian-form "
             "rotations")
@@ -307,12 +301,12 @@ def to_hamiltonian_form(res: DecoupleResult,
         final=final, form=FORM_HAMILTONIAN, residual=resid)
 
 
-def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
+def normal_form_scaling(H: np.ndarray
                         ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
     """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
 
     Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n matrix H is
-    classified by a*b against the zero band (tol.step * scale)^2, with
+    classified by a*b against the zero band (STEP_TOL * scale)^2, with
     scale = max(1, ||H||_F).  Above it the pair is imaginary, +-i w with
     w = sign(a) sqrt(a b), and the block_scaling exponent log|a/b|/4
     turns the block into [[0, w], [-w, 0]].  Below minus the band the
@@ -321,7 +315,7 @@ def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
     per block.
     """
     H = np.asarray(H, dtype=float)
-    band = (tol.step * max(1.0, float(np.linalg.norm(H)))) ** 2
+    band = (STEP_TOL * max(1.0, float(np.linalg.norm(H)))) ** 2
     exponents = []
     freqs = []
     for k in range(H.shape[0] // 2):
@@ -340,8 +334,7 @@ def normal_form_scaling(H: np.ndarray, tol: Tolerances = Tolerances()
     return block_scaling(exponents), tuple(freqs)
 
 
-def to_normal_form(res: DecoupleResult,
-                   tol: Tolerances = Tolerances()) -> DecoupleResult:
+def to_normal_form(res: DecoupleResult) -> DecoupleResult:
     """Scale a Hamiltonian-form 2n x 2n result to antisymmetric normal form.
 
     normal_form_scaling turns each block [[0, a], [-b, 0]] with an
@@ -349,12 +342,13 @@ def to_normal_form(res: DecoupleResult,
     real (or vanishing) pair has no rotation normal form: UnstableBlock
     is raised and the Hamiltonian form stands.  A 4x4 result is checked
     against the exact normal-form pattern (PrecisionLoss); a 2n result
-    keeps its Jacobi residual.
+    reports the relative off-block residual of the scaled final matrix,
+    the measure of stats.final_residual.
     """
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
     M = res.final.matrix
-    scaling, freqs = normal_form_scaling(M, tol)
+    scaling, freqs = normal_form_scaling(M)
     for idx, w in enumerate(freqs):
         if w.nature != "imaginary":
             raise UnstableBlock(
@@ -365,21 +359,22 @@ def to_normal_form(res: DecoupleResult,
     res = replace(res, transform=compose(scaling, res.transform),
                   form=FORM_NORMAL, frequencies=freqs)
     if not isinstance(res.final, Symplex4):
-        return replace(res, final=replace(res.final, matrix=Mn))
+        from .jacobi import _off_residual, off_block_norms
+        return replace(res, final=replace(res.final, matrix=Mn),
+                       residual=_off_residual(Mn, off_block_norms(Mn)))
     final = Symplex4.from_matrix(Mn, tol=1e-8)
 
     target = np.zeros((4, 4))
     target[0, 1], target[1, 0] = freqs[0].value, -freqs[0].value
     target[2, 3], target[3, 2] = freqs[1].value, -freqs[1].value
     resid = float(np.max(np.abs(Mn - target)))
-    if resid > tol.post * _coefficient_scale(res.final):
+    if resid > POST_TOL * _coefficient_scale(res.final):
         raise PrecisionLoss(
             f"normal form off by {resid:.3e} after scaling")
     return replace(res, final=final, residual=resid)
 
 
-def diagonalize(res: DecoupleResult,
-                tol: Tolerances = Tolerances()) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     """Complex eigenvector basis and eigenvalues of the source symplex.
 
     Only reachable from normal form.  The normal form is diagonalized by
@@ -401,15 +396,15 @@ def diagonalize(res: DecoupleResult,
     return vecs, values
 
 
-def _complex_canonical_result(pipe: _Pipeline, inv: SpectralInvariants,
-                              tol: Tolerances) -> DecoupleResult:
+def _complex_canonical_result(pipe: _Pipeline,
+                              inv: SpectralInvariants) -> DecoupleResult:
     transform, final = pipe.finish()
     c = final.state.coefficients
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
     resid = float(np.max(off))
     scale = _coefficient_scale(final)
-    if resid > tol.post * scale:
+    if resid > POST_TOL * scale:
         raise PrecisionLoss(
             f"complex canonical coefficients off by {resid:.3e}")
     rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
@@ -419,7 +414,7 @@ def _complex_canonical_result(pipe: _Pipeline, inv: SpectralInvariants,
         frequencies=None, complex_radius=float(rho))
 
 
-def complex_low_energy(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
+def complex_low_energy(F) -> DecoupleResult:
     """Canonical form for a complex quadruple with small energy.
 
     Precondition: K2 < 0 and energy^2 < max(P^2, E^2).  Nine steps:
@@ -438,12 +433,12 @@ def complex_low_energy(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     if s.energy**2 >= max(s.p @ s.p, s.e @ s.e):
         raise BranchMismatch(
             "energy^2 >= max(P^2, E^2); use complex_intermediate")
-    pipe = _Pipeline(sym, tol)
+    pipe = _Pipeline(sym)
 
     m = pipe.masses
     pipe.step(0, pipe.zeroing_angle(m.m_g, m.m_r))               # 1
     s = pipe.state
-    if abs(s.energy) >= tol.step:
+    if abs(s.energy) >= STEP_TOL:
         # the E alignment only serves the energy-removing boost; with
         # no energy left both rotations are skips
         pipe.step(7, pipe.zeroing_angle(s.e[2], s.e[1]))         # 2
@@ -464,10 +459,10 @@ def complex_low_energy(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     pipe.step(9, -pipe.zeroing_angle(s.b[0], s.b[1]))            # 8
     s = pipe.state
     pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 9
-    return _complex_canonical_result(pipe, inv, tol)
+    return _complex_canonical_result(pipe, inv)
 
 
-def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
+def complex_intermediate(F) -> DecoupleResult:
     """Canonical form for a complex quadruple at intermediate energy.
 
     Precondition: K2 < 0 and energy^2 > min(P^2, E^2).  A phase rotation
@@ -485,13 +480,13 @@ def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     if s.energy**2 < min(s.p @ s.p, s.e @ s.e):
         raise BranchMismatch(
             "energy^2 < min(P^2, E^2); use complex_low_energy")
-    pipe = _Pipeline(sym, tol)
+    pipe = _Pipeline(sym)
 
     s, m = pipe.state, pipe.masses
     e2, p2 = float(s.e @ s.e), float(s.p @ s.p)
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
-    if abs(2.0 * m.m_b) >= tol.step or e2 - p2 < -tol.step:
+    if abs(2.0 * m.m_b) >= STEP_TOL or e2 - p2 < -STEP_TOL:
         pipe.step(0, 0.5 * math.atan2(2.0 * m.m_b, e2 - p2))     # 1
     else:
         pipe.step(0, 0.0)
@@ -511,11 +506,10 @@ def complex_intermediate(F, tol: Tolerances = Tolerances()) -> DecoupleResult:
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=7)          # 7
     s = pipe.state
     pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 8
-    return _complex_canonical_result(pipe, inv, tol)
+    return _complex_canonical_result(pipe, inv)
 
 
-def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
-             tol: Tolerances = Tolerances(), jacobi_tol: float = 1e-12,
+def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
              max_steps: int | None = None) -> DecoupleResult:
     """Decouple a 2n x 2n symplex to the form "block_diagonal",
     "hamiltonian" or "normal".
@@ -536,22 +530,21 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
         if inv.k2 < 0.0 and not inv.degenerate:
             s = sym.state
             if s.energy**2 < max(s.p @ s.p, s.e @ s.e):
-                return complex_low_energy(sym, tol)
-            return complex_intermediate(sym, tol)
-        res = decouple_block_diagonal(sym, tol)
+                return complex_low_energy(sym)
+            return complex_intermediate(sym)
+        res = decouple_block_diagonal(sym)
         if form != FORM_BLOCK_DIAGONAL:
-            res = to_hamiltonian_form(res, tol)
+            res = to_hamiltonian_form(res)
     else:
         from .jacobi import jacobi_decouple  # jacobi imports this module
         hamiltonian = form != FORM_BLOCK_DIAGONAL
         transform, final, stats = jacobi_decouple(
-            F, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian,
-            tolerances=tol)
+            F, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian)
         res = DecoupleResult(
             source=np.asarray(M, dtype=float), transform=transform,
             final=final, residual=stats.final_residual, stats=stats,
             form=FORM_HAMILTONIAN if hamiltonian else FORM_BLOCK_DIAGONAL)
-    return to_normal_form(res, tol) if form == FORM_NORMAL else res
+    return to_normal_form(res) if form == FORM_NORMAL else res
 
 
 def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:

@@ -4,12 +4,14 @@ The matrix is viewed as an n x n grid of 2x2 blocks.  Each iteration
 picks the off-diagonal block of largest mean-square amplitude, extracts
 the corresponding degree-of-freedom pair as a 4x4 symplex, decouples it
 with the geometric 4x4 pipeline, and applies the embedded transform to
-the full matrix.  Convergence is declared when the summed Frobenius
-norms of all off-diagonal blocks fall below a relative threshold.  A
-final pass brings every diagonal block to Hamiltonian form with one
-phase rotation per degree of freedom; such rotations are orthogonal
-and symplectic per block, so they leave every off-block norm unchanged.
-The same iteration serves every n, n = 1 and 2 included.
+the full matrix; a pair whose 4x4 has complex eigenvalues gives way to
+the next pair in falling amplitude order.  Convergence is declared when
+the summed Frobenius norms of all off-diagonal blocks fall below a
+relative threshold.  A final pass brings every diagonal block to
+Hamiltonian form with one phase rotation per degree of freedom; such
+rotations are orthogonal and symplectic per block, so they leave every
+off-block norm unchanged.  The same iteration serves every n, n = 1 and
+2 included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decouple4 import Tolerances, decouple_block_diagonal
+from .decouple4 import STEP_TOL, decouple_block_diagonal
 from .dirac import symplectic_unit, symplex_residual
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      NotASymplex, PivotComplex)
@@ -123,17 +125,36 @@ def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
     return F[np.ix_(idx, idx)]
 
 
+def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
+                    exc: Exception):
+    """(i, j, decoupled 4x4) of the first nonzero pair other than `first`,
+    by falling amplitude and then index, whose 4x4 decouples over the
+    reals; PivotComplex naming `first` when there is none."""
+    iu, ju = np.triu_indices(amp.shape[0], 1)
+    pair_amp = np.maximum(amp, amp.T)[iu, ju]
+    for k in np.lexsort((ju, iu, -pair_amp)):
+        i, j = int(iu[k]), int(ju[k])
+        if (i, j) == first or pair_amp[k] == 0.0:
+            continue
+        try:
+            return i, j, decouple_block_diagonal(_extract_pair(M, i, j))
+        except (ComplexEigenvalues, DegenerateB):
+            continue
+    raise PivotComplex(
+        f"pivot {first} cannot be decoupled over the reals, nor can any "
+        f"other pair: {exc}", pivot=first) from exc
+
+
 def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
                     hamiltonian: bool = True,
-                    tolerances: Tolerances = Tolerances(),
                     ) -> tuple[SymplecticTransform, SymplexN, IterationStats]:
     """Iteratively block-diagonalize a 2n x 2n symplex.
 
     Parameters
     ----------
     F : SymplexN or ndarray
-        The symplex to decouple; all eigenvalues must be real or
-        imaginary (a complex 4x4 pivot raises PivotComplex).
+        The symplex to decouple.  A complex 4x4 pivot gives way to the
+        next pair; PivotComplex is raised only when no pair decouples.
     tol : float
         Convergence threshold on the summed off-diagonal block norms
         relative to the total Frobenius norm.
@@ -174,13 +195,10 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         i, j = divmod(int(flat), n)
         if i > j:
             i, j = j, i
-        sub = _extract_pair(M, i, j)
         try:
-            res4 = decouple_block_diagonal(sub, tolerances)
+            res4 = decouple_block_diagonal(_extract_pair(M, i, j))
         except (ComplexEigenvalues, DegenerateB) as exc:
-            raise PivotComplex(
-                f"pivot ({i}, {j}) cannot be decoupled over the "
-                f"reals: {exc}", pivot=(i, j)) from exc
+            i, j, res4 = _fallback_pivot(M, amp, (i, j), exc)
         t = embed_4x4(res4.transform, i, j, n)
         M = t.r @ M @ t.rinv
         total = compose(t, total)
@@ -188,7 +206,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         stats.pivot_steps += 1
 
     if hamiltonian:
-        t = dof_transform(DOF_ROTATION, _hamiltonian_angles(M, tolerances))
+        t = dof_transform(DOF_ROTATION, _hamiltonian_angles(M))
         # one count per embedded pair transform that acts
         stats.hamiltonian_steps = len({s.block for s in t.steps
                                        if not s.skipped})
@@ -200,17 +218,17 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
     return total, SymplexN(matrix=M, n=n), stats
 
 
-def _hamiltonian_angles(M: np.ndarray, tolerances: Tolerances) -> list:
+def _hamiltonian_angles(M: np.ndarray) -> list:
     """Per-dof rotation angles zeroing the diagonal blocks' diagonals.
 
     A 2x2 symplex [[a, b], [c, -a]] conjugated by the phase rotation of
     angle theta has diagonal a cos(2 theta) + (b + c)/2 sin(2 theta);
     the full angle 2 theta = atan2(-2a, b + c) removes it.  Blocks with
-    |2a| below the step tolerance keep angle 0.
+    |2a| below STEP_TOL keep angle 0.
     """
     angles = []
     for k in range(M.shape[0] // 2):
         a, bc = M[2 * k, 2 * k], M[2 * k, 2 * k + 1] + M[2 * k + 1, 2 * k]
-        angles.append(0.0 if abs(2.0 * a) < tolerances.step
+        angles.append(0.0 if abs(2.0 * a) < STEP_TOL
                       else float(np.arctan2(-2.0 * a, bc)))
     return angles

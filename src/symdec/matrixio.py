@@ -4,7 +4,8 @@ Two formats are accepted:
 
 * JSON: a self-describing object
   ``{"kind": "force"|"transfer", "n": 2, "tau": 1.0, "label": "...",
-  "matrix": [[...], ...]}`` where only "matrix" is mandatory, and
+  "matrix": [[...], ...]}`` where only "matrix" is mandatory ("n" is the
+  integer half-dimension, "tau" a finite positive number), and
 * plain text: the dimension 2n on the first line followed by 2n
   whitespace-separated rows; blank lines and ``#`` comments are ignored.
 
@@ -79,10 +80,14 @@ def _load_json(text: str, where: str) -> MatrixFile:
         raise MatrixFileError(f"{where}: kind must be one of {KINDS}, "
                               f"got {kind!r}")
     n = doc.get("n")
-    if n is not None and 2 * int(n) != matrix.shape[0]:
-        raise MatrixFileError(f"{where}: declared n={n} but matrix is "
+    if n is not None and (type(n) is not int or 2 * n != matrix.shape[0]):
+        raise MatrixFileError(f"{where}: declared n={n!r} but matrix is "
                               f"{matrix.shape[0]}x{matrix.shape[0]}")
     tau = doc.get("tau")
+    if tau is not None and (type(tau) not in (int, float)
+                            or not 0.0 < tau < np.inf):
+        raise MatrixFileError(f"{where}: tau must be a finite positive "
+                              f"number, got {tau!r}")
     return MatrixFile(matrix=matrix, kind=kind,
                       tau=None if tau is None else float(tau),
                       label=doc.get("label"))

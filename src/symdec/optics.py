@@ -12,11 +12,11 @@ the block trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decouple4 import Tolerances, normal_form_scaling, off_block_max
+from .decouple4 import normal_form_scaling, off_block_max
 from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
 from .emeq import EmeqState
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
@@ -44,6 +44,9 @@ __all__ = [
 NATURE_IMAGINARY = "imaginary"
 NATURE_REAL = "real"
 NATURE_ZERO = "zero"
+
+# relative bounds on the symplectic residual of M and on M sigma M^T - sigma
+SYMPLECTIC_TOL = FIXED_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,32 +116,19 @@ class EffectiveForce:
 def _as_transfer(M, tau: float | None) -> TransferMatrix:
     if not np.isfinite(getattr(M, "matrix", M)).all():
         raise NotSymplectic("matrix has non-finite entries")
+    tau = float(getattr(M, "tau", 1.0) if tau is None else tau)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     if isinstance(M, TransferMatrix):
-        if tau is not None and tau != M.tau:
-            return TransferMatrix(matrix=M.matrix, tau=float(tau),
-                                  symplectic_residual=M.symplectic_residual)
-        return M
+        return M if tau == M.tau else replace(M, tau=tau)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise DimensionMismatch(f"expected a square even matrix, got {M.shape}")
-    return TransferMatrix(matrix=M, tau=1.0 if tau is None else float(tau),
+    return TransferMatrix(matrix=M, tau=tau,
                           symplectic_residual=symplectic_residual(M))
 
 
-def _decouple_symplex_part(Ms: np.ndarray, tolerances: Tolerances,
-                           jacobi_tol: float):
-    """Bring the symplex part to Hamiltonian form, then scale each block
-    with an imaginary eigenvalue pair to rotation form.  Returns the
-    transform and one Frequency per block."""
-    transform, out, _ = jacobi_decouple(Ms, tol=jacobi_tol,
-                                        tolerances=tolerances)
-    scaling, freqs = normal_form_scaling(out.matrix, tolerances)
-    return compose(scaling, transform), freqs
-
-
 def analyze_one_turn(M, tau: float | None = None,
-                     symplectic_tol: float = 1e-8,
-                     tolerances: Tolerances = Tolerances(),
                      jacobi_tol: float = 1e-12) -> OpticsReport:
     """Tunes and decoupling transform of a symplectic one-turn matrix.
 
@@ -150,16 +140,18 @@ def analyze_one_turn(M, tau: float | None = None,
     branch flags.
 
     Raises NotSymplectic when M has a non-finite entry or violates the
-    symplectic condition.
+    symplectic condition by more than SYMPLECTIC_TOL (relative).
     """
     tm = _as_transfer(M, tau)
     scale = max(1.0, float(np.linalg.norm(tm.matrix)))
-    if tm.symplectic_residual > symplectic_tol * scale:
+    if tm.symplectic_residual > SYMPLECTIC_TOL * scale:
         raise NotSymplectic(
             f"symplectic residual {tm.symplectic_residual:.3e} above "
-            f"tolerance {symplectic_tol:.1e}")
+            f"tolerance {SYMPLECTIC_TOL:.1e}")
     Ms, Mc = symplex_cosymplex_split(tm.matrix)
-    transform, freqs = _decouple_symplex_part(Ms, tolerances, jacobi_tol)
+    transform, out, _ = jacobi_decouple(Ms, tol=jacobi_tol)
+    scaling, freqs = normal_form_scaling(out.matrix)
+    transform = compose(scaling, transform)
     Mt = transform.r @ tm.matrix @ transform.rinv
     Ms_t = transform.r @ Ms @ transform.rinv
     Mc_t = transform.r @ Mc @ transform.rinv
@@ -208,15 +200,14 @@ def tune_cosines_from_traces(Mt: np.ndarray) -> tuple[float, float]:
 
 
 def matched_sigma(M, emittances, tau: float | None = None,
-                  report: OpticsReport | None = None,
-                  fixed_point_tol: float = 1e-8) -> SigmaMatrix:
+                  report: OpticsReport | None = None) -> SigmaMatrix:
     """Second moments of the beam matched to the one-turn matrix.
 
     In the decoupled frame the matched distribution is round per block
     with the emittances on the diagonal; back-transforming S = Rinv S_d R
     and sigma = -S g0 gives the matched sigma in the laboratory frame.
     Requires a stable system (UnstableSystem otherwise); the fixed-point
-    residual M sigma M^T - sigma is verified against fixed_point_tol.
+    residual M sigma M^T - sigma is verified against FIXED_POINT_TOL.
     """
     tm = _as_transfer(M, tau)
     if report is None:
@@ -232,8 +223,9 @@ def matched_sigma(M, emittances, tau: float | None = None,
         raise UnstableSystem(
             f"matched distribution undefined: block natures {natures}, "
             f"cosines {report.tune_cosines}")
-    if np.any(emit <= 0.0):
-        raise ValueError("emittances must be positive")
+    if not np.all((0.0 < emit) & (emit < np.inf)):
+        raise ValueError(f"emittances must be finite and positive, got "
+                         f"{emit.tolist()}")
     g0 = symplectic_unit(n)
     sigma_d = np.diag(np.repeat(emit, 2))
     s_d = sigma_d @ g0
@@ -241,7 +233,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
     sigma = -s_lab @ g0
     sigma = (sigma + sigma.T) / 2.0
     resid = float(np.max(np.abs(tm.matrix @ sigma @ tm.matrix.T - sigma)))
-    if resid > fixed_point_tol * max(1.0, float(np.max(np.abs(sigma)))):
+    if resid > FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(sigma)))):
         raise UnstableSystem(
             f"matched fixed point violated with residual {resid:.3e}")
     return SigmaMatrix(matrix=sigma)

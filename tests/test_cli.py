@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symdec.cli import main
+from symdec.decouple4 import POST_TOL, STEP_TOL
 from symdec.dirac import GAMMA
 from symdec.jacobi import random_test_symplex
 from symdec.matrixio import (MatrixFileError, load_matrix, save_matrix_json)
@@ -180,6 +181,47 @@ def test_decouple_rejects_non_symplex(tmp_path, capsys):
     assert main(["decouple", str(path)]) == 2
 
 
+@pytest.mark.parametrize("n, perturb", [(1, None), (3, None), (1, 1e-6),
+                                        (2, 1e-6), (3, 1e-6)])
+def test_decouple_rejects_non_symplex_any_n(tmp_path, capsys, n, perturb):
+    # the library's entry validation is the one symplex gate for every n
+    if perturb is None:
+        F = np.eye(2 * n)
+    else:
+        F = random_stable_symplex(np.random.default_rng(n), n)
+        F[0, 0] += perturb
+    path = tmp_path / "f.json"
+    save_matrix_json(path, F, kind="force")
+    assert main(["decouple", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: validation error:")
+
+
+def test_decouple_settings_report_library_thresholds(tmp_path, capsys):
+    path = tmp_path / "cyc.json"
+    save_matrix_json(path, cyclotron_force_matrix(1.2, 0.3, 0.4, 0.5),
+                     kind="force")
+    assert main(["decouple", str(path), "--json", "--jacobi-tol",
+                 "1e-11"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["settings"] == {"form": "block", "step_tol": STEP_TOL,
+                               "post_tol": POST_TOL, "jacobi_tol": 1e-11}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decouple", "--tol", "1e-10"], ["decouple", "--step-tol", "1e-14"],
+    ["decouple", "--check-tol", "1e-8"], ["tunes", "--symplectic-tol", "1"],
+    ["tunes", "--fixed-point-tol", "1"]])
+def test_threshold_flags_removed(tmp_path, capsys, argv):
+    path = tmp_path / "f.json"
+    save_matrix_json(path, cyclotron_force_matrix(1.2, 0.3, 0.4, 0.5))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path), *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_decouple_unstable_normal_form_exit3(tmp_path, capsys):
     F = np.zeros((4, 4))
     F[0, 1], F[1, 0] = 1.0, -1.0
@@ -329,6 +371,43 @@ def test_tunes_complex_symplex_part_exit3(tmp_path, capsys):
     save_matrix_json(path, M, kind="transfer")
     assert main(["tunes", str(path)]) == 3
     assert "PivotComplex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--emittances", "a,b"], ["--emittances", "1"], ["--emittances", "1,2,3"],
+    ["--emittances=-1,2"], ["--emittances", "0,2"], ["--emittances", "nan,1"],
+    ["--emittances", "1,inf"], ["--tau", "0"], ["--tau", "-1"],
+    ["--tau", "nan"], ["--tau", "inf"]])
+def test_tunes_bad_flags_exit2(tmp_path, capsys, flags):
+    path = _normal_form_transfer(tmp_path)
+    assert main(["tunes", str(path), "--json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: error:")
+
+
+@pytest.mark.parametrize("meta", [
+    {"tau": "abc"}, {"tau": [1]}, {"tau": 0}, {"tau": -1.0}, {"tau": True},
+    {"tau": float("nan")}, {"tau": float("inf")}, {"n": "two"}, {"n": 2.5},
+    {"n": True}, {"n": 3}])
+def test_tunes_bad_metadata_exit4(tmp_path, capsys, meta):
+    path = tmp_path / "m.json"
+    doc = {"kind": "transfer", "matrix": np.eye(4).tolist(), **meta}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MatrixFileError, match=next(iter(meta))):
+        load_matrix(path)
+    assert main(["tunes", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("symdec: error:")
+
+
+def test_tunes_period_from_flag_file_or_default(tmp_path, capsys):
+    path = _normal_form_transfer(tmp_path, tau=0.5)
+    for argv, tau in ((["--tau", "0.25"], 0.25), ([], 0.5)):
+        assert main(["tunes", str(path), "--json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["tau"] == tau
+    save_matrix_json(path, np.eye(4), kind="transfer")
+    assert main(["tunes", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == 1.0
 
 
 def test_tunes_force_file_rejected(tmp_path):

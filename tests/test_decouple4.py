@@ -14,7 +14,8 @@ from symdec.emeq import (aux_vectors, emeq_from_symplex, mass_components,
                          spectral_invariants, state_from_coefficients)
 from symdec.errors import (BranchMismatch, ComplexEigenvalues, NotASymplex,
                            NotSymplectic, UnstableBlock)
-from symdec.jacobi import SymplexN, jacobi_decouple, random_test_symplex
+from symdec.jacobi import (SymplexN, _off_residual, jacobi_decouple,
+                           off_block_norms, random_test_symplex)
 from symdec.optics import analyze_one_turn
 from symdec.transform import (apply_similarity, compose, matrix_exponential,
                               symplectic_residual)
@@ -340,7 +341,7 @@ def test_decouple_dispatcher():
         decouple(random_stable_symplex(rng), form="bogus")
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
 @pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
                                   FORM_NORMAL])
 def test_decouple_2n_is_jacobi(n, form):
@@ -361,7 +362,12 @@ def test_decouple_2n_is_jacobi(n, form):
     np.testing.assert_array_equal(res.transform.r, transform.r)
     np.testing.assert_array_equal(res.transform.rinv, transform.rinv)
     assert res.transform.steps == transform.steps
-    assert res.stats == stats and res.residual == stats.final_residual
+    assert res.stats == stats
+    # the residual measures the returned final, re-measured after the
+    # normal-form scaling
+    assert res.residual == _off_residual(final, off_block_norms(final))
+    if form != FORM_NORMAL:
+        assert res.residual == stats.final_residual
     assert res.invariants is None and res.frequencies == freqs
     np.testing.assert_array_equal(res.source, F)
     # the later 4x4-only stages refuse a 2n result

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from symdec.dirac import is_symplex, symplectic_unit
-from symdec.errors import NotASymplex, PivotComplex
+from symdec import jacobi
+from symdec.dirac import GAMMA, is_symplex, symplectic_unit
+from symdec.errors import ComplexEigenvalues, NotASymplex, PivotComplex
 from symdec.jacobi import (IterationStats, SymplexN, jacobi_decouple,
                            off_block_norms, random_test_symplex)
-from symdec.transform import replay, symplectic_residual
+from symdec.optics import analyze_one_turn
+from symdec.transform import matrix_exponential, replay, symplectic_residual
 
 from conftest import random_stable_symplex
 
@@ -157,6 +159,23 @@ def test_complex_pivot_detected():
     assert err.value.pivot == (0, 1)
 
 
+@pytest.mark.parametrize("c02, c12, pair", [(0.1, 0.05, (0, 2)),
+                                            (0.05, 0.1, (1, 2)),
+                                            (0.1, 0.1, (0, 2))])
+def test_fallback_pivot_order(c02, c12, pair):
+    # pair (0, 1) is a complex quadruple; the fallback takes the larger of
+    # the two real pairs coupling dof 2, the first in index order on a tie
+    A = np.zeros((6, 6))
+    A[:4, :4] = -symplectic_unit(2) @ (0.5 * GAMMA[4] + 1.0 * GAMMA[7])
+    A[4, 4] = A[5, 5] = 2.0
+    A[0, 4] = A[4, 0] = c02
+    A[3, 5] = A[5, 3] = c12
+    F = symplectic_unit(3) @ A
+    i, j, _ = jacobi._fallback_pivot(F, off_block_norms(F), (0, 1),
+                                     ComplexEigenvalues("pivot (0, 1)"))
+    assert (i, j) == pair
+
+
 def test_iteration_scaling_trend():
     # mean pivot counts grow roughly like the block count; spot check n=6
     counts = []
@@ -192,3 +211,43 @@ def test_max_steps_budget_enforced():
 def test_random_test_symplex_rejects_bad_n():
     with pytest.raises(ValueError):
         random_test_symplex(0, 1)
+
+
+# pivot counts of random_test_symplex(n, s) at the default tol, n = 3..9,
+# s = 0..3; the fallback pivot must leave every one of them unchanged
+PIVOT_STEPS = {
+    3: (9, 9, 8, 9), 4: (21, 21, 22, 18), 5: (35, 36, 38, 35),
+    6: (60, 57, 56, 57), 7: (81, 77, 82, 89), 8: (111, 108, 113, 115),
+    9: (144, 148, 143, 144),
+}
+
+
+def test_pivot_counts_pinned(monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("fallback pivot reached")
+    monkeypatch.setattr(jacobi, "_fallback_pivot", no_fallback)
+    for n, counts in PIVOT_STEPS.items():
+        got = tuple(jacobi_decouple(random_test_symplex(n, s))[2].pivot_steps
+                    for s in range(4))
+        assert got == counts, n
+
+
+@pytest.mark.parametrize("n, seed, tau", [(6, 1, 0.5), (6, 5, 0.5),
+                                          (3, 29, 1.0)])
+def test_stable_ring_complex_pivot_falls_back(n, seed, tau, monkeypatch):
+    # phase advances straddle pi, so a largest pair of the symplex part
+    # can be a complex 4x4; the next pair in amplitude order decouples
+    M = matrix_exponential(random_test_symplex(n, seed).matrix, tau).matrix
+    calls = []
+    fallback = jacobi._fallback_pivot
+
+    def counted(*args):
+        calls.append(args[2])
+        return fallback(*args)
+    monkeypatch.setattr(jacobi, "_fallback_pivot", counted)
+    report = analyze_one_turn(M, tau=tau)
+    assert calls
+    assert report.stable
+    phases = np.sort(np.abs(np.angle(np.linalg.eigvals(M))))[::2]
+    np.testing.assert_allclose(np.sort(report.tunes), phases / (2 * np.pi),
+                               rtol=0, atol=1e-12)

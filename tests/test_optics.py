@@ -9,7 +9,7 @@ from symdec.optics import (SigmaMatrix, analyze_one_turn,
                            cosymplex_observable_rates, effective_force,
                            matched_sigma, propagate_sigma, rdm_expectations,
                            spinor_observables, tune_cosines_from_traces)
-from symdec.transform import matrix_exponential
+from symdec.transform import TransferMatrix, matrix_exponential
 
 from conftest import (random_stable_symplex, random_symplex,
                       random_symplex_coefficients)
@@ -133,6 +133,28 @@ def test_matched_sigma_unstable_rejected():
 def test_matched_sigma_identity_rejected():
     with pytest.raises(UnstableSystem):
         matched_sigma(np.eye(4), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("emit", [(0.0, 1.0), (-1.0, 1.0),
+                                  (float("nan"), 1.0), (1.0, float("inf"))])
+def test_matched_sigma_rejects_bad_emittances(emit):
+    M = matrix_exponential(normal_form(0.3, 0.7), 1.0).matrix
+    with pytest.raises(ValueError, match="emittances"):
+        matched_sigma(M, emit)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_period_rejected(tau):
+    tm = matrix_exponential(normal_form(0.3, 0.7), 1.0)
+    carried = TransferMatrix(matrix=tm.matrix, tau=tau,
+                             symplectic_residual=tm.symplectic_residual)
+    for call in (lambda: analyze_one_turn(tm.matrix, tau=tau),
+                 lambda: analyze_one_turn(tm, tau=tau),
+                 lambda: analyze_one_turn(carried),
+                 lambda: matched_sigma(tm.matrix, (1.0, 1.0), tau=tau),
+                 lambda: effective_force(tm.matrix, tau=tau)):
+        with pytest.raises(ValueError, match="tau"):
+            call()
 
 
 def test_effective_force_identity():
