@@ -32,7 +32,7 @@ from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
-from .transform import replay, symplectic_residual
+from .transform import apply_similarity, replay, symplectic_residual
 
 SCHEMA = "symdec-report/1"
 
@@ -201,14 +201,16 @@ def cmd_decouple(args) -> int:
             EXIT_VALIDATION)
     M = mf.matrix
     t0 = time.perf_counter()
-    res = decouple(M, form=_FORMS[args.form], jacobi_tol=args.jacobi_tol,
-                   max_steps=args.max_steps)
+    try:
+        res = decouple(M, form=_FORMS[args.form], jacobi_tol=args.jacobi_tol,
+                       max_steps=args.max_steps)
+    except ValueError as exc:
+        raise _Failure(str(exc), EXIT_VALIDATION) from exc
     elapsed = time.perf_counter() - t0
 
     final = res.final.matrix
     replayed = replay(res.transform.steps, dim=M.shape[0])
-    replay_resid = float(np.max(np.abs(
-        replayed.r @ M @ replayed.rinv - final)))
+    replay_resid = float(np.max(np.abs(apply_similarity(replayed, M) - final)))
     doc = {"schema": SCHEMA, "command": "decouple",
            "input": _input_doc(args.path, mf),
            "settings": {"form": args.form, "step_tol": STEP_TOL,
@@ -226,7 +228,7 @@ def cmd_decouple(args) -> int:
             "residual_trend": [float(r) for r in res.stats.residuals],
         }
     doc["transform_log"] = _steps_doc(res.transform.steps)
-    doc["transform_symplectic_residual"] = res.transform.residual()
+    doc["transform_symplectic_residual"] = symplectic_residual(res.transform.r)
     doc["final_matrix"] = _matrix_doc(final)
     if res.frequencies is not None:
         doc["frequencies"] = _frequencies_doc(res.frequencies)
@@ -296,16 +298,20 @@ def cmd_tunes(args) -> int:
 # bench
 
 def cmd_bench(args) -> int:
-    if not 2 <= args.n_min <= args.n_max <= 16:
-        raise _Failure("need 2 <= n-min <= n-max <= 16", EXIT_VALIDATION)
+    if not 2 <= args.n_min <= args.n_max <= 16 or args.seeds < 1:
+        raise _Failure("need 2 <= n-min <= n-max <= 16 and seeds >= 1",
+                       EXIT_VALIDATION)
     rows = ["n,seeds,mean_steps,min,max,reference"]
     t0 = time.perf_counter()
     for n in range(args.n_min, args.n_max + 1):
         tn = time.perf_counter()
         counts = []
         for seed in range(args.seeds):
-            _, _, stats = jacobi_decouple(random_test_symplex(n, seed),
-                                          tol=args.jacobi_tol)
+            try:
+                _, _, stats = jacobi_decouple(random_test_symplex(n, seed),
+                                              tol=args.jacobi_tol)
+            except ValueError as exc:
+                raise _Failure(str(exc), EXIT_VALIDATION) from exc
             counts.append(stats.pivot_steps)
         reference = 5.0 * n * (n - 2) / 2.0
         rows.append(f"{n},{args.seeds},{float(np.mean(counts))!r},"

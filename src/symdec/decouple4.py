@@ -89,10 +89,6 @@ class Symplex4:
         M = np.asarray(M, dtype=float)
         return cls(matrix=M, state=emeq_from_symplex(M, tol=tol))
 
-    @classmethod
-    def from_state(cls, state: EmeqState) -> "Symplex4":
-        return cls(matrix=state.matrix(), state=state)
-
     @cached_property
     def invariants(self) -> SpectralInvariants:
         """spectral_invariants of the state, evaluated on first use."""
@@ -125,12 +121,12 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """One stage: propagated EMEQ state, accumulated R, R^-1, step log."""
+    """One stage: propagated EMEQ state, accumulated R, step log."""
 
     def __init__(self, sym: Symplex4):
         self.source = sym
         self.state = sym.state
-        self.r, self.rinv, self.steps = np.eye(4), np.eye(4), []
+        self.r, self.steps = np.eye(4), []
 
     @property
     def masses(self) -> MassComponents:
@@ -160,7 +156,7 @@ class _Pipeline:
         t = basic_transform(b, epsilon)
         self.state = state_from_coefficients(transform_coefficients(
             self.state.coefficients, b, epsilon))
-        self.r, self.rinv = t.r @ self.r, self.rinv @ t.rinv
+        self.r = t.r @ self.r
         self.steps.append(t.steps[0])
 
     def boost(self, b: int, num: float, den: float, sign: float,
@@ -178,7 +174,7 @@ class _Pipeline:
     def finish(self) -> tuple[SymplecticTransform, Symplex4]:
         """The stage transform and R F R^-1, re-extracted (NotASymplex if
         it left the symplices, PrecisionLoss if the propagation drifted)."""
-        t = SymplecticTransform(self.r, self.rinv, tuple(self.steps))
+        t = SymplecticTransform(self.r, tuple(self.steps))
         final = Symplex4.from_matrix(
             apply_similarity(t, self.source.matrix), tol=1e-8)
         c = final.state.coefficients

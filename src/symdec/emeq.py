@@ -42,8 +42,10 @@ CLASS_MIXED = "mixed_real_imaginary"
 CLASS_COMPLEX_QUADRUPLE = "complex_quadruple"
 
 # |K2| below this (relative to max(1, K1^2)) marks a degenerate boundary
-# where the classification branches meet.
+# where the classification branches meet; a frequency radicand below
+# ZERO_FREQUENCY_BAND (relative to max(1, |K1|)) is a zero pair.
 DEGENERATE_K2_BAND = 1e-12
+ZERO_FREQUENCY_BAND = 1e-12
 
 
 # ad(gamma_b) / 2 on the ten symplex coefficients: six +-1 entries each
@@ -177,16 +179,16 @@ def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
     return c + s * a + k * (_ACTION[b] @ a)
 
 
-def _frequency(radicand: float, tol: float) -> Frequency:
+def _frequency(radicand: float, scale: float) -> Frequency:
     # eigenvalue pair is +-sqrt(-radicand)
-    if abs(radicand) <= tol:
+    if abs(radicand) <= ZERO_FREQUENCY_BAND * scale:
         return Frequency(0.0, "zero")
     if radicand > 0.0:
         return Frequency(float(np.sqrt(radicand)), "imaginary")
     return Frequency(float(np.sqrt(-radicand)), "real")
 
 
-def spectral_invariants(s: EmeqState, tol: float = 1e-12) -> SpectralInvariants:
+def spectral_invariants(s: EmeqState) -> SpectralInvariants:
     """Invariants K1, K2, the determinant, and the eigenvalue structure.
 
     The eigenvalues of the symplex are +-sqrt(-(K1 +- 2 sqrt(K2))).  For
@@ -207,8 +209,8 @@ def spectral_invariants(s: EmeqState, tol: float = 1e-12) -> SpectralInvariants:
             omega2=None, classification=CLASS_COMPLEX_QUADRUPLE,
             stable=False, degenerate=False)
     root = np.sqrt(max(k2, 0.0))
-    w1 = _frequency(k1 + 2.0 * root, tol * max(1.0, abs(k1)))
-    w2 = _frequency(k1 - 2.0 * root, tol * max(1.0, abs(k1)))
+    w1 = _frequency(k1 + 2.0 * root, max(1.0, abs(k1)))
+    w2 = _frequency(k1 - 2.0 * root, max(1.0, abs(k1)))
     natures = (w1.nature, w2.nature)
     if natures == ("imaginary", "imaginary"):
         classification = CLASS_TWO_IMAGINARY_PAIRS

@@ -24,8 +24,8 @@ from .decouple4 import STEP_TOL, decouple_block_diagonal
 from .dirac import symplectic_unit, symplex_residual
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      NotASymplex, PivotComplex)
-from .transform import (DOF_ROTATION, SymplecticTransform, compose,
-                        dof_transform, embed_4x4, identity_transform)
+from .transform import (DOF_ROTATION, SymplecticTransform, apply_similarity,
+                        compose, dof_transform, embed_4x4, identity_transform)
 
 __all__ = [
     "SymplexN",
@@ -157,9 +157,9 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         next pair; PivotComplex is raised only when no pair decouples.
     tol : float
         Convergence threshold on the summed off-diagonal block norms
-        relative to the total Frobenius norm.
+        relative to the total Frobenius norm; finite and positive.
     max_steps : int, optional
-        Pivot budget; defaults to 40 n^2.
+        Pivot budget, non-negative; defaults to 40 n^2.
     hamiltonian : bool
         After convergence, push every diagonal block to Hamiltonian form
         (zero block diagonals) with one phase rotation per degree of
@@ -172,6 +172,9 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         The accumulated symplectic transform, the transformed symplex,
         and the iteration statistics.
     """
+    if not 0.0 < tol < np.inf or max_steps is not None and max_steps < 0:
+        raise ValueError(f"need a finite tol > 0 and max_steps >= 0, got "
+                         f"tol={tol!r}, max_steps={max_steps!r}")
     sym = F if isinstance(F, SymplexN) else SymplexN.from_matrix(F)
     n = sym.n
     M = sym.matrix.copy()
@@ -200,7 +203,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         except (ComplexEigenvalues, DegenerateB) as exc:
             i, j, res4 = _fallback_pivot(M, amp, (i, j), exc)
         t = embed_4x4(res4.transform, i, j, n)
-        M = t.r @ M @ t.rinv
+        M = apply_similarity(t, M)
         total = compose(t, total)
         stats.pivots.append((i, j, float(np.sqrt(amp[i, j]))))
         stats.pivot_steps += 1
@@ -211,7 +214,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         stats.hamiltonian_steps = len({s.block for s in t.steps
                                        if not s.skipped})
         if stats.hamiltonian_steps:
-            M = t.r @ M @ t.rinv
+            M = apply_similarity(t, M)
             total = compose(t, total)
 
     stats.final_residual = _off_residual(M, off_block_norms(M))

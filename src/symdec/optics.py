@@ -21,8 +21,8 @@ from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
 from .emeq import EmeqState
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import jacobi_decouple
-from .transform import (SymplecticTransform, TransferMatrix, compose,
-                        matrix_exponential, symplectic_residual)
+from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
+                        compose, matrix_exponential, symplectic_residual)
 
 __all__ = [
     "SigmaMatrix",
@@ -128,8 +128,7 @@ def _as_transfer(M, tau: float | None) -> TransferMatrix:
                           symplectic_residual=symplectic_residual(M))
 
 
-def analyze_one_turn(M, tau: float | None = None,
-                     jacobi_tol: float = 1e-12) -> OpticsReport:
+def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
     """Tunes and decoupling transform of a symplectic one-turn matrix.
 
     The symplex part (M - g0 M^T g0)/2 ... (M + g0 M^T g0)/2 is decoupled
@@ -149,12 +148,11 @@ def analyze_one_turn(M, tau: float | None = None,
             f"symplectic residual {tm.symplectic_residual:.3e} above "
             f"tolerance {SYMPLECTIC_TOL:.1e}")
     Ms, Mc = symplex_cosymplex_split(tm.matrix)
-    transform, out, _ = jacobi_decouple(Ms, tol=jacobi_tol)
+    transform, out, _ = jacobi_decouple(Ms)
     scaling, freqs = normal_form_scaling(out.matrix)
     transform = compose(scaling, transform)
-    Mt = transform.r @ tm.matrix @ transform.rinv
-    Ms_t = transform.r @ Ms @ transform.rinv
-    Mc_t = transform.r @ Mc @ transform.rinv
+    Mt, Ms_t, Mc_t = (apply_similarity(transform, X)
+                      for X in (tm.matrix, Ms, Mc))
 
     n = tm.matrix.shape[0] // 2
     blocks = []

@@ -3,14 +3,15 @@
 Each of the ten basic symplices generates a one-parameter family of
 symplectic matrices R_b(eps) = exp(gamma_b * eps/2), evaluated in closed
 form: rotations (generator squaring to -1) use cos/sin of the half angle,
-boosts (squaring to +1) use cosh/sinh of the half rapidity.  Transforms
-carry their inverse (the -eps closed form) and a replayable step log.
+boosts (squaring to +1) use cosh/sinh of the half rapidity.  A transform
+is its matrix R and a replayable step log; R^-1 = -g0 R^T g0 is derived.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,19 +56,20 @@ class TransformStep:
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """Accumulated similarity transform with closed-form inverse and log."""
+    """Accumulated symplectic similarity transform R and its step log."""
 
     r: np.ndarray
-    rinv: np.ndarray
     steps: tuple[TransformStep, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.r.shape[0]
 
-    def residual(self) -> float:
-        """Frobenius deviation from the symplectic condition."""
-        return symplectic_residual(self.r)
+    @cached_property
+    def rinv(self) -> np.ndarray:
+        """Symplectic inverse -g0 R^T g0, computed as (R g0)^T g0."""
+        g0 = symplectic_unit(self.dim // 2)
+        return (self.r @ g0).T @ g0
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def symplectic_residual(R: np.ndarray) -> float:
 
 def identity_transform(dim: int = 4) -> SymplecticTransform:
     """The do-nothing transform of the given even dimension."""
-    return SymplecticTransform(r=np.eye(dim), rinv=np.eye(dim))
+    return SymplecticTransform(r=np.eye(dim))
 
 
 def basic_transform(b: int, epsilon: float,
@@ -96,8 +98,7 @@ def basic_transform(b: int, epsilon: float,
     """Elementary 4x4 transform generated by gamma(b), b in 0..9.
 
     The parameter is the full angle (rotation) or rapidity (boost); the
-    closed form uses the half parameter.  The inverse is the -epsilon
-    closed form, exact up to the cos^2+sin^2 / cosh^2-sinh^2 identities.
+    closed form uses the half parameter.
     """
     if not 0 <= b <= 9:
         raise IndexError(f"generator index out of range: {b}")
@@ -109,8 +110,7 @@ def basic_transform(b: int, epsilon: float,
     else:
         c, s = math.cosh(epsilon / 2.0), math.sinh(epsilon / 2.0)
     step = TransformStep(generator=b, epsilon=float(epsilon), skipped=skipped)
-    ce, sg = c * _EYE4, s * g
-    return SymplecticTransform(r=ce + sg, rinv=ce - sg, steps=(step,))
+    return SymplecticTransform(r=c * _EYE4 + s * g, steps=(step,))
 
 
 def apply_similarity(t: SymplecticTransform, F: np.ndarray) -> np.ndarray:
@@ -127,8 +127,7 @@ def compose(t2: SymplecticTransform, t1: SymplecticTransform) -> SymplecticTrans
     if t1.dim != t2.dim:
         raise DimensionMismatch(
             f"cannot compose {t2.dim}x{t2.dim} with {t1.dim}x{t1.dim}")
-    return SymplecticTransform(r=t2.r @ t1.r, rinv=t1.rinv @ t2.rinv,
-                               steps=t1.steps + t2.steps)
+    return SymplecticTransform(r=t2.r @ t1.r, steps=t1.steps + t2.steps)
 
 
 def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTransform:
@@ -143,14 +142,10 @@ def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTrans
         raise IndexError(f"invalid block pair ({i}, {j}) for n={n}")
     idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
     r = np.eye(2 * n)
-    rinv = np.eye(2 * n)
     r[np.ix_(idx, idx)] = t.r
-    rinv[np.ix_(idx, idx)] = t.rinv
-    steps = tuple(
-        TransformStep(generator=s.generator, epsilon=s.epsilon,
-                      block=(i, j), skipped=s.skipped)
-        for s in t.steps)
-    return SymplecticTransform(r=r, rinv=rinv, steps=steps)
+    steps = tuple(TransformStep(s.generator, s.epsilon, (i, j), s.skipped)
+                  for s in t.steps)
+    return SymplecticTransform(r=r, steps=steps)
 
 
 def replay(steps, dim: int = 4) -> SymplecticTransform:
@@ -200,8 +195,7 @@ def dof_transform(generators, epsilons) -> SymplecticTransform:
         if np.any(GAMMA[g][:2, 2:]) or np.any(GAMMA[g][2:, :2]):
             raise DimensionMismatch(
                 f"generator {g} has no 2x2 restriction")
-        return SymplecticTransform(r=t.r[:2, :2], rinv=t.rinv[:2, :2],
-                                   steps=t.steps)
+        return SymplecticTransform(r=t.r[:2, :2], steps=t.steps)
     a, b = generators
     pairs = [(k, k + 1, eps[k], eps[k + 1]) for k in range(0, n - 1, 2)]
     if n % 2:

@@ -30,7 +30,9 @@ def random_complex_symplex(rng, branch):
     """Rejection-sample a symplex with a complex eigenvalue quadruple.
 
     branch "low" satisfies energy^2 < max(P^2, E^2), "intermediate"
-    satisfies energy^2 > min(P^2, E^2); both have K2 < 0.
+    satisfies energy^2 > min(P^2, E^2), and "high" energy^2 >= max(P^2,
+    E^2), the inputs that decouple sends to complex_intermediate; all
+    have K2 < 0.
     """
     while True:
         F = random_symplex(rng)
@@ -42,6 +44,8 @@ def random_complex_symplex(rng, branch):
         if branch == "low" and e2 < max(p2, em2):
             return F
         if branch == "intermediate" and e2 > min(p2, em2):
+            return F
+        if branch == "high" and e2 >= max(p2, em2):
             return F
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from symdec import jacobi
 from symdec.cli import main
 from symdec.decouple4 import POST_TOL, STEP_TOL
 from symdec.dirac import GAMMA
@@ -18,6 +19,10 @@ def write_text(path, M):
         fh.write(f"{M.shape[0]}\n")
         for row in M:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def _no_pivot(*args):
+    raise AssertionError("pivot attempted")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +225,22 @@ def test_threshold_flags_removed(tmp_path, capsys, argv):
         main([argv[0], str(path), *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jacobi-tol", "nan"], ["--jacobi-tol", "-1"], ["--jacobi-tol", "0"],
+    ["--jacobi-tol", "inf"], ["--max-steps", "-3"]])
+def test_decouple_bad_iteration_flags_exit2(tmp_path, capsys, monkeypatch,
+                                            flags):
+    # rejected before any pivot, not after spending the 40 n^2 budget
+    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    path = tmp_path / "f8.json"
+    save_matrix_json(path, random_test_symplex(4, 0).matrix, kind="force")
+    assert main(["decouple", str(path), "--json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: error:")
+    assert "tol" in captured.err
 
 
 def test_decouple_unstable_normal_form_exit3(tmp_path, capsys):
@@ -452,3 +473,14 @@ def test_bench_stdout_and_determinism(capsys):
 def test_bench_range_validated(capsys):
     assert main(["bench", "--n-min", "1", "--n-max", "3"]) == 2
     assert main(["bench", "--n-min", "4", "--n-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "0"], ["--seeds", "-2"], ["--jacobi-tol", "-1"],
+    ["--jacobi-tol", "nan"], ["--jacobi-tol", "0"]])
+def test_bench_bad_flags_exit2(capsys, monkeypatch, flags):
+    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    assert main(["bench", "--n-min", "3", "--n-max", "4", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: error:")

@@ -341,6 +341,21 @@ def test_decouple_dispatcher():
         decouple(random_stable_symplex(rng), form="bogus")
 
 
+@pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
+                                  FORM_NORMAL])
+def test_decouple_routes_high_energy_quadruple_to_intermediate(form):
+    # K2 < 0 and energy^2 >= max(P^2, E^2): decouple is
+    # complex_intermediate, bit for bit, whatever form is asked for
+    rng = np.random.default_rng(173)
+    for _ in range(10):
+        F = random_complex_symplex(rng, "high")
+        res, ref = decouple(F, form=form), complex_intermediate(F)
+        np.testing.assert_array_equal(res.transform.r, ref.transform.r)
+        np.testing.assert_array_equal(res.final.matrix, ref.final.matrix)
+        assert res.form == ref.form == FORM_COMPLEX_CANONICAL
+        assert res.complex_radius == ref.complex_radius
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 8])
 @pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
                                   FORM_NORMAL])

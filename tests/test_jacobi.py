@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symdec import jacobi
+from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, is_symplex, symplectic_unit
 from symdec.errors import ComplexEigenvalues, NotASymplex, PivotComplex
 from symdec.jacobi import (IterationStats, SymplexN, jacobi_decouple,
@@ -206,6 +207,36 @@ def test_max_steps_budget_enforced():
     sym = random_test_symplex(4, 0)
     with pytest.raises(MaxStepsExceeded):
         jacobi_decouple(sym, max_steps=2)
+
+
+def _no_pivot(*args):
+    raise AssertionError("pivot attempted")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}, {"tol": 0.0},
+    {"max_steps": -3}, {"tol": np.nan, "max_steps": -1}])
+@pytest.mark.parametrize("entry", ["jacobi_decouple", "decouple"])
+def test_bad_iteration_arguments_rejected_before_any_pivot(
+        monkeypatch, entry, kwargs):
+    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    F = random_test_symplex(4, 0).matrix
+    if entry == "decouple":
+        kwargs = {"jacobi_tol" if k == "tol" else k: v
+                  for k, v in kwargs.items()}
+    run = decouple if entry == "decouple" else jacobi_decouple
+    with pytest.raises(ValueError, match="tol"):
+        run(F, **kwargs)
+
+
+def test_zero_pivot_budget_is_valid():
+    from symdec.errors import MaxStepsExceeded
+    with pytest.raises(MaxStepsExceeded):
+        jacobi_decouple(random_test_symplex(4, 0), max_steps=0)
+    # an input already decoupled needs no pivot at all
+    F = symplectic_unit(3) @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    transform, out, stats = jacobi_decouple(F, max_steps=0)
+    assert stats.pivot_steps == 0
 
 
 def test_random_test_symplex_rejects_bad_n():
