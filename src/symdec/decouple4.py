@@ -26,23 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dirac import GAMMA
 from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
-                   SpectralInvariants, _cross, aux_vectors,
-                   emeq_from_symplex, mass_components, spectral_invariants,
-                   state_from_coefficients, transform_coefficients)
+                   SpectralInvariants, Symplex, _cross, aux_vectors,
+                   mass_components, state_from_coefficients,
+                   transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (SymplecticTransform, apply_similarity,
                         basic_transform, block_scaling, compose)
 
 if TYPE_CHECKING:
-    from .jacobi import IterationStats, SymplexN
+    from .jacobi import IterationStats
 
 __all__ = [
     "FORM_BLOCK_DIAGONAL",
@@ -51,7 +50,6 @@ __all__ = [
     "FORM_COMPLEX_CANONICAL",
     "STEP_TOL",
     "POST_TOL",
-    "Symplex4",
     "DecoupleResult",
     "decouple_block_diagonal",
     "to_hamiltonian_form",
@@ -77,41 +75,22 @@ STEP_TOL = 1e-14
 POST_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Symplex4:
-    """A 4x4 symplex and its EMEQ state; the two always agree."""
-
-    matrix: np.ndarray
-    state: EmeqState
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray, tol: float = 1e-10) -> "Symplex4":
-        M = np.asarray(M, dtype=float)
-        return cls(matrix=M, state=emeq_from_symplex(M, tol=tol))
-
-    @cached_property
-    def invariants(self) -> SpectralInvariants:
-        """spectral_invariants of the state, evaluated on first use."""
-        return spectral_invariants(self.state)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupleResult:
     """Outcome of a decoupling pipeline.
 
-    final = transform applied to source, a Symplex4 for a 4x4 source and
-    a SymplexN for any other 2n.  residual is the largest entry (or
-    coefficient, for the complex canonical form) violating the target
-    pattern of a 4x4, and the relative off-block residual of a 2n final
-    (stats.final_residual), whose Jacobi counters are in stats and which
-    has no invariants.  frequencies carry the eigenvalue pair natures, one
-    per block, and complex_radius the eigenvalue circle radius when the
-    spectrum is a complex quadruple.
+    final = transform applied to source, a Symplex.  residual is the
+    largest entry (or coefficient, for the complex canonical form)
+    violating the target pattern of a 4x4, and the relative off-block
+    residual (stats.final_residual) of any other 2n, which has Jacobi
+    counters in stats and no invariants.  frequencies carry the
+    eigenvalue pair natures, one per block, and complex_radius the
+    eigenvalue circle radius when the spectrum is a complex quadruple.
     """
 
     source: np.ndarray
     transform: SymplecticTransform
-    final: Symplex4 | SymplexN
+    final: Symplex
     form: str
     residual: float
     invariants: SpectralInvariants | None = None
@@ -123,7 +102,7 @@ class DecoupleResult:
 class _Pipeline:
     """One stage: propagated EMEQ state, accumulated R, step log."""
 
-    def __init__(self, sym: Symplex4):
+    def __init__(self, sym: Symplex):
         self.source = sym
         self.state = sym.state
         self.r, self.steps = np.eye(4), []
@@ -171,11 +150,11 @@ class _Pipeline:
                 "has modulus >= 1", step=step_index)
         self.step(b, sign * math.atanh(num / den))
 
-    def finish(self) -> tuple[SymplecticTransform, Symplex4]:
+    def finish(self) -> tuple[SymplecticTransform, Symplex]:
         """The stage transform and R F R^-1, re-extracted (NotASymplex if
         it left the symplices, PrecisionLoss if the propagation drifted)."""
         t = SymplecticTransform(self.r, tuple(self.steps))
-        final = Symplex4.from_matrix(
+        final = Symplex.from_matrix(
             apply_similarity(t, self.source.matrix), tol=1e-8)
         c = final.state.coefficients
         drift = float(np.max(np.abs(c - self.state.coefficients)))
@@ -184,13 +163,19 @@ class _Pipeline:
         return t, final
 
 
-def _as_symplex(F) -> Symplex4:
-    if isinstance(F, Symplex4):
+def _as_symplex(F) -> Symplex:
+    if isinstance(F, Symplex):
         return F
-    return Symplex4.from_matrix(F)
+    return Symplex.from_matrix(F)
 
 
-def _coefficient_scale(sym: Symplex4) -> float:
+def _check_iteration(tol: float, max_steps: int | None) -> None:
+    if not 0.0 < tol < np.inf or max_steps is not None and max_steps < 0:
+        raise ValueError(f"need a finite tol > 0 and max_steps >= 0, got "
+                         f"tol={tol!r}, max_steps={max_steps!r}")
+
+
+def _coefficient_scale(sym: Symplex) -> float:
     return max(1.0, float(np.linalg.norm(sym.state.coefficients)))
 
 
@@ -270,7 +255,7 @@ def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     entries.  If P vanishes, the same rotation aligns E with the z-axis
     instead.  PrecisionLoss is raised when off-pattern entries survive.
     """
-    if res.form != FORM_BLOCK_DIAGONAL or not isinstance(res.final, Symplex4):
+    if res.form != FORM_BLOCK_DIAGONAL or res.final.n != 2:
         raise ValueError(f"not a 4x4 block_diagonal result: {res.form!r}")
     pipe = _Pipeline(res.final)
     scale = _coefficient_scale(res.final)
@@ -354,11 +339,11 @@ def to_normal_form(res: DecoupleResult) -> DecoupleResult:
     Mn = apply_similarity(scaling, M)
     res = replace(res, transform=compose(scaling, res.transform),
                   form=FORM_NORMAL, frequencies=freqs)
-    if not isinstance(res.final, Symplex4):
+    if res.final.n != 2:
         from .jacobi import _off_residual, off_block_norms
         return replace(res, final=replace(res.final, matrix=Mn),
                        residual=_off_residual(Mn, off_block_norms(Mn)))
-    final = Symplex4.from_matrix(Mn, tol=1e-8)
+    final = Symplex.from_matrix(Mn, tol=1e-8)
 
     target = np.zeros((4, 4))
     target[0, 1], target[1, 0] = freqs[0].value, -freqs[0].value
@@ -378,7 +363,7 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     so the source has eigenvector matrix E = Rinv E0 with eigenvalues
     (i w1, -i w1, i w2, -i w2).
     """
-    if res.form != FORM_NORMAL or not isinstance(res.final, Symplex4):
+    if res.form != FORM_NORMAL or res.final.n != 2:
         raise ValueError(f"not a 4x4 normal-form result: {res.form!r}")
     e0 = 0.5 * (np.eye(4) - GAMMA[0] + 1j * GAMMA[3] + 1j * GAMMA[6])
     vecs = res.transform.rinv @ e0
@@ -508,7 +493,7 @@ def complex_intermediate(F) -> DecoupleResult:
 def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
              max_steps: int | None = None) -> DecoupleResult:
     """Decouple a 2n x 2n symplex to the form "block_diagonal",
-    "hamiltonian" or "normal".
+    "hamiltonian" or "normal", checking F, jacobi_tol and max_steps first.
 
     A 4x4 takes the geometric pipeline; for K2 < 0 the matching complex
     procedure runs (low energy if energy^2 < max(P^2, E^2), intermediate
@@ -519,9 +504,9 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
-    M = getattr(F, "matrix", F)
-    if np.shape(M) == (4, 4):
-        sym = F if isinstance(F, Symplex4) else Symplex4.from_matrix(M)
+    _check_iteration(jacobi_tol, max_steps)
+    sym = _as_symplex(F)
+    if sym.n == 2:
         inv = sym.invariants
         if inv.k2 < 0.0 and not inv.degenerate:
             s = sym.state
@@ -535,9 +520,9 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
         from .jacobi import jacobi_decouple  # jacobi imports this module
         hamiltonian = form != FORM_BLOCK_DIAGONAL
         transform, final, stats = jacobi_decouple(
-            F, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian)
+            sym, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian)
         res = DecoupleResult(
-            source=np.asarray(M, dtype=float), transform=transform,
+            source=sym.matrix, transform=transform,
             final=final, residual=stats.final_residual, stats=stats,
             form=FORM_HAMILTONIAN if hamiltonian else FORM_BLOCK_DIAGONAL)
     return to_normal_form(res) if form == FORM_NORMAL else res

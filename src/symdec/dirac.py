@@ -19,6 +19,9 @@ All matrices are stored with exact integer entries and are read-only.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -101,12 +104,14 @@ def gamma_signature(k: int) -> int:
     return _SIGNATURE[k]
 
 
+@lru_cache
 def symplectic_unit(n: int = 2) -> np.ndarray:
-    """Block-diagonal 2n x 2n symplectic unit for (q1, p1, ..., qn, pn) ordering."""
+    """Read-only 2n x 2n symplectic unit, (q1, p1, ..., qn, pn) ordering."""
     g0 = np.zeros((2 * n, 2 * n))
     for i in range(0, 2 * n, 2):
         g0[i, i + 1] = 1.0
         g0[i + 1, i] = -1.0
+    g0.flags.writeable = False
     return g0
 
 
@@ -130,31 +135,33 @@ def from_coefficients(c: np.ndarray) -> np.ndarray:
     return (c @ _STACKED).reshape(4, 4)
 
 
-def _relative_scale(M: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(M)))
+def _frobenius(M: np.ndarray) -> float:
+    x = M.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def symplex_residual(M: np.ndarray) -> float:
-    """|| M^T - g0 M g0 ||_F for the block-diagonal symplectic unit."""
+    """|| M^T - g0 M g0 ||_F = || S - S^T ||_F with S = g0 M (g0 is
+    orthogonal): M is a symplex exactly when g0 M is symmetric."""
     M = np.asarray(M, dtype=float)
-    g0 = symplectic_unit(M.shape[0] // 2)
-    return float(np.linalg.norm(M.T - g0 @ M @ g0))
+    S = symplectic_unit(M.shape[0] // 2) @ M
+    return _frobenius(S - S.T)
 
 
 def is_symplex(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff M^T = g0 M g0 within tol relative to the Frobenius norm.
-
-    Works for any even dimension 2n with the block-diagonal symplectic unit.
-    """
-    return symplex_residual(M) <= tol * _relative_scale(M)
+    """True iff M is finite with symplex_residual(M) <= tol max(1, ||M||_F)."""
+    M = np.asarray(M, dtype=float)
+    norm = _frobenius(M)  # non-finite if an entry is, or if it overflows
+    if not math.isfinite(norm) and not np.isfinite(M).all():
+        return False
+    return symplex_residual(M) <= tol * max(1.0, norm)
 
 
 def is_cosymplex(M: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff M^T = -g0 M g0 within tol relative to the Frobenius norm."""
     M = np.asarray(M, dtype=float)
-    g0 = symplectic_unit(M.shape[0] // 2)
-    resid = np.linalg.norm(M.T + g0 @ M @ g0)
-    return resid <= tol * _relative_scale(M)
+    S = symplectic_unit(M.shape[0] // 2) @ M
+    return _frobenius(S + S.T) <= tol * max(1.0, _frobenius(M))
 
 
 def symplex_cosymplex_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

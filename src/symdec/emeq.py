@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dirac import GAMMA, from_coefficients, gamma_signature, rdm_coefficients
+from .dirac import (GAMMA, from_coefficients, gamma_signature, is_symplex,
+                    rdm_coefficients, symplex_residual)
 from .errors import NotASymplex
 
 __all__ = [
+    "Symplex",
     "EmeqState",
     "MassComponents",
     "AuxVectors",
@@ -55,7 +58,7 @@ _ACTION = np.array([[rdm_coefficients(gb @ g - g @ gb)[:10] / 2.0
 _ACTION.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmeqState:
     """Energy and the three field vectors of a 4x4 symplex."""
 
@@ -84,7 +87,7 @@ class MassComponents:
     m_b: float  # E.P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxVectors:
     """Auxiliary vectors; b's alignment with the y-axis marks block form."""
 
@@ -128,21 +131,41 @@ def state_from_coefficients(c) -> EmeqState:
                      b=c[7:10].copy())
 
 
-def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
-    """Extract the EMEQ state of a 4x4 symplex.
+@dataclass(frozen=True, eq=False)
+class Symplex:
+    """A 2n x 2n symplex; for n = 2 also its EMEQ state and invariants,
+    read from the Dirac coefficients on first use."""
 
-    Raises NotASymplex if F has a non-finite entry or any cosymplex
-    coefficient exceeds tol relative to the coefficient scale.
-    """
-    if not np.isfinite(F).all():
-        raise NotASymplex("matrix has non-finite entries")
-    c = rdm_coefficients(F)
-    scale = max(1.0, float(np.linalg.norm(c)))
-    worst = float(np.max(np.abs(c[10:])))
-    if worst > tol * scale:
-        raise NotASymplex(
-            f"cosymplex coefficients up to {worst:.3e} exceed tolerance")
-    return state_from_coefficients(c[:10])
+    matrix: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, M: np.ndarray, tol: float = 1e-10) -> "Symplex":
+        """The one validity check: a square even matrix passing is_symplex."""
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+            raise ValueError(f"expected a square even matrix, got {M.shape}")
+        if not is_symplex(M, tol):
+            raise NotASymplex(f"symplex residual {symplex_residual(M):.3e}"
+                              if np.isfinite(M).all() else "non-finite entries")
+        return cls(M)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0] // 2
+
+    @cached_property
+    def state(self) -> EmeqState:
+        c = rdm_coefficients(self.matrix)  # ValueError unless 4x4
+        return EmeqState(energy=float(c[0]), p=c[1:4], e=c[4:7], b=c[7:10])
+
+    @cached_property
+    def invariants(self) -> SpectralInvariants:
+        return spectral_invariants(self.state)
+
+
+def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
+    """EMEQ state of a 4x4 that Symplex.from_matrix accepts."""
+    return Symplex.from_matrix(F, tol).state
 
 
 def mass_components(s: EmeqState) -> MassComponents:

@@ -20,42 +20,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decouple4 import STEP_TOL, decouple_block_diagonal
-from .dirac import symplectic_unit, symplex_residual
+from .decouple4 import (STEP_TOL, _as_symplex, _check_iteration,
+                        decouple_block_diagonal)
+from .dirac import symplectic_unit
+from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
-                     NotASymplex, PivotComplex)
+                     PivotComplex)
 from .transform import (DOF_ROTATION, SymplecticTransform, apply_similarity,
                         compose, dof_transform, embed_4x4, identity_transform)
 
 __all__ = [
-    "SymplexN",
     "IterationStats",
     "off_block_norms",
     "random_test_symplex",
     "jacobi_decouple",
 ]
-
-
-@dataclass(frozen=True)
-class SymplexN:
-    """A 2n x 2n symplex for n degrees of freedom."""
-
-    matrix: np.ndarray
-    n: int
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray, tol: float = 1e-10) -> "SymplexN":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-            raise ValueError(f"expected a square even matrix, got {M.shape}")
-        if not np.isfinite(M).all():
-            raise NotASymplex("matrix has non-finite entries")
-        n = M.shape[0] // 2
-        resid = symplex_residual(M)
-        if resid > tol * max(1.0, np.linalg.norm(M)):
-            raise NotASymplex(
-                f"symplex condition violated with residual {resid:.3e}")
-        return cls(matrix=M, n=n)
 
 
 @dataclass
@@ -96,7 +75,7 @@ def _off_residual(M: np.ndarray, amp: np.ndarray) -> float:
             / max(float(np.linalg.norm(M)), 1e-300))
 
 
-def random_test_symplex(n: int, seed: int) -> SymplexN:
+def random_test_symplex(n: int, seed: int) -> Symplex:
     """Deterministic random symplex F = g0 A for convergence studies.
 
     A is symmetric with off-diagonal entries uniform in [-1/2, 1/2) and
@@ -117,7 +96,7 @@ def random_test_symplex(n: int, seed: int) -> SymplexN:
                 A[i, i] = n + x
             else:
                 A[i, j] = A[j, i] = x - 0.5
-    return SymplexN(matrix=symplectic_unit(n) @ A, n=n)
+    return Symplex(symplectic_unit(n) @ A)
 
 
 def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -147,12 +126,12 @@ def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
 
 def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
                     hamiltonian: bool = True,
-                    ) -> tuple[SymplecticTransform, SymplexN, IterationStats]:
+                    ) -> tuple[SymplecticTransform, Symplex, IterationStats]:
     """Iteratively block-diagonalize a 2n x 2n symplex.
 
     Parameters
     ----------
-    F : SymplexN or ndarray
+    F : Symplex or ndarray
         The symplex to decouple.  A complex 4x4 pivot gives way to the
         next pair; PivotComplex is raised only when no pair decouples.
     tol : float
@@ -172,10 +151,8 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         The accumulated symplectic transform, the transformed symplex,
         and the iteration statistics.
     """
-    if not 0.0 < tol < np.inf or max_steps is not None and max_steps < 0:
-        raise ValueError(f"need a finite tol > 0 and max_steps >= 0, got "
-                         f"tol={tol!r}, max_steps={max_steps!r}")
-    sym = F if isinstance(F, SymplexN) else SymplexN.from_matrix(F)
+    _check_iteration(tol, max_steps)
+    sym = _as_symplex(F)
     n = sym.n
     M = sym.matrix.copy()
     total = identity_transform(2 * n)
@@ -218,7 +195,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
             total = compose(t, total)
 
     stats.final_residual = _off_residual(M, off_block_norms(M))
-    return total, SymplexN(matrix=M, n=n), stats
+    return total, Symplex(M), stats
 
 
 def _hamiltonian_angles(M: np.ndarray) -> list:

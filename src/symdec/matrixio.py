@@ -30,7 +30,7 @@ class MatrixFileError(Exception):
     """Unreadable or malformed matrix file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFile:
     """A parsed matrix with its metadata."""
 

@@ -49,7 +49,7 @@ NATURE_ZERO = "zero"
 SYMPLECTIC_TOL = FIXED_POINT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaMatrix:
     """Second-moment matrix of a beam; sigma * g0 is a symplex."""
 
@@ -82,7 +82,7 @@ class BlockTune:
     negative_direction: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticsReport:
     """Analysis of a one-turn matrix in its decoupled frame."""
 
@@ -103,7 +103,7 @@ class OpticsReport:
         return tuple(b.cosine for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveForce:
     """Average force matrix over one period, with branch diagnostics."""
 

@@ -54,7 +54,7 @@ class TransformStep:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticTransform:
     """Accumulated symplectic similarity transform R and its step log."""
 
@@ -72,7 +72,7 @@ class SymplecticTransform:
         return (self.r @ g0).T @ g0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """Matrix exponential of a symplex over a path length / period tau."""
 

@@ -6,8 +6,11 @@ import pytest
 from symdec import jacobi
 from symdec.cli import main
 from symdec.decouple4 import POST_TOL, STEP_TOL
-from symdec.dirac import GAMMA
-from symdec.jacobi import random_test_symplex
+from symdec.decouple4 import decouple
+from symdec.dirac import GAMMA, rdm_coefficients
+from symdec.emeq import Symplex, emeq_from_symplex
+from symdec.errors import NotASymplex
+from symdec.jacobi import jacobi_decouple, random_test_symplex
 from symdec.matrixio import (MatrixFileError, load_matrix, save_matrix_json)
 from symdec.transform import matrix_exponential
 
@@ -91,6 +94,29 @@ def test_check_identity_rejected(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["valid"] is False
     assert doc["cosymplex_coefficient_max"] == 1.0
+
+
+def test_cosymplex_content_same_verdict_everywhere(tmp_path, capsys):
+    # cosymplex coefficients of 0.6e-10 ||c|| each: residual 4 sqrt(6) 0.6e-10
+    # ||c|| against the bound 1e-10 max(1, 2 ||c||), so not a symplex for
+    # every entry point, the 4x4 ones included
+    F = random_stable_symplex(np.random.default_rng(11))
+    c = rdm_coefficients(F)
+    assert np.linalg.norm(c) > 1.0
+    G = F + 0.6e-10 * np.linalg.norm(c) * sum(GAMMA[10:])
+    path = tmp_path / "f.json"
+    for M, valid in ((F, True), (G, False)):
+        for call in (decouple, jacobi_decouple, emeq_from_symplex,
+                     Symplex.from_matrix):
+            if valid:
+                call(M)
+            else:
+                with pytest.raises(NotASymplex):
+                    call(M)
+        save_matrix_json(path, M, kind="force")
+        for command in ("check", "decouple"):
+            assert main([command, str(path), "--json"]) == (0 if valid else 2)
+        capsys.readouterr()
 
 
 def test_check_cyclotron_reports_state(tmp_path, capsys):
@@ -241,6 +267,20 @@ def test_decouple_bad_iteration_flags_exit2(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err.startswith("symdec: error:")
     assert "tol" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jacobi-tol", "nan"], ["--jacobi-tol", "-1"], ["--max-steps", "-3"]])
+@pytest.mark.parametrize("n", [2, 3])
+def test_decouple_bad_iteration_flags_exit2_every_n(tmp_path, capsys, n,
+                                                    flags):
+    # a 4x4 file takes no iteration, yet gets the same refusal
+    path = tmp_path / "f.json"
+    save_matrix_json(path, random_test_symplex(n, 0).matrix, kind="force")
+    assert main(["decouple", str(path), "--json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: error:")
 
 
 def test_decouple_unstable_normal_form_exit3(tmp_path, capsys):

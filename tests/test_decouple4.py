@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from symdec import decouple4, jacobi
+from symdec import emeq, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
-                              FORM_HAMILTONIAN, FORM_NORMAL, Symplex4,
+                              FORM_HAMILTONIAN, FORM_NORMAL,
                               closed_form_block_coefficients,
                               complex_intermediate, complex_low_energy,
                               decouple, decouple_block_diagonal, diagonalize,
                               normal_form_scaling, to_hamiltonian_form,
                               to_normal_form)
 from symdec.dirac import GAMMA
-from symdec.emeq import (aux_vectors, emeq_from_symplex, mass_components,
-                         spectral_invariants, state_from_coefficients)
+from symdec.emeq import (Symplex, aux_vectors, emeq_from_symplex,
+                         mass_components, spectral_invariants,
+                         state_from_coefficients)
 from symdec.errors import (BranchMismatch, ComplexEigenvalues, NotASymplex,
                            NotSymplectic, UnstableBlock)
-from symdec.jacobi import (SymplexN, _off_residual, jacobi_decouple,
-                           off_block_norms, random_test_symplex)
+from symdec.jacobi import (_off_residual, jacobi_decouple, off_block_norms,
+                           random_test_symplex)
 from symdec.optics import analyze_one_turn
 from symdec.transform import (apply_similarity, compose, matrix_exponential,
                               symplectic_residual)
@@ -372,7 +373,7 @@ def test_decouple_2n_is_jacobi(n, form):
         final = scaling.r @ final @ scaling.rinv
         transform = compose(scaling, transform)
     assert res.form == form
-    assert isinstance(res.final, SymplexN) and res.final.n == n
+    assert isinstance(res.final, Symplex) and res.final.n == n
     np.testing.assert_array_equal(res.final.matrix, final)
     np.testing.assert_array_equal(res.transform.r, transform.r)
     np.testing.assert_array_equal(res.transform.rinv, transform.rinv)
@@ -404,7 +405,7 @@ def test_decouple_evaluates_invariants_once(monkeypatch):
     def counting(state):
         calls.append(state)
         return spectral_invariants(state)
-    monkeypatch.setattr(decouple4, "spectral_invariants", counting)
+    monkeypatch.setattr(emeq, "spectral_invariants", counting)
     rng = np.random.default_rng(167)
     for F, form in ((random_stable_symplex(rng), FORM_NORMAL),
                     (random_stable_symplex(rng), FORM_BLOCK_DIAGONAL),
@@ -445,8 +446,3 @@ def test_invariants_preserved_through_pipeline():
         assert abs(inv1.k1 - inv0.k1) < 1e-9 * scale
         assert abs(inv1.k2 - inv0.k2) < 1e-9 * scale
 
-
-def test_symplex4_validates():
-    from symdec.errors import NotASymplex
-    with pytest.raises(NotASymplex):
-        Symplex4.from_matrix(np.eye(4))

@@ -42,6 +42,15 @@ def test_symplectic_unit_block_structure():
     np.testing.assert_array_equal(symplectic_unit(1), j)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_symplectic_unit_cached_and_read_only(n):
+    g0 = symplectic_unit(n)
+    assert symplectic_unit(n) is g0
+    assert not g0.flags.writeable
+    with pytest.raises(ValueError):
+        g0[0, 1] = 2.0
+
+
 def test_basic_matrices_anticommute_exactly():
     for i in range(4):
         for j in range(4):
@@ -75,6 +84,16 @@ def test_basis_split_into_symplices_and_cosymplices():
     for k in range(10, 16):
         assert is_cosymplex(GAMMA[k], tol=1e-12)
         assert not is_symplex(GAMMA[k], tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_symplex_needs_finite_entries(bad):
+    M = GAMMA[0].copy()
+    M[0, 1] = bad
+    assert not is_symplex(M, tol=1e300)
+    # a norm that overflows on finite entries is no reason to refuse
+    with np.errstate(over="ignore"):
+        assert is_symplex(1e200 * GAMMA[0])
 
 
 def test_coefficients_of_basis_elements():

@@ -3,10 +3,11 @@ import pytest
 
 from symdec.dirac import GAMMA, rdm_coefficients
 from symdec.emeq import (CLASS_COMPLEX_QUADRUPLE, CLASS_TWO_IMAGINARY_PAIRS,
-                         aux_vectors, emeq_from_symplex, lax_invariants,
-                         mass_components, spectral_invariants,
+                         Symplex, aux_vectors, emeq_from_symplex,
+                         lax_invariants, mass_components, spectral_invariants,
                          state_from_coefficients)
 from symdec.errors import NotASymplex
+from symdec.jacobi import random_test_symplex
 from symdec.transform import apply_similarity, basic_transform
 
 from conftest import (cyclotron_force_matrix, random_stable_symplex,
@@ -44,6 +45,19 @@ def test_pure_phase_rotation_state():
 def test_not_a_symplex_rejected():
     with pytest.raises(NotASymplex):
         emeq_from_symplex(np.eye(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplex_validates(n):
+    # one check for every 2n: the identity is no symplex, an odd shape no
+    # 2n x 2n matrix, and a symplex is kept as given
+    with pytest.raises(NotASymplex):
+        Symplex.from_matrix(np.eye(2 * n))
+    with pytest.raises(ValueError):
+        Symplex.from_matrix(np.zeros((2 * n + 1, 2 * n + 1)))
+    F = random_test_symplex(n, 0).matrix
+    sym = Symplex.from_matrix(F)
+    assert sym.n == n and sym.matrix is F
 
 
 def test_mass_components_direct():

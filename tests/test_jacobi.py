@@ -4,9 +4,9 @@ import pytest
 from symdec import jacobi
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, is_symplex, symplectic_unit
-from symdec.errors import ComplexEigenvalues, NotASymplex, PivotComplex
-from symdec.jacobi import (IterationStats, SymplexN, jacobi_decouple,
-                           off_block_norms, random_test_symplex)
+from symdec.errors import ComplexEigenvalues, PivotComplex
+from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
+                           random_test_symplex)
 from symdec.optics import analyze_one_turn
 from symdec.transform import matrix_exponential, replay, symplectic_residual
 
@@ -38,13 +38,6 @@ def test_random_test_symplex_construction_rule():
     off = A[~np.eye(10, dtype=bool)]
     assert np.all(np.abs(off) <= 0.5)
     assert is_symplex(sym.matrix, tol=1e-12)
-
-
-def test_symplexn_validation():
-    with pytest.raises(NotASymplex):
-        SymplexN.from_matrix(np.eye(6))
-    with pytest.raises(ValueError):
-        SymplexN.from_matrix(np.zeros((3, 3)))
 
 
 def test_off_block_norms_block_diagonal():
@@ -227,6 +220,15 @@ def test_bad_iteration_arguments_rejected_before_any_pivot(
     run = decouple if entry == "decouple" else jacobi_decouple
     with pytest.raises(ValueError, match="tol"):
         run(F, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"jacobi_tol": np.nan}, {"jacobi_tol": -1.0}, {"max_steps": -3}])
+@pytest.mark.parametrize("n", [2, 3])
+def test_decouple_checks_iteration_arguments_for_every_n(n, kwargs):
+    # a 4x4 never iterates, yet refuses the same arguments as any other 2n
+    with pytest.raises(ValueError, match="tol"):
+        decouple(random_test_symplex(n, 0).matrix, **kwargs)
 
 
 def test_zero_pivot_budget_is_valid():

@@ -1,11 +1,13 @@
-"""Property tests of the per-dof block layout: transform builder, step-log
-replay, off-block measures and the normal-form scaling."""
+"""Property tests of the per-dof block layout (transform builder, step-log
+replay, off-block measures, the normal-form scaling) and of the symplex
+residual over the Dirac basis."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdec.decouple4 import normal_form_scaling, off_block_max
-from symdec.dirac import symplectic_unit
+from symdec.dirac import from_coefficients, symplectic_unit, symplex_residual
 from symdec.jacobi import off_block_norms
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, dof_transform,
                               replay, symplectic_residual)
@@ -117,3 +119,23 @@ def test_normal_form_scaling_matches_eigenvalues(entries):
         else:
             np.testing.assert_allclose(blk, H[2 * k:2 * k + 2, 2 * k:2 * k + 2],
                                        rtol=1e-14)
+
+
+# magnitudes whose squares stay normal doubles, so both norms keep full
+# precision
+coefficient = st.floats(min_value=-1e6, max_value=1e6).map(
+    lambda x: x if abs(x) > 1e-100 else 0.0)
+
+
+@PROPERTY
+@given(c=st.lists(coefficient, min_size=16, max_size=16))
+def test_symplex_residual_is_cosymplex_coefficient_norm(c):
+    # the Dirac basis is orthogonal with ||gamma_k||_F = 2, so a 4x4 passes
+    # the symplex check exactly when its cosymplex coefficients are small
+    # against all sixteen: residual 4 ||c[10:]||, ||M||_F = 2 ||c||
+    c = np.array(c)
+    M = from_coefficients(c)
+    norm = float(np.linalg.norm(c))
+    assert np.linalg.norm(M) == pytest.approx(2.0 * norm, rel=1e-12)
+    assert symplex_residual(M) == pytest.approx(
+        4.0 * np.linalg.norm(c[10:]), rel=1e-12, abs=1e-12 * norm)

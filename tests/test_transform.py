@@ -1,10 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, symplectic_unit
-from symdec.emeq import emeq_from_symplex, lax_invariants
+from symdec.emeq import Symplex, aux_vectors, emeq_from_symplex, lax_invariants
 from symdec.errors import DimensionMismatch
+from symdec.matrixio import MatrixFile
+from symdec.optics import analyze_one_turn, effective_force, matched_sigma
 from symdec.transform import (apply_similarity, basic_transform,
                               block_scaling, compose, embed_4x4,
                               identity_transform, matrix_exponential, replay,
@@ -240,3 +245,35 @@ def test_block_scaling_diagonal():
     assert symplectic_residual(t.r) < 1e-12
     r = replay(t.steps, dim=6)
     np.testing.assert_allclose(r.r, t.r, atol=1e-13)
+
+
+def _array_dataclasses():
+    """One instance of each frozen dataclass that holds an ndarray."""
+    F = random_stable_symplex(np.random.default_rng(21))
+    M = matrix_exponential(F, 0.3)
+    state = emeq_from_symplex(F)
+    return {
+        "Symplex": Symplex.from_matrix(F),
+        "DecoupleResult": decouple(F),
+        "EmeqState": state,
+        "AuxVectors": aux_vectors(state),
+        "SymplecticTransform": identity_transform(4),
+        "TransferMatrix": M,
+        "SigmaMatrix": matched_sigma(M.matrix, (1.0, 2.0), tau=0.3),
+        "EffectiveForce": effective_force(M.matrix, tau=0.3),
+        "OpticsReport": analyze_one_turn(M.matrix, tau=0.3),
+        "MatrixFile": MatrixFile(matrix=F, kind="force"),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "Symplex", "DecoupleResult", "EmeqState", "AuxVectors",
+    "SymplecticTransform", "TransferMatrix", "SigmaMatrix", "EffectiveForce",
+    "OpticsReport", "MatrixFile"])
+def test_array_dataclass_equals_itself(name):
+    # identity equality: comparing the array fields of two instances would
+    # raise ValueError (the truth value of an array is ambiguous)
+    x = _array_dataclasses()[name]
+    assert type(x).__name__ == name
+    assert (x == x) is True
+    assert (x == copy.deepcopy(x)) is False
