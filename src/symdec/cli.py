@@ -150,6 +150,9 @@ def _load(path: str):
 # check
 
 def cmd_check(args) -> int:
+    if not 0.0 <= args.tol < np.inf:
+        raise _Failure(f"--tol {args.tol!r}: need a finite tolerance >= 0",
+                       EXIT_VALIDATION)
     mf = _load(args.path)
     kind = mf.kind or args.kind
     M = mf.matrix

@@ -1,25 +1,24 @@
-"""Geometric decoupling of a 4x4 symplex, and `decouple`, the one
-decoupling entry point for any 2n x 2n symplex (Jacobi for n != 2).
+"""Decoupling of 2n x 2n symplices; `decouple` is the one entry point.
 
-The pipeline walks a symplex through successive canonical shapes by
-elementary symplectic similarity transforms chosen from the EMEQ
-geometry:
-
-* block-diagonal form      -- B and the auxiliary vector b along y,
-                              E and P in the x-z plane,
-* Hamiltonian form         -- additionally zero diagonal per 2x2 block,
-* normal form              -- antisymmetric blocks [[0, w], [-w, 0]].
+Only the block stage knows n.  A 4x4 is block-diagonalized by elementary
+symplectic similarity transforms chosen from the EMEQ geometry (B and
+the auxiliary vector b along y, E and P in the x-z plane), any other 2n
+by jacobi_decouple.  Every later stage acts on each degree of freedom
+alone: one phase rotation per dof zeroes its block's diagonal
+(Hamiltonian form), one scaling per dof makes the block [[0, w], [-w, 0]]
+(normal form), and a constant per-dof basis diagonalizes it.
 
 Matrices whose second invariant is negative (complex eigenvalue
 quadruples) cannot be block-diagonalized over the reals; two dedicated
 procedures bring them to the real canonical form with only the E_y, E_z
 and B_y coefficients surviving.
 
-Each step moves the ten coefficients (energy, P, E, B) in closed form
-(emeq.transform_coefficients); R F R^-1 is built once per stage and every
-pattern check reads its re-extracted coefficients.  A step whose target
-coefficient is already below STEP_TOL is logged as a skip, so inputs in
-canonical position pass through with the identity transform.
+Each geometric step moves the ten coefficients (energy, P, E, B) in
+closed form (emeq.transform_coefficients); R F R^-1 is built once per
+stage and every pattern check reads its re-extracted coefficients.  A
+step whose target coefficient is already below STEP_TOL is logged as a
+skip, so inputs in canonical position pass through with the identity
+transform.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
                    transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
-from .transform import (SymplecticTransform, apply_similarity,
-                        basic_transform, block_scaling, compose)
+from .transform import (DOF_ROTATION, SymplecticTransform,
+                        apply_similarity, basic_transform, block_scaling,
+                        compose, dof_transform)
 
 if TYPE_CHECKING:
     from .jacobi import IterationStats
@@ -80,12 +80,12 @@ class DecoupleResult:
     """Outcome of a decoupling pipeline.
 
     final = transform applied to source, a Symplex.  residual is the
-    largest entry (or coefficient, for the complex canonical form)
-    violating the target pattern of a 4x4, and the relative off-block
-    residual (stats.final_residual) of any other 2n, which has Jacobi
-    counters in stats and no invariants.  frequencies carry the
-    eigenvalue pair natures, one per block, and complex_radius the
-    eigenvalue circle radius when the spectrum is a complex quadruple.
+    largest entry of final off the reached pattern for every n (the
+    largest coefficient, for the complex canonical form).  Any n other
+    than 2 has no invariants and carries Jacobi's counters in stats.
+    frequencies carry the eigenvalue pair natures, one per block, and
+    complex_radius the eigenvalue circle radius when the spectrum is a
+    complex quadruple.
     """
 
     source: np.ndarray
@@ -116,12 +116,9 @@ class _Pipeline:
         return aux_vectors(self.state)
 
     def zeroing_angle(self, num: float, den: float) -> float:
-        """Rotation angle atan2(num, den) that removes `num`.
-
-        Returns 0 when the target coefficient is already negligible, so
-        an input in canonical position passes through untouched (the
-        two-argument form would otherwise rotate by pi whenever the
-        denominator is negative, needlessly permuting the blocks).
+        """Rotation angle atan2(num, den) that removes `num`, or 0 when
+        `num` is negligible: atan2 would rotate by pi whenever den < 0,
+        needlessly permuting the blocks of an input in canonical position.
         """
         if abs(num) < STEP_TOL:
             return 0.0
@@ -158,7 +155,7 @@ class _Pipeline:
             apply_similarity(t, self.source.matrix), tol=1e-8)
         c = final.state.coefficients
         drift = float(np.max(np.abs(c - self.state.coefficients)))
-        if drift > POST_TOL * _coefficient_scale(final):
+        if drift > POST_TOL * _scale(final.matrix):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
         return t, final
 
@@ -175,8 +172,9 @@ def _check_iteration(tol: float, max_steps: int | None) -> None:
                          f"tol={tol!r}, max_steps={max_steps!r}")
 
 
-def _coefficient_scale(sym: Symplex) -> float:
-    return max(1.0, float(np.linalg.norm(sym.state.coefficients)))
+def _scale(M: np.ndarray) -> float:
+    """max(1, ||M||_F / 2): for a 4x4 symplex, max(1, ||coefficients||)."""
+    return max(1.0, 0.5 * float(np.linalg.norm(M)))
 
 
 def off_block_max(M: np.ndarray) -> float:
@@ -189,11 +187,50 @@ def off_block_max(M: np.ndarray) -> float:
     return float(amp.max())
 
 
-def _hamiltonian_residual(M: np.ndarray) -> float:
-    mask = np.ones((4, 4), dtype=bool)
-    for (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        mask[i, j] = False
-    return float(np.max(np.abs(M[mask])))
+def _block_defect(M: np.ndarray, form: str) -> float:
+    """Largest entry of the diagonal 2x2 blocks of M off the pattern of
+    `form`: none in block_diagonal, the diagonals past it, and in normal
+    form also (a - b)/2, the part of [[0, a], [-b, 0]] that no rotation
+    [[0, w], [-w, 0]] holds."""
+    if form == FORM_BLOCK_DIAGONAL:
+        return 0.0
+    defect = np.abs(M.diagonal()).max()
+    if form == FORM_NORMAL:
+        defect = max(defect, 0.5 * np.abs(M.diagonal(1)[::2]
+                                          + M.diagonal(-1)[::2]).max())
+    return float(defect)
+
+
+def _dof_stage(res: DecoupleResult, t: SymplecticTransform, form: str,
+               **fields) -> DecoupleResult:
+    """res continued by the per-dof transform t to `form`.  PrecisionLoss
+    is raised on the diagonal blocks only, the entries the stage sets."""
+    M = res.final.matrix
+    final = Symplex.from_matrix(apply_similarity(t, M), tol=1e-8)
+    defect = _block_defect(final.matrix, form)
+    if defect > POST_TOL * _scale(M):
+        raise PrecisionLoss(f"{form} form off by {defect:.3e}")
+    return replace(res, transform=compose(t, res.transform), final=final,
+                   form=form, **fields,
+                   residual=max(off_block_max(final.matrix), defect))
+
+
+def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
+    """Per-dof phase rotation zeroing the diagonals of the diagonal blocks.
+
+    A 2x2 symplex [[a, b], [c, -a]] conjugated by the phase rotation of
+    angle theta has diagonal a cos(2 theta) + (b + c)/2 sin(2 theta);
+    the full angle 2 theta = atan2(-2a, b + c) removes it.  A block with
+    |2a| below STEP_TOL times its Frobenius norm keeps angle 0, so the
+    skips do not depend on the units of M.
+    """
+    angles = []
+    for k in range(0, M.shape[0], 2):
+        (a, b), (c, d) = M[k:k + 2, k:k + 2].tolist()
+        norm = math.sqrt(a * a + b * b + c * c + d * d)
+        angles.append(0.0 if abs(2.0 * a) < STEP_TOL * norm
+                      else float(np.arctan2(-2.0 * a, b + c)))
+    return dof_transform(DOF_ROTATION, angles)
 
 
 def decouple_block_diagonal(F) -> DecoupleResult:
@@ -204,13 +241,10 @@ def decouple_block_diagonal(F) -> DecoupleResult:
     removing E.B.  The boost exists exactly when the second invariant is
     non-negative; otherwise ComplexEigenvalues is raised and the caller
     should use the complex-quadruple procedures.
-
-    Returns a DecoupleResult with form "block_diagonal"; the residual is
-    the largest off-block matrix entry.
     """
     sym = _as_symplex(F)
     inv = sym.invariants
-    scale = _coefficient_scale(sym)
+    scale = _scale(sym.matrix)
     if inv.k2 < 0.0 and not inv.degenerate:
         raise ComplexEigenvalues(
             f"second invariant K2 = {inv.k2:.6e} < 0; eigenvalues form a "
@@ -248,38 +282,16 @@ def decouple_block_diagonal(F) -> DecoupleResult:
 
 
 def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
-    """Continue a block-diagonal result to Hamiltonian form.
+    """Continue a block-diagonal 2n x 2n result to Hamiltonian form.
 
-    A phase rotation removes E.P, then a rotation about the y-axis sends
-    P to the x-axis, which leaves only the four antidiagonal block
-    entries.  If P vanishes, the same rotation aligns E with the z-axis
-    instead.  PrecisionLoss is raised when off-pattern entries survive.
+    One phase rotation per dof (Jacobi's Hamiltonian pass) zeroes the
+    diagonal of its 2x2 block, keeping every off-block norm, as it is
+    orthogonal and symplectic per block; PrecisionLoss if one survives.
     """
-    if res.form != FORM_BLOCK_DIAGONAL or res.final.n != 2:
-        raise ValueError(f"not a 4x4 block_diagonal result: {res.form!r}")
-    pipe = _Pipeline(res.final)
-    scale = _coefficient_scale(res.final)
-
-    s, m = pipe.state, pipe.masses
-    e2 = float(s.e @ s.e)
-    p2 = float(s.p @ s.p)
-    pipe.step(0, 0.5 * pipe.zeroing_angle(2.0 * m.m_b, e2 - p2))
-    s = pipe.state
-    if np.linalg.norm(s.p) >= STEP_TOL * scale:
-        pipe.step(8, -pipe.zeroing_angle(s.p[2], s.p[0]))
-    else:
-        # degenerate momentum: align E with the z-axis directly
-        pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))
-
-    transform, final = pipe.finish()
-    resid = _hamiltonian_residual(final.matrix)
-    if resid > POST_TOL * scale:
-        raise PrecisionLoss(
-            f"off-pattern entries up to {resid:.3e} after Hamiltonian-form "
-            "rotations")
-    return replace(
-        res, transform=compose(transform, res.transform),
-        final=final, form=FORM_HAMILTONIAN, residual=resid)
+    if res.form != FORM_BLOCK_DIAGONAL:
+        raise ValueError(f"not a block_diagonal result: {res.form!r}")
+    return _dof_stage(res, _hamiltonian_rotation(res.final.matrix),
+                      FORM_HAMILTONIAN)
 
 
 def normal_form_scaling(H: np.ndarray
@@ -302,16 +314,14 @@ def normal_form_scaling(H: np.ndarray
     for k in range(H.shape[0] // 2):
         a, b = H[2 * k, 2 * k + 1], -H[2 * k + 1, 2 * k]
         prod = a * b
+        exponents.append(0.25 * math.log(a / b) if prod > band else 0.0)
         if prod > band:
-            exponents.append(0.25 * math.log(a / b))
-            freqs.append(Frequency(value=math.copysign(math.sqrt(prod), a),
-                                   nature="imaginary"))
-            continue
-        exponents.append(0.0)
-        if prod < -band:
-            freqs.append(Frequency(value=math.sqrt(-prod), nature="real"))
+            freqs.append(Frequency(math.copysign(math.sqrt(prod), a),
+                                   "imaginary"))
+        elif prod < -band:
+            freqs.append(Frequency(math.sqrt(-prod), "real"))
         else:
-            freqs.append(Frequency(value=0.0, nature="zero"))
+            freqs.append(Frequency(0.0, "zero"))
     return block_scaling(exponents), tuple(freqs)
 
 
@@ -321,10 +331,8 @@ def to_normal_form(res: DecoupleResult) -> DecoupleResult:
     normal_form_scaling turns each block [[0, a], [-b, 0]] with an
     imaginary eigenvalue pair into [[0, w], [-w, 0]].  A block with a
     real (or vanishing) pair has no rotation normal form: UnstableBlock
-    is raised and the Hamiltonian form stands.  A 4x4 result is checked
-    against the exact normal-form pattern (PrecisionLoss); a 2n result
-    reports the relative off-block residual of the scaled final matrix,
-    the measure of stats.final_residual.
+    is raised and the Hamiltonian form stands.  PrecisionLoss is raised
+    when a scaled block is still no rotation.
     """
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
@@ -336,39 +344,24 @@ def to_normal_form(res: DecoupleResult) -> DecoupleResult:
                 f"block {idx} has entries ({M[2 * idx, 2 * idx + 1]:.6e}, "
                 f"{-M[2 * idx + 1, 2 * idx]:.6e}): a {w.nature} eigenvalue "
                 "pair has no rotation normal form", block=idx)
-    Mn = apply_similarity(scaling, M)
-    res = replace(res, transform=compose(scaling, res.transform),
-                  form=FORM_NORMAL, frequencies=freqs)
-    if res.final.n != 2:
-        from .jacobi import _off_residual, off_block_norms
-        return replace(res, final=replace(res.final, matrix=Mn),
-                       residual=_off_residual(Mn, off_block_norms(Mn)))
-    final = Symplex.from_matrix(Mn, tol=1e-8)
-
-    target = np.zeros((4, 4))
-    target[0, 1], target[1, 0] = freqs[0].value, -freqs[0].value
-    target[2, 3], target[3, 2] = freqs[1].value, -freqs[1].value
-    resid = float(np.max(np.abs(Mn - target)))
-    if resid > POST_TOL * _coefficient_scale(res.final):
-        raise PrecisionLoss(
-            f"normal form off by {resid:.3e} after scaling")
-    return replace(res, final=final, residual=resid)
+    return _dof_stage(res, scaling, FORM_NORMAL, frequencies=freqs)
 
 
 def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     """Complex eigenvector basis and eigenvalues of the source symplex.
 
-    Only reachable from normal form.  The normal form is diagonalized by
-    the constant unitary-symplectic matrix E0 = (1 - g0 + i g3 + i g6)/2,
-    so the source has eigenvector matrix E = Rinv E0 with eigenvalues
-    (i w1, -i w1, i w2, -i w2).
+    Only reachable from normal form, of any 2n.  The constant
+    unitary-symplectic matrix E0 = (1 - g0 + i g3 + i g6)/2 is
+    diag(e0, e0), and e0 diagonalizes every rotation block, so the source
+    has eigenvector matrix E = Rinv kron(I_n, e0) with eigenvalues
+    (i w1, -i w1, ..., i wn, -i wn).
     """
-    if res.form != FORM_NORMAL or res.final.n != 2:
-        raise ValueError(f"not a 4x4 normal-form result: {res.form!r}")
+    if res.form != FORM_NORMAL:
+        raise ValueError(f"not a normal-form result: {res.form!r}")
     e0 = 0.5 * (np.eye(4) - GAMMA[0] + 1j * GAMMA[3] + 1j * GAMMA[6])
-    vecs = res.transform.rinv @ e0
-    w1, w2 = res.frequencies[0].value, res.frequencies[1].value
-    values = np.array([1j * w1, -1j * w1, 1j * w2, -1j * w2])
+    vecs = res.transform.rinv @ np.kron(np.eye(res.final.n), e0[:2, :2])
+    values = np.array([s * w.value for w in res.frequencies
+                       for s in (1j, -1j)])
     resid = float(np.max(np.abs(res.source @ vecs - vecs * values)))
     scale = max(1.0, float(np.linalg.norm(res.source)))
     if resid > 1e-9 * scale:
@@ -384,8 +377,7 @@ def _complex_canonical_result(pipe: _Pipeline,
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
     resid = float(np.max(off))
-    scale = _coefficient_scale(final)
-    if resid > POST_TOL * scale:
+    if resid > POST_TOL * _scale(final.matrix):
         raise PrecisionLoss(
             f"complex canonical coefficients off by {resid:.3e}")
     rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
@@ -495,12 +487,13 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     """Decouple a 2n x 2n symplex to the form "block_diagonal",
     "hamiltonian" or "normal", checking F, jacobi_tol and max_steps first.
 
-    A 4x4 takes the geometric pipeline; for K2 < 0 the matching complex
+    The block stage is the only branch on n.  A 4x4 takes the geometric
+    pipeline and to_hamiltonian_form; for K2 < 0 the matching complex
     procedure runs (low energy if energy^2 < max(P^2, E^2), intermediate
     otherwise) regardless of the requested form.  Any other n runs
-    jacobi_decouple (threshold jacobi_tol, pivot budget max_steps) to
-    Hamiltonian form unless block-diagonal is asked for, and the result
-    carries its IterationStats.  Both reach normal form by to_normal_form.
+    jacobi_decouple (threshold jacobi_tol, pivot budget max_steps, the
+    same per-dof Hamiltonian rotation) and carries its IterationStats.
+    Both reach normal form by to_normal_form.
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
@@ -518,13 +511,16 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
             res = to_hamiltonian_form(res)
     else:
         from .jacobi import jacobi_decouple  # jacobi imports this module
-        hamiltonian = form != FORM_BLOCK_DIAGONAL
+        reached = (FORM_BLOCK_DIAGONAL if form == FORM_BLOCK_DIAGONAL
+                   else FORM_HAMILTONIAN)
         transform, final, stats = jacobi_decouple(
-            sym, tol=jacobi_tol, max_steps=max_steps, hamiltonian=hamiltonian)
+            sym, tol=jacobi_tol, max_steps=max_steps,
+            hamiltonian=reached == FORM_HAMILTONIAN)
         res = DecoupleResult(
-            source=sym.matrix, transform=transform,
-            final=final, residual=stats.final_residual, stats=stats,
-            form=FORM_HAMILTONIAN if hamiltonian else FORM_BLOCK_DIAGONAL)
+            source=sym.matrix, transform=transform, final=final,
+            form=reached, stats=stats,
+            residual=max(off_block_max(final.matrix),
+                         _block_defect(final.matrix, reached)))
     return to_normal_form(res) if form == FORM_NORMAL else res
 
 

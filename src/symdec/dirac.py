@@ -136,32 +136,46 @@ def from_coefficients(c: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(M: np.ndarray) -> float:
-    x = M.ravel()
-    return math.sqrt(x.dot(x))
+    return math.sqrt(np.vdot(M, M))  # inf on overflow, without a warning
+
+
+def _rescaled(M: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(M 2^-k, k, ||M 2^-k||_F), k = 0 unless ||M||_F overflows on finite
+    entries: then the largest entry's exponent (exact bar underflow)."""
+    norm = _frobenius(M)
+    if norm == math.inf and np.isfinite(M).all():
+        k = math.frexp(np.abs(M).max())[1]
+        M = np.ldexp(M, -k)
+        return M, k, _frobenius(M)
+    return M, 0, norm
+
+
+def _split_norm(M: np.ndarray, sign: int) -> float:
+    S = symplectic_unit(M.shape[0] // 2) @ M
+    return _frobenius(S - S.T if sign < 0 else S + S.T)
 
 
 def symplex_residual(M: np.ndarray) -> float:
     """|| M^T - g0 M g0 ||_F = || S - S^T ||_F with S = g0 M (g0 is
     orthogonal): M is a symplex exactly when g0 M is symmetric."""
-    M = np.asarray(M, dtype=float)
-    S = symplectic_unit(M.shape[0] // 2) @ M
-    return _frobenius(S - S.T)
+    M, k, _ = _rescaled(np.asarray(M, dtype=float))
+    return math.ldexp(_split_norm(M, -1), k)
+
+
+def _relative_test(M: np.ndarray, tol: float, sign: int) -> bool:
+    M, k, norm = _rescaled(np.asarray(M, dtype=float))
+    return (math.isfinite(norm) and _split_norm(M, sign)
+            <= tol * max(math.ldexp(1.0, -k), norm))
 
 
 def is_symplex(M: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff M is finite with symplex_residual(M) <= tol max(1, ||M||_F)."""
-    M = np.asarray(M, dtype=float)
-    norm = _frobenius(M)  # non-finite if an entry is, or if it overflows
-    if not math.isfinite(norm) and not np.isfinite(M).all():
-        return False
-    return symplex_residual(M) <= tol * max(1.0, norm)
+    return _relative_test(M, tol, -1)
 
 
 def is_cosymplex(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff M^T = -g0 M g0 within tol relative to the Frobenius norm."""
-    M = np.asarray(M, dtype=float)
-    S = symplectic_unit(M.shape[0] // 2) @ M
-    return _frobenius(S + S.T) <= tol * max(1.0, _frobenius(M))
+    """True iff M is finite with ||M^T + g0 M g0||_F <= tol max(1, ||M||_F)."""
+    return _relative_test(M, tol, +1)
 
 
 def symplex_cosymplex_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,10 @@ the full matrix; a pair whose 4x4 has complex eigenvalues gives way to
 the next pair in falling amplitude order.  Convergence is declared when
 the summed Frobenius norms of all off-diagonal blocks fall below a
 relative threshold.  A final pass brings every diagonal block to
-Hamiltonian form with one phase rotation per degree of freedom; such
-rotations are orthogonal and symplectic per block, so they leave every
-off-block norm unchanged.  The same iteration serves every n, n = 1 and
-2 included.
+Hamiltonian form with the per-dof phase rotation of
+decouple4.to_hamiltonian_form; such rotations are orthogonal and
+symplectic per block, so they leave every off-block norm unchanged.  The
+same iteration serves every n, n = 1 and 2 included.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decouple4 import (STEP_TOL, _as_symplex, _check_iteration,
-                        decouple_block_diagonal)
+from .decouple4 import (_as_symplex, _check_iteration,
+                        _hamiltonian_rotation, decouple_block_diagonal)
 from .dirac import symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
-from .transform import (DOF_ROTATION, SymplecticTransform, apply_similarity,
-                        compose, dof_transform, embed_4x4, identity_transform)
+from .transform import (SymplecticTransform, apply_similarity, compose,
+                        embed_4x4, identity_transform)
 
 __all__ = [
     "IterationStats",
@@ -141,9 +141,9 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         Pivot budget, non-negative; defaults to 40 n^2.
     hamiltonian : bool
         After convergence, push every diagonal block to Hamiltonian form
-        (zero block diagonals) with one phase rotation per degree of
-        freedom; hamiltonian_steps counts the embedded pair transforms
-        that act.
+        (zero block diagonals) with the per-dof rotation of
+        to_hamiltonian_form, logged if one acts; hamiltonian_steps counts
+        the embedded pair transforms that act.
 
     Returns
     -------
@@ -186,7 +186,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         stats.pivot_steps += 1
 
     if hamiltonian:
-        t = dof_transform(DOF_ROTATION, _hamiltonian_angles(M))
+        t = _hamiltonian_rotation(M)
         # one count per embedded pair transform that acts
         stats.hamiltonian_steps = len({s.block for s in t.steps
                                        if not s.skipped})
@@ -196,19 +196,3 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
 
     stats.final_residual = _off_residual(M, off_block_norms(M))
     return total, Symplex(M), stats
-
-
-def _hamiltonian_angles(M: np.ndarray) -> list:
-    """Per-dof rotation angles zeroing the diagonal blocks' diagonals.
-
-    A 2x2 symplex [[a, b], [c, -a]] conjugated by the phase rotation of
-    angle theta has diagonal a cos(2 theta) + (b + c)/2 sin(2 theta);
-    the full angle 2 theta = atan2(-2a, b + c) removes it.  Blocks with
-    |2a| below STEP_TOL keep angle 0.
-    """
-    angles = []
-    for k in range(M.shape[0] // 2):
-        a, bc = M[2 * k, 2 * k], M[2 * k, 2 * k + 1] + M[2 * k + 1, 2 * k]
-        angles.append(0.0 if abs(2.0 * a) < STEP_TOL
-                      else float(np.arctan2(-2.0 * a, bc)))
-    return angles

@@ -137,6 +137,29 @@ def test_check_transfer_matrix(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("kind", ["force", "transfer"])
+def test_check_bad_tol_exit2(tmp_path, capsys, kind, tol):
+    # a non-finite or negative tolerance is refused before any report
+    path = tmp_path / "m.json"
+    save_matrix_json(path, GAMMA[0] if kind == "force" else np.eye(4),
+                     kind=kind)
+    assert main(["check", str(path), "--json", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symdec: error: --tol")
+
+
+@pytest.mark.parametrize("kind", ["force", "transfer"])
+def test_check_zero_tol_valid(tmp_path, capsys, kind):
+    path = tmp_path / "m.json"
+    save_matrix_json(path, GAMMA[0] if kind == "force" else np.eye(4),
+                     kind=kind)
+    assert main(["check", str(path), "--json", "--tol", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tolerance"] == 0.0 and doc["valid"] is True
+
+
 # ---------------------------------------------------------------------------
 # decouple command
 
@@ -306,6 +329,21 @@ def test_decouple_large_includes_stats(tmp_path, capsys):
     # eigenvalue bookkeeping preserved
     np.testing.assert_allclose(doc["invariants_before"]["lax"],
                                doc["invariants_after"]["lax"], atol=1e-8)
+
+
+def test_decouple_loose_jacobi_tol_normal_form(tmp_path, capsys):
+    # off-block entries left by --jacobi-tol 1e-8 are reported in the
+    # residual, not refused by the per-dof stages
+    path = tmp_path / "f6.json"
+    save_matrix_json(path, random_test_symplex(3, 0).matrix, kind="force")
+    assert main(["decouple", str(path), "--json", "--form", "normal",
+                 "--jacobi-tol", "1e-8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["form_reached"] == "normal"
+    norm = np.linalg.norm(doc["final_matrix"])
+    assert doc["residual"] > POST_TOL * norm
+    assert doc["residual"] < doc["iteration_stats"]["residual_trend"][-1] \
+        * norm
 
 
 def test_decouple_transfer_file_rejected(tmp_path):

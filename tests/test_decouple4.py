@@ -7,8 +7,8 @@ from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               closed_form_block_coefficients,
                               complex_intermediate, complex_low_energy,
                               decouple, decouple_block_diagonal, diagonalize,
-                              normal_form_scaling, to_hamiltonian_form,
-                              to_normal_form)
+                              normal_form_scaling, off_block_max,
+                              to_hamiltonian_form, to_normal_form)
 from symdec.dirac import GAMMA
 from symdec.emeq import (Symplex, aux_vectors, emeq_from_symplex,
                          mass_components, spectral_invariants,
@@ -23,6 +23,24 @@ from symdec.transform import (apply_similarity, compose, matrix_exponential,
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
                       random_stable_symplex)
+
+
+def off_pattern_max(M, form):
+    """Largest entry of M off the pattern of `form`, entry by entry: off
+    the diagonal 2x2 blocks; in Hamiltonian form also on their diagonals;
+    in normal form also (a - b)/2 at both antidiagonal places of a block
+    [[0, a], [-b, 0]], which is what remains after taking out the nearest
+    rotation [[0, w], [-w, 0]], w = (a + b)/2."""
+    off = np.array(M, dtype=float)
+    for k in range(M.shape[0] // 2):
+        i, j = 2 * k, 2 * k + 1
+        if form == FORM_BLOCK_DIAGONAL:
+            off[i:j + 1, i:j + 1] = 0.0
+        elif form == FORM_HAMILTONIAN:
+            off[i, j] = off[j, i] = 0.0
+        else:
+            off[i, j] = off[j, i] = 0.5 * (M[i, j] + M[j, i])
+    return float(np.max(np.abs(off)))
 
 
 def eigenvalues_match(A, B, tol=1e-9):
@@ -379,16 +397,24 @@ def test_decouple_2n_is_jacobi(n, form):
     np.testing.assert_array_equal(res.transform.rinv, transform.rinv)
     assert res.transform.steps == transform.steps
     assert res.stats == stats
-    # the residual measures the returned final, re-measured after the
-    # normal-form scaling
-    assert res.residual == _off_residual(final, off_block_norms(final))
-    if form != FORM_NORMAL:
-        assert res.residual == stats.final_residual
+    # the residual is the largest entry off the reached pattern, as for a
+    # 4x4; Jacobi's relative measure stays in the stats
+    assert res.residual == off_pattern_max(final, form)
+    assert res.stats.final_residual == _off_residual(
+        out.matrix, off_block_norms(out.matrix))
     assert res.invariants is None and res.frequencies == freqs
     np.testing.assert_array_equal(res.source, F)
-    # the later 4x4-only stages refuse a 2n result
-    with pytest.raises(ValueError):
-        (diagonalize if form == FORM_NORMAL else to_hamiltonian_form)(res)
+    # the later stages serve every n
+    if form == FORM_BLOCK_DIAGONAL:
+        ham = to_hamiltonian_form(res)
+        t, out, _ = jacobi_decouple(F, tol=1e-11, max_steps=500)
+        np.testing.assert_array_equal(ham.transform.r, t.r)
+        assert ham.transform.steps == t.steps
+        np.testing.assert_array_equal(ham.final.matrix, out.matrix)
+    elif form == FORM_NORMAL:
+        vecs, vals = diagonalize(res)
+        assert np.linalg.norm(F @ vecs - vecs * vals) <= \
+            1e-9 * max(1.0, np.linalg.norm(F))
 
 
 def test_decouple_2n_bad_form_before_any_pivot(monkeypatch):
@@ -433,6 +459,43 @@ def test_non_finite_input_rejected(entry, n, bad):
     run = decouple if entry == "decouple" else jacobi_decouple
     with pytest.raises(NotASymplex):
         run(F)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_identity_is_no_symplex(n):
+    # ||1e200 I||_F overflows; the identity is still no symplex
+    F = 1e200 * np.eye(2 * n)
+    for call in (Symplex.from_matrix, decouple):
+        with pytest.raises(NotASymplex, match="residual"):
+            call(F)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
+                                  FORM_NORMAL])
+def test_residual_is_off_pattern_max(n, form):
+    # one meaning for every n: the largest entry of final off the pattern
+    for seed in range(3):
+        res = decouple(random_test_symplex(n, seed).matrix, form=form)
+        assert res.form == form
+        assert res.residual == off_pattern_max(res.final.matrix, form)
+        assert res.residual <= 1e-10 * np.linalg.norm(res.final.matrix)
+
+
+def test_stages_check_only_the_blocks_they_set():
+    # a loose Jacobi tolerance leaves off-block entries far above
+    # POST_TOL; the per-dof stages still reach their forms, and the
+    # residual reports what is left
+    F = random_test_symplex(3, 0).matrix
+    res = decouple(F, form=FORM_NORMAL, jacobi_tol=1e-8)
+    assert res.form == FORM_NORMAL
+    M = res.final.matrix
+    assert off_block_max(M) > 1e-8
+    assert res.residual == off_pattern_max(M, FORM_NORMAL)
+    blocks = np.zeros_like(M)
+    for k in range(0, M.shape[0], 2):
+        blocks[k:k + 2, k:k + 2] = M[k:k + 2, k:k + 2]
+    assert off_pattern_max(blocks, FORM_NORMAL) <= 1e-12
 
 
 def test_invariants_preserved_through_pipeline():

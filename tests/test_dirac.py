@@ -3,7 +3,8 @@ import pytest
 
 from symdec.dirac import (GAMMA, from_coefficients, gamma, gamma_signature,
                           is_cosymplex, is_symplex, rdm_coefficients,
-                          symplectic_unit, symplex_cosymplex_split)
+                          symplectic_unit, symplex_cosymplex_split,
+                          symplex_residual)
 
 from conftest import random_symplex
 
@@ -92,8 +93,21 @@ def test_is_symplex_needs_finite_entries(bad):
     M[0, 1] = bad
     assert not is_symplex(M, tol=1e300)
     # a norm that overflows on finite entries is no reason to refuse
-    with np.errstate(over="ignore"):
-        assert is_symplex(1e200 * GAMMA[0])
+    assert is_symplex(1e200 * GAMMA[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_norm_still_checked(n):
+    # ||M||_F overflows for these entries; the test rescales M by a power
+    # of two (exactly) instead of comparing against an infinite bound
+    big = 1e200 * np.eye(2 * n)
+    assert not is_symplex(big)
+    assert is_cosymplex(big)
+    assert symplex_residual(big) == pytest.approx(2e200 * np.sqrt(2 * n),
+                                                  rel=1e-15)
+    g0 = 1e200 * symplectic_unit(n)
+    assert is_symplex(g0) and not is_cosymplex(g0)
+    assert symplex_residual(g0) == 0.0
 
 
 def test_coefficients_of_basis_elements():

@@ -1,12 +1,13 @@
 """Property tests of the per-dof block layout (transform builder, step-log
-replay, off-block measures, the normal-form scaling) and of the symplex
-residual over the Dirac basis."""
+replay, off-block measures, the Hamiltonian rotation, the normal-form
+scaling) and of the symplex residual over the Dirac basis."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdec.decouple4 import normal_form_scaling, off_block_max
+from symdec.decouple4 import (decouple, normal_form_scaling, off_block_max,
+                              to_hamiltonian_form)
 from symdec.dirac import from_coefficients, symplectic_unit, symplex_residual
 from symdec.jacobi import off_block_norms
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, dof_transform,
@@ -139,3 +140,38 @@ def test_symplex_residual_is_cosymplex_coefficient_norm(c):
     assert np.linalg.norm(M) == pytest.approx(2.0 * norm, rel=1e-12)
     assert symplex_residual(M) == pytest.approx(
         4.0 * np.linalg.norm(c[10:]), rel=1e-12, abs=1e-12 * norm)
+
+
+magnitudes = st.floats(min_value=0.1, max_value=10.0)
+signs = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def block_diagonal_symplices(draw):
+    """A 2n x 2n symplex, n = 1..4, whose off-diagonal blocks are exactly
+    zero; each block [[a, b], [c, -a]] has a diagonal a that is zero,
+    1e-7 of the norm of (b, c), or of the size of b and c."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    M = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        b, c = (draw(signs) * draw(magnitudes) for _ in range(2))
+        a = draw(st.sampled_from((0.0, 1e-7 * np.hypot(b, c),
+                                  draw(magnitudes))))
+        M[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [c, -a]]
+    return M
+
+
+@PROPERTY
+@given(B=block_diagonal_symplices(),
+       exponent=st.integers(min_value=-8, max_value=8))
+def test_hamiltonian_rotation_ignores_units(B, exponent):
+    # the skip test of each block's rotation is relative to the block, so
+    # c B takes the same steps as B and lands on c times its final
+    c = 10.0 ** exponent
+    ref = to_hamiltonian_form(decouple(B, form="block_diagonal"))
+    got = to_hamiltonian_form(decouple(c * B, form="block_diagonal"))
+    assert [s.skipped for s in got.transform.steps] == \
+        [s.skipped for s in ref.transform.steps]
+    want = c * ref.final.matrix
+    assert np.linalg.norm(got.final.matrix - want) <= \
+        1e-13 * np.linalg.norm(want)
