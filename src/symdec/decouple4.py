@@ -29,11 +29,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dirac import GAMMA
+from .dirac import GAMMA, _frobenius, rdm_coefficients
 from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
-                   SpectralInvariants, Symplex, _cross, aux_vectors,
-                   mass_components, state_from_coefficients,
-                   transform_coefficients)
+                   SpectralInvariants, Symplex, _cross, _state_view,
+                   aux_vectors, mass_components, transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (DOF_ROTATION, SymplecticTransform,
@@ -100,12 +99,20 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """One stage: propagated EMEQ state, accumulated R, step log."""
+    """One stage: propagated coefficient vector, accumulated R, step log."""
 
     def __init__(self, sym: Symplex):
         self.source = sym
-        self.state = sym.state
+        self.c = sym.state.coefficients
+        self._state = sym.state
         self.r, self.steps = np.eye(4), []
+
+    @property
+    def state(self) -> EmeqState:
+        """EMEQ view of the propagated coefficients, built on first read."""
+        if self._state is None:
+            self._state = _state_view(self.c)
+        return self._state
 
     @property
     def masses(self) -> MassComponents:
@@ -130,8 +137,8 @@ class _Pipeline:
             self.steps.append(basic_transform(b, 0.0, skipped=True).steps[0])
             return
         t = basic_transform(b, epsilon)
-        self.state = state_from_coefficients(transform_coefficients(
-            self.state.coefficients, b, epsilon))
+        self.c = transform_coefficients(self.c, b, epsilon)
+        self._state = None
         self.r = t.r @ self.r
         self.steps.append(t.steps[0])
 
@@ -147,17 +154,18 @@ class _Pipeline:
                 "has modulus >= 1", step=step_index)
         self.step(b, sign * math.atanh(num / den))
 
-    def finish(self) -> tuple[SymplecticTransform, Symplex]:
-        """The stage transform and R F R^-1, re-extracted (NotASymplex if
-        it left the symplices, PrecisionLoss if the propagation drifted)."""
+    def finish(self) -> tuple[SymplecticTransform, Symplex, np.ndarray]:
+        """The stage transform, R F R^-1 and its ten re-extracted
+        coefficients (NotASymplex if it left the symplices, PrecisionLoss
+        if the propagation drifted)."""
         t = SymplecticTransform(self.r, tuple(self.steps))
         final = Symplex.from_matrix(
             apply_similarity(t, self.source.matrix), tol=1e-8)
-        c = final.state.coefficients
-        drift = float(np.max(np.abs(c - self.state.coefficients)))
+        c = rdm_coefficients(final.matrix)[:10]
+        drift = float(np.abs(c - self.c).max())
         if drift > POST_TOL * _scale(final.matrix):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
-        return t, final
+        return t, final, c
 
 
 def _as_symplex(F) -> Symplex:
@@ -174,17 +182,16 @@ def _check_iteration(tol: float, max_steps: int | None) -> None:
 
 def _scale(M: np.ndarray) -> float:
     """max(1, ||M||_F / 2): for a 4x4 symplex, max(1, ||coefficients||)."""
-    return max(1.0, 0.5 * float(np.linalg.norm(M)))
+    return max(1.0, 0.5 * _frobenius(M))
 
 
 def off_block_max(M: np.ndarray) -> float:
     """Largest entry modulus outside the 2x2 diagonal blocks of a 2n x 2n
     matrix (0 for n = 1)."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0] // 2
-    amp = np.abs(M).reshape(n, 2, n, 2).max(axis=(1, 3))
-    np.fill_diagonal(amp, 0.0)
-    return float(amp.max())
+    A = np.abs(np.asarray(M, dtype=float))
+    for k in range(0, A.shape[0], 2):
+        A[k:k + 2, k:k + 2] = 0.0
+    return float(A.max())
 
 
 def _block_defect(M: np.ndarray, form: str) -> float:
@@ -267,8 +274,7 @@ def decouple_block_diagonal(F) -> DecoupleResult:
     else:
         pipe.step(2, 0.0)
 
-    transform, final = pipe.finish()
-    c = final.state.coefficients
+    transform, final, c = pipe.finish()
     pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
     if pattern > POST_TOL * scale:
         raise DegenerateB(
@@ -372,8 +378,7 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
 
 def _complex_canonical_result(pipe: _Pipeline,
                               inv: SpectralInvariants) -> DecoupleResult:
-    transform, final = pipe.finish()
-    c = final.state.coefficients
+    transform, final, c = pipe.finish()
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
     resid = float(np.max(off))

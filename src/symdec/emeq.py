@@ -17,7 +17,7 @@ import numpy as np
 
 from .dirac import (GAMMA, from_coefficients, gamma_signature, is_symplex,
                     rdm_coefficients, symplex_residual)
-from .errors import NotASymplex
+from .errors import NotASymplex, PrecisionLoss
 
 __all__ = [
     "Symplex",
@@ -51,11 +51,26 @@ DEGENERATE_K2_BAND = 1e-12
 ZERO_FREQUENCY_BAND = 1e-12
 
 
-# ad(gamma_b) / 2 on the ten symplex coefficients: six +-1 entries each
-_ACTION = np.array([[rdm_coefficients(gb @ g - g @ gb)[:10] / 2.0
-                     for g in GAMMA[:10]] for gb in GAMMA[:10]]
-                   ).transpose(0, 2, 1)
-_ACTION.flags.writeable = False
+def _action_pairs() -> tuple:
+    """Per generator b, the three (i, j, A_ij, A_ji) of A = ad(gamma_b) / 2
+    on the ten symplex coefficients.  A has six +-1 entries, in three
+    pairs: on (c_i, c_j) it acts as [[0, A_ij], [A_ji, 0]], with
+    A_ij A_ji = -1 for a rotation and +1 for a boost."""
+    G = np.array(GAMMA[:10])
+    prod = np.einsum("bij,gjk->bgik", G, G)
+    # action[b, k, g]: coefficient k of [gamma_b, gamma_g] / 2, by the
+    # trace formula of rdm_coefficients (a commutator of symplices is one)
+    action = np.einsum("bgij,kij->bkg", prod - prod.transpose(1, 0, 2, 3),
+                       G) / 8.0
+    table = []
+    for A in action:
+        i, j = np.nonzero(np.triu(A))
+        table.append(tuple((int(a), int(b), float(A[a, b]), float(A[b, a]))
+                           for a, b in zip(i, j)))
+    return tuple(table)
+
+
+_ACTION_PAIRS = _action_pairs()
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +138,17 @@ class SpectralInvariants:
 
 
 def state_from_coefficients(c) -> EmeqState:
-    """Build an EmeqState from the ten symplex coefficients."""
-    c = np.asarray(c, dtype=float)
+    """Build an EmeqState from the ten symplex coefficients (a copy)."""
+    c = np.array(c, dtype=float)
     if c.shape != (10,):
         raise ValueError(f"expected 10 coefficients, got shape {c.shape}")
-    return EmeqState(energy=float(c[0]), p=c[1:4].copy(), e=c[4:7].copy(),
-                     b=c[7:10].copy())
+    return _state_view(c)
+
+
+def _state_view(c: np.ndarray) -> EmeqState:
+    """EmeqState whose vectors are views of the float array c (10 or 16
+    coefficients), which the caller must not change afterwards."""
+    return EmeqState(energy=float(c[0]), p=c[1:4], e=c[4:7], b=c[7:10])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +175,8 @@ class Symplex:
 
     @cached_property
     def state(self) -> EmeqState:
-        c = rdm_coefficients(self.matrix)  # ValueError unless 4x4
-        return EmeqState(energy=float(c[0]), p=c[1:4], e=c[4:7], b=c[7:10])
+        # ValueError unless 4x4
+        return _state_view(rdm_coefficients(self.matrix))
 
     @cached_property
     def invariants(self) -> SpectralInvariants:
@@ -168,38 +188,74 @@ def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
     return Symplex.from_matrix(F, tol).state
 
 
+_FLOAT = np.dtype(float)
+
+
+def _floats(v) -> list[float]:
+    """A coefficient vector as Python floats: the primitives below run on
+    3- and 10-vectors, where numpy's per-call overhead is most of the cost."""
+    if type(v) is not np.ndarray or v.dtype is not _FLOAT:
+        v = np.asarray(v, dtype=float)
+    return v.tolist()
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross_floats(u, v) -> tuple[float, float, float]:
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _cross(u, v) -> np.ndarray:
+    """u x v for two 3-vectors."""
+    return np.array(_cross_floats(_floats(u), _floats(v)))
+
+
+def _axpy_cross(a: float, x, u, v) -> tuple[float, float, float]:
+    """a x + u x v on Python floats."""
+    w0, w1, w2 = _cross_floats(u, v)
+    return (a * x[0] + w0, a * x[1] + w1, a * x[2] + w2)
+
+
 def mass_components(s: EmeqState) -> MassComponents:
     """Scalar products E.B, B.P, E.P of the state vectors."""
-    return MassComponents(m_r=float(s.e @ s.b), m_g=float(s.b @ s.p),
-                          m_b=float(s.e @ s.p))
+    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
+    return MassComponents(m_r=_dot(e, b), m_g=_dot(b, p), m_b=_dot(e, p))
 
 
 def aux_vectors(s: EmeqState) -> AuxVectors:
     """The auxiliary vectors r, g, b built from energy and cross products."""
-    return AuxVectors(
-        r=s.energy * s.p + _cross(s.b, s.e),
-        g=s.energy * s.e + _cross(s.p, s.b),
-        b=s.energy * s.b + _cross(s.e, s.p),
-    )
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v for two 3-vectors, without np.cross's general-shape overhead."""
-    (u0, u1, u2), (v0, v1, v2) = u, v
-    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+    e0 = float(s.energy)
+    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
+    return AuxVectors(r=np.array(_axpy_cross(e0, p, b, e)),
+                      g=np.array(_axpy_cross(e0, e, p, b)),
+                      b=np.array(_axpy_cross(e0, b, e, p)))
 
 
 def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
     """The ten coefficients of R F R^-1, R = basic_transform(b, epsilon),
-    from those of F: c + sin(eps) A c + (1 - cos(eps)) A^2 c, A = _ACTION[b],
-    as A^3 = -A; a boost (A^3 = A) takes sinh(eps) and cosh(eps) - 1."""
+    from those of F: c + sin(eps) A c + (1 - cos(eps)) A^2 c, A the action
+    of ad(gamma_b) / 2, as A^3 = -A; a boost (A^3 = A) takes sinh(eps) and
+    cosh(eps) - 1.  A mixes three coefficient pairs (_ACTION_PAIRS) and
+    leaves the other four alone, so this is six updates on Python floats.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape != (10,):
+        raise ValueError(f"expected 10 coefficients, got shape {c.shape}")
     # 1 - cos(eps) = 2 sin(eps/2)^2, free of cancellation at small eps
     if gamma_signature(b) < 0:
         s, k = math.sin(epsilon), 2.0 * math.sin(epsilon / 2.0) ** 2
     else:
         s, k = math.sinh(epsilon), 2.0 * math.sinh(epsilon / 2.0) ** 2
-    a = _ACTION[b] @ c
-    return c + s * a + k * (_ACTION[b] @ a)
+    out = c.tolist()
+    for i, j, aij, aji in _ACTION_PAIRS[b]:
+        ci, cj = out[i], out[j]
+        # (A c)_i = A_ij c_j and (A^2 c)_i = A_ij A_ji c_i
+        out[i] = ci + s * (aij * cj) + k * (aij * aji * ci)
+        out[j] = cj + s * (aji * ci) + k * (aji * aij * cj)
+    return np.array(out)
 
 
 def _frequency(radicand: float, scale: float) -> Frequency:
@@ -207,8 +263,8 @@ def _frequency(radicand: float, scale: float) -> Frequency:
     if abs(radicand) <= ZERO_FREQUENCY_BAND * scale:
         return Frequency(0.0, "zero")
     if radicand > 0.0:
-        return Frequency(float(np.sqrt(radicand)), "imaginary")
-    return Frequency(float(np.sqrt(-radicand)), "real")
+        return Frequency(math.sqrt(radicand), "imaginary")
+    return Frequency(math.sqrt(-radicand), "real")
 
 
 def spectral_invariants(s: EmeqState) -> SpectralInvariants:
@@ -216,22 +272,29 @@ def spectral_invariants(s: EmeqState) -> SpectralInvariants:
 
     The eigenvalues of the symplex are +-sqrt(-(K1 +- 2 sqrt(K2))).  For
     K2 < 0 they form a complex quadruple off both axes and no real
-    frequencies are reported.
+    frequencies are reported.  K2 is quartic in the coefficients, so it
+    overflows above about 1e77; PrecisionLoss is raised when K1, K2 or
+    the determinant is not finite.
     """
-    e0, p, e, b = s.energy, s.p, s.e, s.b
-    k1 = e0**2 + b @ b - e @ e - p @ p
-    bvec = e0 * b + _cross(e, p)
-    k2 = bvec @ bvec - (e @ b) ** 2 - (p @ b) ** 2
-    k1, k2 = float(k1), float(k2)
-    det = k1**2 - 4.0 * k2
-    scale = max(1.0, k1**2)
+    e0 = float(s.energy)
+    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
+    k1 = e0 * e0 + _dot(b, b) - _dot(e, e) - _dot(p, p)
+    bvec = _axpy_cross(e0, b, e, p)
+    eb, pb = _dot(e, b), _dot(p, b)
+    k2 = _dot(bvec, bvec) - eb * eb - pb * pb
+    det = k1 * k1 - 4.0 * k2
+    if not (math.isfinite(k1) and math.isfinite(k2) and math.isfinite(det)):
+        raise PrecisionLoss(
+            f"spectral invariants overflow: K1 = {k1:.3e}, K2 = {k2:.3e}, "
+            f"det = {det:.3e}")
+    scale = max(1.0, k1 * k1)
     degenerate = abs(k2) < DEGENERATE_K2_BAND * scale
     if k2 < 0.0 and not degenerate:
         return SpectralInvariants(
             k1=k1, k2=k2, det=det, omega1=None,
             omega2=None, classification=CLASS_COMPLEX_QUADRUPLE,
             stable=False, degenerate=False)
-    root = np.sqrt(max(k2, 0.0))
+    root = math.sqrt(max(k2, 0.0))
     w1 = _frequency(k1 + 2.0 * root, max(1.0, abs(k1)))
     w2 = _frequency(k1 - 2.0 * root, max(1.0, abs(k1)))
     natures = (w1.nature, w2.nature)
@@ -252,9 +315,14 @@ def lax_invariants(S: np.ndarray) -> tuple[float, float, float, float]:
 
     For any symplex I1 = I3 = 0; for the 4x4 case I2 = -4 K1 and
     I4 = 4 (K1^2 + 4 K2).  These are first integrals of the motion.
+    PrecisionLoss is raised when a power of a finite S overflows.
     """
     S = np.asarray(S, dtype=float)
-    S2 = S @ S
-    S3 = S2 @ S
-    return (float(np.trace(S)), float(np.trace(S2)),
-            float(np.trace(S3)), float(np.trace(S3 @ S)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S2 = S @ S
+        S3 = S2 @ S
+        traces = (float(np.trace(S)), float(np.trace(S2)),
+                  float(np.trace(S3)), float(np.trace(S3 @ S)))
+    if not all(map(math.isfinite, traces)) and np.isfinite(S).all():
+        raise PrecisionLoss(f"Lax invariants overflow: traces {traces}")
+    return traces

@@ -3,9 +3,11 @@
 The matrix is viewed as an n x n grid of 2x2 blocks.  Each iteration
 picks the off-diagonal block of largest mean-square amplitude, extracts
 the corresponding degree-of-freedom pair as a 4x4 symplex, decouples it
-with the geometric 4x4 pipeline, and applies the embedded transform to
-the full matrix; a pair whose 4x4 has complex eigenvalues gives way to
-the next pair in falling amplitude order.  Convergence is declared when
+with the geometric 4x4 pipeline, and applies the embedded transform E
+where it acts: E M E^-1 changes four rows and four columns of M, E R
+four rows of the accumulated R, and the step log grows by the pivot's
+steps; a pair whose 4x4 has complex eigenvalues gives way to the next
+pair in falling amplitude order.  Convergence is declared when
 the summed Frobenius norms of all off-diagonal blocks fall below a
 relative threshold.  A final pass brings every diagonal block to
 Hamiltonian form with the per-dof phase rotation of
@@ -16,18 +18,19 @@ same iteration serves every n, n = 1 and 2 included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decouple4 import (_as_symplex, _check_iteration,
                         _hamiltonian_rotation, decouple_block_diagonal)
-from .dirac import symplectic_unit
+from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
 from .transform import (SymplecticTransform, apply_similarity, compose,
-                        embed_4x4, identity_transform)
+                        embed_rows, embed_steps)
 
 __all__ = [
     "IterationStats",
@@ -72,7 +75,7 @@ def _off_residual(M: np.ndarray, amp: np.ndarray) -> float:
     """Sum of off-diagonal block Frobenius norms relative to ||M||_F,
     from the off_block_norms amplitudes of M."""
     return (float(np.sqrt(4.0 * amp).sum())
-            / max(float(np.linalg.norm(M)), 1e-300))
+            / max(_frobenius(M), 1e-300))
 
 
 def random_test_symplex(n: int, seed: int) -> Symplex:
@@ -100,8 +103,8 @@ def random_test_symplex(n: int, seed: int) -> Symplex:
 
 
 def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
-    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-    return F[np.ix_(idx, idx)]
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    return F.take(idx, 0).take(idx, 1)
 
 
 def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
@@ -155,7 +158,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
     sym = _as_symplex(F)
     n = sym.n
     M = sym.matrix.copy()
-    total = identity_transform(2 * n)
+    R, steps = np.eye(2 * n), []
     stats = IterationStats()
     if max_steps is None:
         max_steps = 40 * n * n
@@ -171,7 +174,7 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
                 f"no convergence after {stats.pivot_steps} pivots "
                 f"(residual {resid:.3e})")
         # lexicographically smallest pair among maximal blocks
-        flat = np.argmax(amp)
+        flat = amp.argmax()
         i, j = divmod(int(flat), n)
         if i > j:
             i, j = j, i
@@ -179,12 +182,17 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
             res4 = decouple_block_diagonal(_extract_pair(M, i, j))
         except (ComplexEigenvalues, DegenerateB) as exc:
             i, j, res4 = _fallback_pivot(M, amp, (i, j), exc)
-        t = embed_4x4(res4.transform, i, j, n)
-        M = apply_similarity(t, M)
-        total = compose(t, total)
-        stats.pivots.append((i, j, float(np.sqrt(amp[i, j]))))
+        # E M E^-1 and E R for E = r4 embedded at (i, j): four rows and
+        # four columns of M, four rows of R
+        t4 = res4.transform
+        idx = embed_rows(M, t4.r, i, j)
+        M[:, idx] = M.take(idx, 1) @ t4.rinv
+        embed_rows(R, t4.r, i, j)
+        steps += embed_steps(t4.steps, i, j)
+        stats.pivots.append((i, j, math.sqrt(amp[i, j])))
         stats.pivot_steps += 1
 
+    total = SymplecticTransform(R, tuple(steps))
     if hamiltonian:
         t = _hamiltonian_rotation(M)
         # one count per embedded pair transform that acts

@@ -26,6 +26,8 @@ __all__ = [
     "basic_transform",
     "apply_similarity",
     "compose",
+    "embed_rows",
+    "embed_steps",
     "embed_4x4",
     "replay",
     "dof_transform",
@@ -130,6 +132,28 @@ def compose(t2: SymplecticTransform, t1: SymplecticTransform) -> SymplecticTrans
     return SymplecticTransform(r=t2.r @ t1.r, steps=t1.steps + t2.steps)
 
 
+def embed_rows(A: np.ndarray, r4: np.ndarray, i: int, j: int) -> list[int]:
+    """A <- E A in place, E the 4x4 matrix r4 embedded at the
+    degree-of-freedom pair (i, j) of n = len(A) / 2.
+
+    E is the identity outside rows and columns (2i, 2i+1, 2j, 2j+1), so
+    only those four rows of A change, at O(n) cost per column; their
+    indices are returned.  IndexError unless 0 <= i < j < n.
+    """
+    n = A.shape[0] // 2
+    if not 0 <= i < j < n:
+        raise IndexError(f"invalid block pair ({i}, {j}) for n={n}")
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    A[idx] = r4 @ A.take(idx, 0)
+    return idx
+
+
+def embed_steps(steps, i: int, j: int) -> tuple[TransformStep, ...]:
+    """A 4x4 step log tagged with the degree-of-freedom pair (i, j)."""
+    return tuple(TransformStep(s.generator, s.epsilon, (i, j), s.skipped)
+                 for s in steps)
+
+
 def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTransform:
     """Embed a 4x4 transform at the degree-of-freedom pair (i, j) of n.
 
@@ -138,40 +162,37 @@ def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTrans
     """
     if t.dim != 4:
         raise DimensionMismatch("only 4x4 transforms can be embedded")
-    if not 0 <= i < j < n:
-        raise IndexError(f"invalid block pair ({i}, {j}) for n={n}")
-    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
     r = np.eye(2 * n)
-    r[np.ix_(idx, idx)] = t.r
-    steps = tuple(TransformStep(s.generator, s.epsilon, (i, j), s.skipped)
-                  for s in t.steps)
-    return SymplecticTransform(r=r, steps=steps)
+    embed_rows(r, t.r, i, j)
+    return SymplecticTransform(r=r, steps=embed_steps(t.steps, i, j))
 
 
 def replay(steps, dim: int = 4) -> SymplecticTransform:
     """Rebuild the accumulated transform from a step log.
 
     Steps are applied in log order (earliest first), skipped entries
-    included as identity factors, embedded entries placed at their
-    recorded block pair.  A 2x2 log holds single-dof steps, whose
-    generators must be block-diagonal (see dof_transform).
+    included as identity factors, embedded entries to the four rows of
+    their recorded block pair (embed_rows).  A 2x2 log holds single-dof
+    steps, whose generators must be block-diagonal (see dof_transform).
     """
-    total = identity_transform(dim)
-    n = dim // 2
+    r, log = np.eye(dim), []
     for s in steps:
         eps = 0.0 if s.skipped else s.epsilon
         if dim == 2:
             t = dof_transform((s.generator,), [eps])
+        elif s.block is None and dim != 4:
+            raise DimensionMismatch(
+                "un-embedded 4x4 step in a log of dimension "
+                f"{dim}; block indices required")
         else:
             t = basic_transform(s.generator, eps, skipped=s.skipped)
-            if s.block is not None:
-                t = embed_4x4(t, s.block[0], s.block[1], n)
-            elif dim != 4:
-                raise DimensionMismatch(
-                    "un-embedded 4x4 step in a log of dimension "
-                    f"{dim}; block indices required")
-        total = compose(t, total)
-    return total
+        if dim == 2 or s.block is None:
+            r = t.r @ r
+            log += t.steps
+        else:
+            embed_rows(r, t.r, *s.block)
+            log += embed_steps(t.steps, *s.block)
+    return SymplecticTransform(r=r, steps=tuple(log))
 
 
 def dof_transform(generators, epsilons) -> SymplecticTransform:
@@ -200,15 +221,14 @@ def dof_transform(generators, epsilons) -> SymplecticTransform:
     pairs = [(k, k + 1, eps[k], eps[k + 1]) for k in range(0, n - 1, 2)]
     if n % 2:
         pairs.append((n - 2, n - 1, 0.0, eps[n - 1]))
-    total = identity_transform(2 * n)
+    r, steps = np.eye(2 * n), []
     for (i, j, u, v) in pairs:
         su, dif = 0.5 * (u + v), 0.5 * (u - v)
         t = compose(basic_transform(b, dif, skipped=dif == 0.0),
                     basic_transform(a, su, skipped=su == 0.0))
-        if n > 2:
-            t = embed_4x4(t, i, j, n)
-        total = compose(t, total)
-    return total
+        embed_rows(r, t.r, i, j)
+        steps += t.steps if n == 2 else embed_steps(t.steps, i, j)
+    return SymplecticTransform(r=r, steps=tuple(steps))
 
 
 def block_scaling(exponents) -> SymplecticTransform:

@@ -331,6 +331,19 @@ def test_decouple_large_includes_stats(tmp_path, capsys):
                                doc["invariants_after"]["lax"], atol=1e-8)
 
 
+@pytest.mark.parametrize("cmd", ["decouple", "check"])
+@pytest.mark.parametrize("scale, n", [(1e160, 2), (1e200, 2), (1e200, 3)])
+def test_overflowing_invariants_exit3(tmp_path, capsys, cmd, scale, n):
+    # the 6x6 decouple fails in its first Jacobi pivot, check in the Lax
+    # traces; no traceback and no RuntimeWarning (warnings are errors here)
+    F = scale * (GAMMA[0] if n == 2 else random_test_symplex(n, 0).matrix)
+    path = tmp_path / "big.json"
+    save_matrix_json(path, F, kind="force")
+    assert main([cmd, str(path), "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "PrecisionLoss" in err and "overflow" in err
+
+
 def test_decouple_loose_jacobi_tol_normal_form(tmp_path, capsys):
     # off-block entries left by --jacobi-tol 1e-8 are reported in the
     # residual, not refused by the per-dof stages

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from symdec import decouple4
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, from_coefficients, rdm_coefficients
-from symdec.emeq import _cross, transform_coefficients
+from symdec.emeq import (_cross, aux_vectors, lax_invariants, mass_components,
+                         spectral_invariants, state_from_coefficients,
+                         transform_coefficients)
 from symdec.errors import PrecisionLoss
 from symdec.transform import apply_similarity, basic_transform
 
@@ -69,6 +71,38 @@ def test_coefficient_extraction_checks_shapes():
 def test_cross_matches_numpy(u, v):
     np.testing.assert_allclose(_cross(u, v), np.cross(u, v), rtol=0,
                                atol=1e-15)
+
+
+# +-1e6 with exact zeros, the float primitives' widest ordinary range
+wide = st.one_of(st.just(0.0),
+                 st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@PROPERTY
+@given(c=st.lists(wide, min_size=10, max_size=10).map(np.array))
+def test_float_primitives_match_numpy(c):
+    state = state_from_coefficients(c)
+    e0, p, e, b = c[0], c[1:4], c[4:7], c[7:10]
+    c2 = max(1.0, float(np.dot(c, c)))
+    m = mass_components(state)
+    for got, want in ((m.m_r, np.dot(e, b)), (m.m_g, np.dot(b, p)),
+                      (m.m_b, np.dot(e, p))):
+        assert abs(got - want) <= 1e-15 * c2
+    a = aux_vectors(state)
+    for got, want in ((a.r, e0 * p + np.cross(b, e)),
+                      (a.g, e0 * e + np.cross(p, b)),
+                      (a.b, e0 * b + np.cross(e, p))):
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.max(np.abs(got - want)) <= 1e-15 * c2
+    # I2 = -4 K1 and I4 = 4 (K1^2 + 4 K2), from the matrix alone
+    _, i2, _, i4 = lax_invariants(
+        from_coefficients(np.concatenate((c, np.zeros(6)))))
+    k1 = -i2 / 4.0
+    k2 = (i4 / 4.0 - k1 * k1) / 4.0
+    inv = spectral_invariants(state)
+    assert abs(inv.k1 - k1) <= 1e-14 * c2
+    assert abs(inv.k2 - k2) <= 1e-13 * c2 * c2
+    assert inv.det == inv.k1 * inv.k1 - 4.0 * inv.k2
 
 
 @pytest.mark.parametrize("kind", ["stable", "complex"])

@@ -14,7 +14,7 @@ from symdec.emeq import (Symplex, aux_vectors, emeq_from_symplex,
                          mass_components, spectral_invariants,
                          state_from_coefficients)
 from symdec.errors import (BranchMismatch, ComplexEigenvalues, NotASymplex,
-                           NotSymplectic, UnstableBlock)
+                           NotSymplectic, PrecisionLoss, UnstableBlock)
 from symdec.jacobi import (_off_residual, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
@@ -468,6 +468,32 @@ def test_overflowing_identity_is_no_symplex(n):
     for call in (Symplex.from_matrix, decouple):
         with pytest.raises(NotASymplex, match="residual"):
             call(F)
+
+
+# symplices whose invariants overflow: K1 beyond 1e308 (the 4x4 cases)
+# or, for the 6x6 at 1e80, K2 = O(coefficient^4) alone; the 6x6 inputs
+# reach the invariants of their first Jacobi pivot
+OVERFLOWING = {
+    "4x4@1e160": 1e160 * GAMMA[0],
+    "4x4@1e200": 1e200 * GAMMA[0],
+    "6x6@1e80": 1e80 * random_test_symplex(3, 0).matrix,
+    "6x6@1e200": 1e200 * random_test_symplex(3, 0).matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_invariants_raise_precision_loss(name):
+    # warnings are errors here, so no RuntimeWarning may precede the error
+    F = OVERFLOWING[name]
+    for form in (FORM_BLOCK_DIAGONAL, FORM_NORMAL):
+        with pytest.raises(PrecisionLoss, match="invariants overflow"):
+            decouple(F, form=form)
+    if F.shape == (4, 4):
+        with pytest.raises(PrecisionLoss, match="invariants overflow"):
+            Symplex.from_matrix(F).invariants
+    else:
+        with pytest.raises(PrecisionLoss, match="invariants overflow"):
+            jacobi_decouple(F)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from symdec.errors import ComplexEigenvalues, PivotComplex
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
-from symdec.transform import matrix_exponential, replay, symplectic_residual
+from symdec.transform import (TransformStep, basic_transform, embed_4x4,
+                              matrix_exponential, replay, symplectic_residual)
 
 from conftest import random_stable_symplex
 
@@ -263,6 +266,74 @@ def test_pivot_counts_pinned(monkeypatch):
         got = tuple(jacobi_decouple(random_test_symplex(n, s))[2].pivot_steps
                     for s in range(4))
         assert got == counts, n
+
+
+# jacobi_decouple(random_test_symplex(n, s)), s = 0..3: the pivot count and
+# the first 16 hex digits of the sha256 of repr([(i, j), ...]), recorded
+# with the dense 2n x 2n update that the pair-local one replaced
+PIVOT_SEQUENCES = {
+    3: ((9, '119a6785dfa42c8c'), (9, 'b97a38f83b164822'),
+        (8, 'c9f06f0b21ce52f7'), (9, '52546987959f2119')),
+    4: ((21, '738d6d4d99d74cef'), (21, '6b914307a898e244'),
+        (22, '73beeeaf07a0e67b'), (18, '430345d1b83c1978')),
+    5: ((35, 'e8b317e76c459271'), (36, 'a8adbbad51bc2f46'),
+        (38, '56c4086bf9402b0a'), (35, '5dc56bf878c6aec6')),
+    6: ((60, '2d0c349a7f8a3a36'), (57, '03e49f4ed62d01a3'),
+        (56, '55324ec3776d4922'), (57, 'ef861709ec4f0305')),
+    7: ((81, 'a3d41082c5de7b56'), (77, '17c50f146c10fc9e'),
+        (82, '0103251caabbe29b'), (89, '52a55e356ced71f7')),
+    8: ((111, 'fd5c4819bbda05cd'), (108, '345336cb6f2adcb4'),
+        (113, '3ef84dbbaa4ca8a3'), (115, 'e4c9bd216e2c0891')),
+    9: ((144, '04e008693d890cc8'), (148, '3a2cd53d81d4558d'),
+        (143, '2afd05048591f8e7'), (144, '3d3b3f1dfa59407f')),
+    10: ((194, '48ae6c63fe418f9e'), (183, 'cb7eed93a4c3dd0a'),
+         (187, '8a4fd9be63c5716f'), (184, 'ad96fbd782db6f2a')),
+    11: ((229, 'bc18461721c9367c'), (236, '2815e01437675c4d'),
+         (234, 'c3b25cddb503595f'), (227, 'd908138d25269b92')),
+    12: ((282, 'be4431b0b9777572'), (278, '1d75a234a0cea72c'),
+         (281, 'd9f6bb3a60c59bfc'), (286, '4d08977e10e8b3c9')),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PIVOT_SEQUENCES))
+def test_pivot_sequences_pinned(n):
+    got = []
+    for s in range(4):
+        seq = [(i, j) for i, j, _ in
+               jacobi_decouple(random_test_symplex(n, s))[2].pivots]
+        got.append((len(seq),
+                    hashlib.sha256(repr(seq).encode()).hexdigest()[:16]))
+    assert tuple(got) == PIVOT_SEQUENCES[n]
+
+
+@pytest.mark.parametrize("hamiltonian", [True, False])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_final_is_dense_similarity(n, hamiltonian):
+    # the pair-local update of M agrees with R F R^-1 formed densely
+    F = random_test_symplex(n, n).matrix
+    transform, final, _ = jacobi_decouple(F, hamiltonian=hamiltonian)
+    R, g0 = transform.r, symplectic_unit(n)
+    dense = R @ F @ (-g0 @ R.T @ g0)
+    assert np.abs(final.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_replay_matches_dense_embedding():
+    transform = jacobi_decouple(random_test_symplex(5, 1))[0]
+    dense = np.eye(10)
+    for s in transform.steps:
+        t = basic_transform(s.generator, 0.0 if s.skipped else s.epsilon)
+        dense = embed_4x4(t, *s.block, 5).r @ dense
+    rebuilt = replay(transform.steps, dim=10)
+    assert rebuilt.steps == transform.steps
+    assert np.abs(rebuilt.r - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(rebuilt.r - transform.r).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_replay_checks_block_pairs():
+    with pytest.raises(IndexError):
+        replay((TransformStep(0, 0.1, (1, 3)),), dim=6)
+    with pytest.raises(IndexError):
+        replay((TransformStep(0, 0.1, (2, 1)),), dim=6)
 
 
 @pytest.mark.parametrize("n, seed, tau", [(6, 1, 0.5), (6, 5, 0.5),
