@@ -3,7 +3,7 @@
 Only the block stage knows n.  A 4x4 is block-diagonalized by elementary
 symplectic similarity transforms chosen from the EMEQ geometry (B and
 the auxiliary vector b along y, E and P in the x-z plane), any other 2n
-by jacobi_decouple.  Every later stage acts on each degree of freedom
+by the Jacobi iteration.  Every later stage acts on each degree of freedom
 alone: one phase rotation per dof zeroes its block's diagonal
 (Hamiltonian form), one scaling per dof makes the block [[0, w], [-w, 0]]
 (normal form), and a constant per-dof basis diagonalizes it.
@@ -30,9 +30,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dirac import GAMMA, _frobenius, rdm_coefficients
-from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
-                   SpectralInvariants, Symplex, _cross, _state_view,
-                   aux_vectors, mass_components, transform_coefficients)
+from .emeq import (EmeqState, Frequency, MassComponents, SpectralInvariants,
+                   Symplex, _cross, _state_view, aux_vectors,
+                   mass_components, transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (DOF_ROTATION, SymplecticTransform,
@@ -118,18 +118,25 @@ class _Pipeline:
     def masses(self) -> MassComponents:
         return mass_components(self.state)
 
-    @property
-    def aux(self) -> AuxVectors:
-        return aux_vectors(self.state)
+    def rotate(self, b: int, num: float, den: float, sign: float = 1.0,
+               turn: bool = False) -> None:
+        """Rotate by sign * atan2(num, den), the angle that removes `num`.
 
-    def zeroing_angle(self, num: float, den: float) -> float:
-        """Rotation angle atan2(num, den) that removes `num`, or 0 when
-        `num` is negligible: atan2 would rotate by pi whenever den < 0,
-        needlessly permuting the blocks of an input in canonical position.
+        A negligible `num` is logged as a skip: atan2 would rotate by pi
+        whenever den < 0, needlessly permuting the blocks of an input in
+        canonical position.  With `turn`, a den below -STEP_TOL still turns.
         """
-        if abs(num) < STEP_TOL:
-            return 0.0
-        return math.atan2(num, den)
+        if abs(num) < STEP_TOL and not (turn and den < -STEP_TOL):
+            self.step(b, 0.0)
+        else:
+            self.step(b, sign * math.atan2(num, den))
+
+    def align_y(self, vector, skip: bool = False) -> None:
+        """Turn vector(state) onto the y axis: gamma7 removes its z
+        component, then gamma9 its x component; two skips with `skip`."""
+        for b, k, sign in ((7, 2, 1.0), (9, 0, -1.0)):
+            v = vector(self.state)
+            self.rotate(b, 0.0 if skip else v[k], v[1], sign)
 
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator, or log a skip for negligible angles."""
@@ -259,18 +266,15 @@ def decouple_block_diagonal(F) -> DecoupleResult:
     pipe = _Pipeline(sym)
 
     m = pipe.masses
-    pipe.step(0, pipe.zeroing_angle(m.m_g, m.m_r))
-    a = pipe.aux
-    pipe.step(7, pipe.zeroing_angle(a.b[2], a.b[1]))
-    a = pipe.aux
-    pipe.step(9, -pipe.zeroing_angle(a.b[0], a.b[1]))
-    m, a = pipe.masses, pipe.aux
+    pipe.rotate(0, m.m_g, m.m_r)
+    pipe.align_y(lambda s: aux_vectors(s).b)
+    m, b_y = pipe.masses, aux_vectors(pipe.state).b[1]
     if abs(m.m_r) >= STEP_TOL * scale:
-        if abs(m.m_r) >= abs(a.b[1]):
+        if abs(m.m_r) >= abs(b_y):
             raise ComplexEigenvalues(
                 f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "
-                f"|b_y| = {abs(a.b[1]):.6e}")
-        pipe.step(2, math.atanh(m.m_r / a.b[1]))
+                f"|b_y| = {abs(b_y):.6e}")
+        pipe.step(2, math.atanh(m.m_r / b_y))
     else:
         pipe.step(2, 0.0)
 
@@ -284,20 +288,37 @@ def decouple_block_diagonal(F) -> DecoupleResult:
         source=sym.matrix, transform=transform, final=final,
         form=FORM_BLOCK_DIAGONAL,
         residual=off_block_max(final.matrix), invariants=inv,
-        frequencies=(inv.omega1, inv.omega2))
+        frequencies=_in_block_order(final.matrix, (inv.omega1, inv.omega2)))
+
+
+def _in_block_order(M: np.ndarray, pair: tuple[Frequency, Frequency]
+                    ) -> tuple[Frequency, Frequency]:
+    """The frequency pair of a block-diagonal 4x4 in block order: a 2x2
+    symplex block has determinant +w^2 for an imaginary pair +-i w and
+    -w^2 for a real one, and the pair swaps if that matches better."""
+    u, v = [w.value**2 if w.nature == "imaginary" else -w.value**2
+            for w in pair]
+    (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = M.tolist()
+    p, q = a * d - b * c, e * h - f * g
+    return pair[::-1] if abs(p - v) + abs(q - u) < abs(p - u) + abs(q - v) \
+        else pair
 
 
 def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     """Continue a block-diagonal 2n x 2n result to Hamiltonian form.
 
-    One phase rotation per dof (Jacobi's Hamiltonian pass) zeroes the
-    diagonal of its 2x2 block, keeping every off-block norm, as it is
-    orthogonal and symplectic per block; PrecisionLoss if one survives.
+    One phase rotation per dof zeroes the diagonal of its 2x2 block,
+    keeping every off-block norm, as it is orthogonal and symplectic per
+    block; PrecisionLoss if one survives.  A result carrying Jacobi's
+    counters gets them continued (IterationStats.after_hamiltonian).
     """
     if res.form != FORM_BLOCK_DIAGONAL:
         raise ValueError(f"not a block_diagonal result: {res.form!r}")
-    return _dof_stage(res, _hamiltonian_rotation(res.final.matrix),
-                      FORM_HAMILTONIAN)
+    t = _hamiltonian_rotation(res.final.matrix)
+    out = _dof_stage(res, t, FORM_HAMILTONIAN)
+    if res.stats is None:
+        return out
+    return replace(out, stats=res.stats.after_hamiltonian(t, out.final))
 
 
 def normal_form_scaling(H: np.ndarray
@@ -414,29 +435,20 @@ def complex_low_energy(F) -> DecoupleResult:
     pipe = _Pipeline(sym)
 
     m = pipe.masses
-    pipe.step(0, pipe.zeroing_angle(m.m_g, m.m_r))               # 1
-    s = pipe.state
-    if abs(s.energy) >= STEP_TOL:
-        # the E alignment only serves the energy-removing boost; with
-        # no energy left both rotations are skips
-        pipe.step(7, pipe.zeroing_angle(s.e[2], s.e[1]))         # 2
-        s = pipe.state
-        pipe.step(9, -pipe.zeroing_angle(s.e[0], s.e[1]))       # 3
-    else:
-        pipe.step(7, 0.0)
-        pipe.step(9, 0.0)
+    pipe.rotate(0, m.m_g, m.m_r)                                 # 1
+    # the E alignment only serves the energy-removing boost; with no
+    # energy left both rotations are skips
+    pipe.align_y(lambda s: s.e,                                  # 2-3
+                 skip=abs(pipe.state.energy) < STEP_TOL)
     s = pipe.state
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=4)          # 4
     s = pipe.state
     pipe.boost(3, s.p[0], s.b[1], -1.0, step_index=5)            # 5
     s = pipe.state
     pipe.boost(1, s.p[2], s.b[1], +1.0, step_index=6)            # 6
+    pipe.align_y(lambda s: s.b)                                  # 7-8
     s = pipe.state
-    pipe.step(7, pipe.zeroing_angle(s.b[2], s.b[1]))             # 7
-    s = pipe.state
-    pipe.step(9, -pipe.zeroing_angle(s.b[0], s.b[1]))            # 8
-    s = pipe.state
-    pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 9
+    pipe.rotate(8, s.e[0], s.e[2])                               # 9
     return _complex_canonical_result(pipe, inv)
 
 
@@ -464,26 +476,17 @@ def complex_intermediate(F) -> DecoupleResult:
     e2, p2 = float(s.e @ s.e), float(s.p @ s.p)
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
-    if abs(2.0 * m.m_b) >= STEP_TOL or e2 - p2 < -STEP_TOL:
-        pipe.step(0, 0.5 * math.atan2(2.0 * m.m_b, e2 - p2))     # 1
-    else:
-        pipe.step(0, 0.0)
-    s = pipe.state
-    pipe.step(7, pipe.zeroing_angle(s.p[2], s.p[1]))             # 2
-    s = pipe.state
-    pipe.step(9, -pipe.zeroing_angle(s.p[0], s.p[1]))            # 3
+    pipe.rotate(0, 2.0 * m.m_b, e2 - p2, sign=0.5, turn=True)    # 1
+    pipe.align_y(lambda s: s.p)                                  # 2-3
     s = pipe.state
     # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
     # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
     pipe.boost(5, s.p[1], s.energy, -1.0, step_index=4)          # 4
-    s = pipe.state
-    pipe.step(7, pipe.zeroing_angle(s.b[2], s.b[1]))             # 5
-    s = pipe.state
-    pipe.step(9, -pipe.zeroing_angle(s.b[0], s.b[1]))            # 6
+    pipe.align_y(lambda s: s.b)                                  # 5-6
     s = pipe.state
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=7)          # 7
     s = pipe.state
-    pipe.step(8, pipe.zeroing_angle(s.e[0], s.e[2]))             # 8
+    pipe.rotate(8, s.e[0], s.e[2])                               # 8
     return _complex_canonical_result(pipe, inv)
 
 
@@ -493,18 +496,21 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     "hamiltonian" or "normal", checking F, jacobi_tol and max_steps first.
 
     The block stage is the only branch on n.  A 4x4 takes the geometric
-    pipeline and to_hamiltonian_form; for K2 < 0 the matching complex
-    procedure runs (low energy if energy^2 < max(P^2, E^2), intermediate
-    otherwise) regardless of the requested form.  Any other n runs
-    jacobi_decouple (threshold jacobi_tol, pivot budget max_steps, the
-    same per-dof Hamiltonian rotation) and carries its IterationStats.
-    Both reach normal form by to_normal_form.
+    pipeline; for K2 < 0 the matching complex procedure runs (low energy
+    if energy^2 < max(P^2, E^2), intermediate otherwise) regardless of
+    the requested form.  Any other n takes Jacobi's block stage
+    (threshold jacobi_tol, pivot budget max_steps) and carries its
+    IterationStats.  Both continue by to_hamiltonian_form and
+    to_normal_form.
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
     _check_iteration(jacobi_tol, max_steps)
     sym = _as_symplex(F)
-    if sym.n == 2:
+    if sym.n != 2:
+        from .jacobi import _block_stage  # jacobi imports this module
+        res = _block_stage(sym, jacobi_tol, max_steps)
+    else:
         inv = sym.invariants
         if inv.k2 < 0.0 and not inv.degenerate:
             s = sym.state
@@ -512,20 +518,8 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
                 return complex_low_energy(sym)
             return complex_intermediate(sym)
         res = decouple_block_diagonal(sym)
-        if form != FORM_BLOCK_DIAGONAL:
-            res = to_hamiltonian_form(res)
-    else:
-        from .jacobi import jacobi_decouple  # jacobi imports this module
-        reached = (FORM_BLOCK_DIAGONAL if form == FORM_BLOCK_DIAGONAL
-                   else FORM_HAMILTONIAN)
-        transform, final, stats = jacobi_decouple(
-            sym, tol=jacobi_tol, max_steps=max_steps,
-            hamiltonian=reached == FORM_HAMILTONIAN)
-        res = DecoupleResult(
-            source=sym.matrix, transform=transform, final=final,
-            form=reached, stats=stats,
-            residual=max(off_block_max(final.matrix),
-                         _block_defect(final.matrix, reached)))
+    if form != FORM_BLOCK_DIAGONAL:
+        res = to_hamiltonian_form(res)
     return to_normal_form(res) if form == FORM_NORMAL else res
 
 

@@ -9,28 +9,26 @@ four rows of the accumulated R, and the step log grows by the pivot's
 steps; a pair whose 4x4 has complex eigenvalues gives way to the next
 pair in falling amplitude order.  Convergence is declared when
 the summed Frobenius norms of all off-diagonal blocks fall below a
-relative threshold.  A final pass brings every diagonal block to
-Hamiltonian form with the per-dof phase rotation of
-decouple4.to_hamiltonian_form; such rotations are orthogonal and
-symplectic per block, so they leave every off-block norm unchanged.  The
-same iteration serves every n, n = 1 and 2 included.
+relative threshold.  This is decouple's block stage for n != 2, and
+jacobi_decouple continues it by decouple4.to_hamiltonian_form.  The same
+iteration serves every n, n = 1 and 2 included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decouple4 import (_as_symplex, _check_iteration,
-                        _hamiltonian_rotation, decouple_block_diagonal)
+from .decouple4 import (FORM_BLOCK_DIAGONAL, DecoupleResult, _as_symplex,
+                        _check_iteration, decouple_block_diagonal,
+                        off_block_max, to_hamiltonian_form)
 from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
-from .transform import (SymplecticTransform, apply_similarity, compose,
-                        embed_rows, embed_steps)
+from .transform import SymplecticTransform, embed_rows, embed_steps
 
 __all__ = [
     "IterationStats",
@@ -44,17 +42,28 @@ __all__ = [
 class IterationStats:
     """Per-run counters: pivot history and the residual trend."""
 
-    pivot_steps: int = 0
     hamiltonian_steps: int = 0
     pivots: list = field(default_factory=list)   # (i, j, off norm before)
     residuals: list = field(default_factory=list)
     final_residual: float = 0.0
 
     @property
+    def pivot_steps(self) -> int:
+        return len(self.pivots)
+
+    @property
     def total_steps(self) -> int:
         """Steps to Hamiltonian form: pivots plus the pair transforms of the
         Hamiltonian pass."""
         return self.pivot_steps + self.hamiltonian_steps
+
+    def after_hamiltonian(self, t: SymplecticTransform,
+                          final: Symplex) -> IterationStats:
+        """Continued by the Hamiltonian pass t to final: one step per
+        embedded pair transform that acts, and final's residual."""
+        M, acting = final.matrix, {s.block for s in t.steps if not s.skipped}
+        return replace(self, hamiltonian_steps=len(acting),
+                       final_residual=_off_residual(M, off_block_norms(M)))
 
 
 def off_block_norms(F: np.ndarray) -> np.ndarray:
@@ -127,41 +136,14 @@ def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
         f"other pair: {exc}", pivot=first) from exc
 
 
-def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
-                    hamiltonian: bool = True,
-                    ) -> tuple[SymplecticTransform, Symplex, IterationStats]:
-    """Iteratively block-diagonalize a 2n x 2n symplex.
-
-    Parameters
-    ----------
-    F : Symplex or ndarray
-        The symplex to decouple.  A complex 4x4 pivot gives way to the
-        next pair; PivotComplex is raised only when no pair decouples.
-    tol : float
-        Convergence threshold on the summed off-diagonal block norms
-        relative to the total Frobenius norm; finite and positive.
-    max_steps : int, optional
-        Pivot budget, non-negative; defaults to 40 n^2.
-    hamiltonian : bool
-        After convergence, push every diagonal block to Hamiltonian form
-        (zero block diagonals) with the per-dof rotation of
-        to_hamiltonian_form, logged if one acts; hamiltonian_steps counts
-        the embedded pair transforms that act.
-
-    Returns
-    -------
-    (transform, decoupled, stats)
-        The accumulated symplectic transform, the transformed symplex,
-        and the iteration statistics.
-    """
-    _check_iteration(tol, max_steps)
-    sym = _as_symplex(F)
+def _block_stage(sym: Symplex, tol: float,
+                 max_steps: int | None) -> DecoupleResult:
+    """The pivot loop: a block_diagonal result carrying IterationStats."""
     n = sym.n
     M = sym.matrix.copy()
     R, steps = np.eye(2 * n), []
     stats = IterationStats()
-    if max_steps is None:
-        max_steps = 40 * n * n
+    max_steps = 40 * n * n if max_steps is None else max_steps
 
     while True:
         amp = off_block_norms(M)
@@ -190,17 +172,24 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
         embed_rows(R, t4.r, i, j)
         steps += embed_steps(t4.steps, i, j)
         stats.pivots.append((i, j, math.sqrt(amp[i, j])))
-        stats.pivot_steps += 1
 
-    total = SymplecticTransform(R, tuple(steps))
-    if hamiltonian:
-        t = _hamiltonian_rotation(M)
-        # one count per embedded pair transform that acts
-        stats.hamiltonian_steps = len({s.block for s in t.steps
-                                       if not s.skipped})
-        if stats.hamiltonian_steps:
-            M = apply_similarity(t, M)
-            total = compose(t, total)
+    stats.final_residual = resid
+    return DecoupleResult(
+        source=sym.matrix, transform=SymplecticTransform(R, tuple(steps)),
+        final=Symplex(M), form=FORM_BLOCK_DIAGONAL,
+        residual=off_block_max(M), stats=stats)
 
-    stats.final_residual = _off_residual(M, off_block_norms(M))
-    return total, Symplex(M), stats
+
+def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
+                    ) -> tuple[SymplecticTransform, Symplex, IterationStats]:
+    """(transform, decoupled symplex, IterationStats) of the Jacobi block
+    stage on the 2n x 2n symplex F, continued by to_hamiltonian_form.
+
+    tol, finite and positive, bounds the summed off-diagonal block norms
+    relative to the Frobenius norm; max_steps, non-negative, is the pivot
+    budget (default 40 n^2).  A complex 4x4 pivot gives way to the next pair;
+    PivotComplex is raised only when no pair decouples.
+    """
+    _check_iteration(tol, max_steps)
+    res = to_hamiltonian_form(_block_stage(_as_symplex(F), tol, max_steps))
+    return res.transform, res.final, res.stats

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dirac import GAMMA, symplectic_unit
+from .dirac import GAMMA, gamma_signature, symplectic_unit
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "matrix_exponential",
 ]
 
-ROTATION_GENERATORS = (0, 7, 8, 9)
-BOOST_GENERATORS = (1, 2, 3, 4, 5, 6)
 # (a, b) with gamma(a) = diag(G, G), gamma(b) = diag(G, -G): dof_transform
 DOF_ROTATION = (0, 8)
 DOF_SCALING = (3, 4)
@@ -107,7 +105,7 @@ def basic_transform(b: int, epsilon: float,
     if not math.isfinite(epsilon):
         raise ValueError(f"non-finite transform parameter: {epsilon}")
     g = GAMMA[b]
-    if b in ROTATION_GENERATORS:
+    if gamma_signature(b) < 0:
         c, s = math.cos(epsilon / 2.0), math.sin(epsilon / 2.0)
     else:
         c, s = math.cosh(epsilon / 2.0), math.sinh(epsilon / 2.0)

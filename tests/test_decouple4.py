@@ -22,7 +22,7 @@ from symdec.transform import (apply_similarity, compose, matrix_exponential,
                               symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
-                      random_stable_symplex)
+                      random_stable_symplex, random_symplex)
 
 
 def off_pattern_max(M, form):
@@ -90,6 +90,68 @@ def test_block_diagonal_coefficient_pattern():
         # B_x, B_z, E_y, P_y all vanish
         for idx in (7, 9, 5, 2):
             assert abs(c[idx]) < 1e-10
+
+
+@pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
+                                  FORM_NORMAL])
+def test_frequencies_in_block_order(form):
+    # blocks w = 0.5 then 2.0, already in canonical position: every step
+    # is a skip, so the frequencies keep the order of the given blocks
+    F = np.zeros((4, 4))
+    F[0, 1], F[1, 0], F[2, 3], F[3, 2] = 0.5, -0.5, 2.0, -2.0
+    res = decouple(F, form=form)
+    assert all(s.skipped for s in res.transform.steps)
+    np.testing.assert_array_equal(res.final.matrix, F)
+    assert [(w.value, w.nature) for w in res.frequencies] == [
+        (0.5, "imaginary"), (2.0, "imaginary")]
+
+
+def _random_block_diagonal(rng):
+    F = np.zeros((4, 4))
+    for k in (0, 2):
+        a, b, c = rng.uniform(-1.0, 1.0, size=3)
+        F[k:k + 2, k:k + 2] = [[a, b], [c, -a]]
+    return F
+
+
+def _random_real_k2(rng):
+    while True:
+        F = random_symplex(rng)
+        if spectral_invariants(emeq_from_symplex(F)).k2 >= 0.0:
+            return F
+
+
+@pytest.mark.parametrize("sampler", [random_stable_symplex, _random_real_k2,
+                                     _random_block_diagonal])
+def test_frequencies_match_blocks(sampler):
+    # frequencies[k] is the eigenvalue pair of block k of the final:
+    # +-i w for an imaginary pair, +-w for a real one
+    rng = np.random.default_rng(107)
+    for _ in range(100):
+        res = decouple(sampler(rng), form=FORM_BLOCK_DIAGONAL)
+        M = res.final.matrix
+        for k, w in enumerate(res.frequencies):
+            ev = np.sort_complex(np.linalg.eigvals(M[2 * k:2 * k + 2,
+                                                     2 * k:2 * k + 2]))
+            z = w.value * (1j if w.nature == "imaginary" else 1.0)
+            want = np.sort_complex(np.array([-z, z]))
+            np.testing.assert_allclose(ev, want, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("procedure, draw, generators", [
+    (decouple_block_diagonal, random_stable_symplex, (0, 7, 9, 2)),
+    (complex_low_energy, lambda rng: random_complex_symplex(rng, "low"),
+     (0, 7, 9, 2, 3, 1, 7, 9, 8)),
+    (complex_intermediate, lambda rng: random_complex_symplex(rng, "high"),
+     (0, 7, 9, 5, 7, 9, 2, 8)),
+])
+def test_step_lists(procedure, draw, generators):
+    # each 4x4 procedure logs its generators in the same order, skips
+    # included, whatever the input
+    rng = np.random.default_rng(109)
+    for _ in range(200):
+        res = procedure(draw(rng))
+        assert tuple(s.generator for s in res.transform.steps) == generators
 
 
 def test_complex_eigenvalues_rejected():
@@ -379,12 +441,16 @@ def test_decouple_routes_high_energy_quadruple_to_intermediate(form):
 @pytest.mark.parametrize("form", [FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
                                   FORM_NORMAL])
 def test_decouple_2n_is_jacobi(n, form):
-    # every n != 2 is the Jacobi iteration (plus the normal-form scaling),
-    # bit for bit, and the result carries its iteration counters
+    # every n != 2 is the Jacobi iteration (its block stage, then
+    # jacobi_decouple's Hamiltonian pass and the normal-form scaling), bit
+    # for bit, and the result carries its iteration counters
     F = random_test_symplex(n, 5).matrix
     res = decouple(F, form=form, jacobi_tol=1e-11, max_steps=500)
-    transform, out, stats = jacobi_decouple(
-        F, tol=1e-11, max_steps=500, hamiltonian=form != FORM_BLOCK_DIAGONAL)
+    if form == FORM_BLOCK_DIAGONAL:
+        block = jacobi._block_stage(Symplex(F), 1e-11, 500)
+        transform, out, stats = block.transform, block.final, block.stats
+    else:
+        transform, out, stats = jacobi_decouple(F, tol=1e-11, max_steps=500)
     final, freqs = out.matrix, None
     if form == FORM_NORMAL:
         scaling, freqs = normal_form_scaling(final)
@@ -419,8 +485,8 @@ def test_decouple_2n_is_jacobi(n, form):
 
 def test_decouple_2n_bad_form_before_any_pivot(monkeypatch):
     def no_pivot(*args, **kwargs):
-        raise AssertionError("jacobi_decouple reached")
-    monkeypatch.setattr(jacobi, "jacobi_decouple", no_pivot)
+        raise AssertionError("Jacobi block stage reached")
+    monkeypatch.setattr(jacobi, "_block_stage", no_pivot)
     with pytest.raises(ValueError, match="bogus"):
         decouple(random_test_symplex(3, 0).matrix, form="bogus")
 

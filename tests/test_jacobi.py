@@ -6,6 +6,7 @@ import pytest
 from symdec import jacobi
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, is_symplex, symplectic_unit
+from symdec.emeq import Symplex
 from symdec.errors import ComplexEigenvalues, PivotComplex
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
@@ -111,10 +112,12 @@ def test_hamiltonian_pass_keeps_residual_below_tol():
 
 def test_block_diagonal_only_mode():
     sym = random_test_symplex(4, 9)
-    transform, out, stats = jacobi_decouple(sym, hamiltonian=False)
-    assert stats.hamiltonian_steps == 0
+    res = decouple(sym, form="block_diagonal")
+    assert res.form == "block_diagonal"
+    assert res.stats.hamiltonian_steps == 0
+    assert res.stats.final_residual == res.stats.residuals[-1]
     n = 4
-    off = out.matrix.copy()
+    off = res.final.matrix.copy()
     for k in range(n):
         off[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
     assert np.max(np.abs(off)) < 1e-10
@@ -132,9 +135,11 @@ def test_transform_log_replays():
 def test_rerun_converges_immediately():
     sym = random_test_symplex(6, 2)
     _, out, _ = jacobi_decouple(sym)
-    _, out2, stats2 = jacobi_decouple(out)
+    t2, out2, stats2 = jacobi_decouple(out)
     assert stats2.pivot_steps == 0
     assert stats2.hamiltonian_steps == 0
+    # the Hamiltonian stage logs its rotations as skips
+    assert t2.steps and all(s.skipped for s in t2.steps)
     np.testing.assert_array_equal(out2.matrix, out.matrix)
 
 
@@ -309,9 +314,14 @@ def test_pivot_sequences_pinned(n):
 @pytest.mark.parametrize("hamiltonian", [True, False])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_final_is_dense_similarity(n, hamiltonian):
-    # the pair-local update of M agrees with R F R^-1 formed densely
+    # the pair-local update of M agrees with R F R^-1 formed densely, after
+    # the Hamiltonian pass and at the end of the block stage
     F = random_test_symplex(n, n).matrix
-    transform, final, _ = jacobi_decouple(F, hamiltonian=hamiltonian)
+    if hamiltonian:
+        transform, final, _ = jacobi_decouple(F)
+    else:
+        res = jacobi._block_stage(Symplex(F), 1e-12, None)
+        transform, final = res.transform, res.final
     R, g0 = transform.r, symplectic_unit(n)
     dense = R @ F @ (-g0 @ R.T @ g0)
     assert np.abs(final.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
