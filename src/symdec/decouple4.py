@@ -6,7 +6,9 @@ the auxiliary vector b along y, E and P in the x-z plane), any other 2n
 by the Jacobi iteration.  Every later stage acts on each degree of freedom
 alone: one phase rotation per dof zeroes its block's diagonal
 (Hamiltonian form), one scaling per dof makes the block [[0, w], [-w, 0]]
-(normal form), and a constant per-dof basis diagonalizes it.
+(normal form), and a constant per-dof basis diagonalizes it.  Each
+block's eigenvalue pair is read from the block itself, for every n and
+every form (_block_frequencies).
 
 Matrices whose second invariant is negative (complex eigenvalue
 quadruples) cannot be block-diagonalized over the reals; two dedicated
@@ -35,7 +37,7 @@ from .emeq import (EmeqState, Frequency, MassComponents, SpectralInvariants,
                    mass_components, transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
-from .transform import (DOF_ROTATION, SymplecticTransform,
+from .transform import (DOF_ROTATION, SymplecticTransform, TransformStep,
                         apply_similarity, basic_transform, block_scaling,
                         compose, dof_transform)
 
@@ -82,9 +84,10 @@ class DecoupleResult:
     largest entry of final off the reached pattern for every n (the
     largest coefficient, for the complex canonical form).  Any n other
     than 2 has no invariants and carries Jacobi's counters in stats.
-    frequencies carry the eigenvalue pair natures, one per block, and
-    complex_radius the eigenvalue circle radius when the spectrum is a
-    complex quadruple.
+    frequencies hold one Frequency per diagonal block, read from the
+    block by _block_frequencies (signed for an imaginary pair) in every
+    form but the complex canonical one, which carries complex_radius,
+    the radius of the eigenvalue circle, instead.
     """
 
     source: np.ndarray
@@ -141,7 +144,7 @@ class _Pipeline:
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator, or log a skip for negligible angles."""
         if abs(epsilon) < STEP_TOL:
-            self.steps.append(basic_transform(b, 0.0, skipped=True).steps[0])
+            self.steps.append(TransformStep(b, 0.0, skipped=True))
             return
         t = basic_transform(b, epsilon)
         self.c = transform_coefficients(self.c, b, epsilon)
@@ -288,20 +291,7 @@ def decouple_block_diagonal(F) -> DecoupleResult:
         source=sym.matrix, transform=transform, final=final,
         form=FORM_BLOCK_DIAGONAL,
         residual=off_block_max(final.matrix), invariants=inv,
-        frequencies=_in_block_order(final.matrix, (inv.omega1, inv.omega2)))
-
-
-def _in_block_order(M: np.ndarray, pair: tuple[Frequency, Frequency]
-                    ) -> tuple[Frequency, Frequency]:
-    """The frequency pair of a block-diagonal 4x4 in block order: a 2x2
-    symplex block has determinant +w^2 for an imaginary pair +-i w and
-    -w^2 for a real one, and the pair swaps if that matches better."""
-    u, v = [w.value**2 if w.nature == "imaginary" else -w.value**2
-            for w in pair]
-    (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = M.tolist()
-    p, q = a * d - b * c, e * h - f * g
-    return pair[::-1] if abs(p - v) + abs(q - u) < abs(p - u) + abs(q - v) \
-        else pair
+        frequencies=_block_frequencies(final.matrix))
 
 
 def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
@@ -321,35 +311,40 @@ def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     return replace(out, stats=res.stats.after_hamiltonian(t, out.final))
 
 
+def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
+    """The eigenvalue pair of each diagonal 2x2 block of a 2n x 2n matrix.
+
+    A block [[p, q], [r, s]] has the pair +-sqrt(-d), d = p s - q r,
+    classified by Frequency.from_square against the zero band
+    (STEP_TOL * max(1, ||M||_F))^2; an imaginary pair +-i w has
+    w = copysign(sqrt(d), q), the sign giving the block's sense of
+    rotation.
+    """
+    band = (STEP_TOL * max(1.0, _frobenius(M))) ** 2
+    rows = M.tolist()
+    freqs = []
+    for k in range(0, len(rows), 2):
+        (p, q), (r, s) = rows[k][k:k + 2], rows[k + 1][k:k + 2]
+        freqs.append(Frequency.from_square(p * s - q * r, band, q))
+    return tuple(freqs)
+
+
 def normal_form_scaling(H: np.ndarray
                         ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
     """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
 
     Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n matrix H is
-    classified by a*b against the zero band (STEP_TOL * scale)^2, with
-    scale = max(1, ||H||_F).  Above it the pair is imaginary, +-i w with
-    w = sign(a) sqrt(a b), and the block_scaling exponent log|a/b|/4
-    turns the block into [[0, w], [-w, 0]].  Below minus the band the
-    pair is real (value sqrt(-a b)); in between it is zero.  Real and
-    zero blocks keep exponent 0.  Returns the scaling and one Frequency
-    per block.
+    classified by _block_frequencies.  An imaginary pair, +-i w with
+    w = sign(a) sqrt(a b), takes the block_scaling exponent log|a/b|/4,
+    which turns the block into [[0, w], [-w, 0]]; real and zero blocks
+    keep exponent 0.  Returns the scaling and one Frequency per block.
     """
     H = np.asarray(H, dtype=float)
-    band = (STEP_TOL * max(1.0, float(np.linalg.norm(H)))) ** 2
-    exponents = []
-    freqs = []
-    for k in range(H.shape[0] // 2):
-        a, b = H[2 * k, 2 * k + 1], -H[2 * k + 1, 2 * k]
-        prod = a * b
-        exponents.append(0.25 * math.log(a / b) if prod > band else 0.0)
-        if prod > band:
-            freqs.append(Frequency(math.copysign(math.sqrt(prod), a),
-                                   "imaginary"))
-        elif prod < -band:
-            freqs.append(Frequency(math.sqrt(-prod), "real"))
-        else:
-            freqs.append(Frequency(0.0, "zero"))
-    return block_scaling(exponents), tuple(freqs)
+    freqs = _block_frequencies(H)
+    exponents = [0.25 * math.log(H[k, k + 1] / -H[k + 1, k])
+                 if w.nature == "imaginary" else 0.0
+                 for k, w in zip(range(0, H.shape[0], 2), freqs)]
+    return block_scaling(exponents), freqs
 
 
 def to_normal_form(res: DecoupleResult) -> DecoupleResult:

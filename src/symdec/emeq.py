@@ -113,14 +113,25 @@ class AuxVectors:
 
 @dataclass(frozen=True)
 class Frequency:
-    """Eigenfrequency magnitude with the nature of its eigenvalue pair.
+    """Eigenfrequency with the nature of its eigenvalue pair.
 
     nature is "imaginary" for a stable oscillation pair +-i*value,
-    "real" for an unstable pair +-value, "zero" at the boundary.
+    "real" for an unstable pair +-value, "zero" at the boundary.  An
+    imaginary value read from a block is signed: its sense of rotation.
     """
 
     value: float
     nature: str
+
+    @classmethod
+    def from_square(cls, d: float, band: float,
+                    sense: float = 1.0) -> Frequency:
+        """The pair +-sqrt(-d), zero within +-band; sense signs w = sqrt(d)."""
+        if d > band:
+            return cls(math.copysign(math.sqrt(d), sense), "imaginary")
+        if d < -band:
+            return cls(math.sqrt(-d), "real")
+        return cls(0.0, "zero")
 
 
 @dataclass(frozen=True)
@@ -258,15 +269,6 @@ def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
     return np.array(out)
 
 
-def _frequency(radicand: float, scale: float) -> Frequency:
-    # eigenvalue pair is +-sqrt(-radicand)
-    if abs(radicand) <= ZERO_FREQUENCY_BAND * scale:
-        return Frequency(0.0, "zero")
-    if radicand > 0.0:
-        return Frequency(math.sqrt(radicand), "imaginary")
-    return Frequency(math.sqrt(-radicand), "real")
-
-
 def spectral_invariants(s: EmeqState) -> SpectralInvariants:
     """Invariants K1, K2, the determinant, and the eigenvalue structure.
 
@@ -295,15 +297,13 @@ def spectral_invariants(s: EmeqState) -> SpectralInvariants:
             omega2=None, classification=CLASS_COMPLEX_QUADRUPLE,
             stable=False, degenerate=False)
     root = math.sqrt(max(k2, 0.0))
-    w1 = _frequency(k1 + 2.0 * root, max(1.0, abs(k1)))
-    w2 = _frequency(k1 - 2.0 * root, max(1.0, abs(k1)))
+    band = ZERO_FREQUENCY_BAND * max(1.0, abs(k1))
+    w1 = Frequency.from_square(k1 + 2.0 * root, band)
+    w2 = Frequency.from_square(k1 - 2.0 * root, band)
     natures = (w1.nature, w2.nature)
-    if natures == ("imaginary", "imaginary"):
-        classification = CLASS_TWO_IMAGINARY_PAIRS
-    elif natures == ("real", "real"):
-        classification = CLASS_TWO_REAL_PAIRS
-    else:
-        classification = CLASS_MIXED
+    classification = {
+        ("imaginary", "imaginary"): CLASS_TWO_IMAGINARY_PAIRS,
+        ("real", "real"): CLASS_TWO_REAL_PAIRS}.get(natures, CLASS_MIXED)
     stable = bool(k2 > 0.0 and natures == ("imaginary", "imaginary"))
     return SpectralInvariants(
         k1=k1, k2=k2, det=det, omega1=w1, omega2=w2,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decouple4 import (FORM_BLOCK_DIAGONAL, DecoupleResult, _as_symplex,
-                        _check_iteration, decouple_block_diagonal,
-                        off_block_max, to_hamiltonian_form)
+                        _block_frequencies, _check_iteration,
+                        decouple_block_diagonal, off_block_max,
+                        to_hamiltonian_form)
 from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
@@ -177,7 +178,8 @@ def _block_stage(sym: Symplex, tol: float,
     return DecoupleResult(
         source=sym.matrix, transform=SymplecticTransform(R, tuple(steps)),
         final=Symplex(M), form=FORM_BLOCK_DIAGONAL,
-        residual=off_block_max(M), stats=stats)
+        residual=off_block_max(M), frequencies=_block_frequencies(M),
+        stats=stats)
 
 
 def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,

@@ -204,26 +204,27 @@ def matched_sigma(M, emittances, tau: float | None = None,
     In the decoupled frame the matched distribution is round per block
     with the emittances on the diagonal; back-transforming S = Rinv S_d R
     and sigma = -S g0 gives the matched sigma in the laboratory frame.
-    Requires a stable system (UnstableSystem otherwise); the fixed-point
-    residual M sigma M^T - sigma is verified against FIXED_POINT_TOL.
+    Requires n finite positive emittances, checked first (ValueError),
+    and a stable system (UnstableSystem); the fixed-point residual
+    M sigma M^T - sigma is verified against FIXED_POINT_TOL.
     """
     tm = _as_transfer(M, tau)
-    if report is None:
-        report = analyze_one_turn(tm)
     n = tm.matrix.shape[0] // 2
     emit = np.atleast_1d(np.asarray(emittances, dtype=float))
     if emit.shape != (n,):
         raise DimensionMismatch(
             f"expected {n} emittances for a {2*n}x{2*n} matrix, got "
             f"{emit.shape}")
+    if not np.all((0.0 < emit) & (emit < np.inf)):
+        raise ValueError(f"emittances must be finite and positive, got "
+                         f"{emit.tolist()}")
+    if report is None:
+        report = analyze_one_turn(tm)
     if not report.stable:
         natures = tuple(b.nature for b in report.blocks)
         raise UnstableSystem(
             f"matched distribution undefined: block natures {natures}, "
             f"cosines {report.tune_cosines}")
-    if not np.all((0.0 < emit) & (emit < np.inf)):
-        raise ValueError(f"emittances must be finite and positive, got "
-                         f"{emit.tolist()}")
     g0 = symplectic_unit(n)
     sigma_d = np.diag(np.repeat(emit, 2))
     s_d = sigma_d @ g0

@@ -391,8 +391,8 @@ def test_decouple_single_dof(tmp_path, capsys):
 @pytest.mark.parametrize("form, reached", [("block", "block_diagonal"),
                                            ("normal", "normal")])
 def test_decouple_2n_report_shape(tmp_path, capsys, n, form, reached):
-    # every 2n report names the form as the library does, the normal form
-    # carries its frequencies, only the Jacobi run (n != 2) carries its
+    # every 2n report names the form as the library does and carries one
+    # frequency per block, only the Jacobi run (n != 2) carries its
     # iteration counters and only the 4x4 its classification
     F = (np.array([[0.3, 0.5], [-2.0, -0.3]]) if n == 1
          else random_test_symplex(n, 0).matrix)
@@ -403,10 +403,6 @@ def test_decouple_2n_report_shape(tmp_path, capsys, n, form, reached):
     assert doc["form_reached"] == reached
     assert ("iteration_stats" in doc) == (n != 2)
     assert ("classification" in doc) == (n == 2)
-    if form == "block":
-        # the 4x4 pipeline knows its frequencies from the invariants
-        assert ("frequencies" in doc) == (n == 2)
-        return
     assert [w["nature"] for w in doc["frequencies"]] == ["imaginary"] * n
     got = np.sort([abs(w["value"]) for w in doc["frequencies"]])
     want = np.sort(np.linalg.eigvals(F).imag)[n:]
@@ -496,6 +492,21 @@ def test_tunes_bad_flags_exit2(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("symdec: error:")
+
+
+@pytest.mark.parametrize("emit", ["-1,2", "nan,1", "0,1"])
+def test_tunes_bad_emittances_exit2_on_unstable_ring(tmp_path, capsys, emit):
+    # the emittances are checked before the ring's stability: exit 2 as on
+    # a stable ring, not 3 for the hyperbolic second block
+    F = np.zeros((4, 4))
+    F[0, 1], F[1, 0] = 1.0, -1.0
+    F[2, 3], F[3, 2] = 1.0, 1.0
+    path = tmp_path / "u.json"
+    save_matrix_json(path, matrix_exponential(F, 1.0).matrix,
+                     kind="transfer")
+    assert main(["tunes", str(path), "--tau", "0.5",
+                 f"--emittances={emit}"]) == 2
+    assert "emittances" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("meta", [

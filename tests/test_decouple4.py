@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from symdec import emeq, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               FORM_HAMILTONIAN, FORM_NORMAL,
+                              _block_frequencies,
                               closed_form_block_coefficients,
                               complex_intermediate, complex_low_energy,
                               decouple, decouple_block_diagonal, diagonalize,
@@ -104,6 +107,46 @@ def test_frequencies_in_block_order(form):
     np.testing.assert_array_equal(res.final.matrix, F)
     assert [(w.value, w.nature) for w in res.frequencies] == [
         (0.5, "imaginary"), (2.0, "imaginary")]
+
+
+def _rotation_blocks(*ws):
+    """Normal form with the rotation blocks [[0, w], [-w, 0]] in order."""
+    F = np.zeros((2 * len(ws), 2 * len(ws)))
+    for k, w in enumerate(ws):
+        F[2 * k, 2 * k + 1], F[2 * k + 1, 2 * k] = w, -w
+    return F
+
+
+@pytest.mark.parametrize("slow", [1e-7, 1e-5])
+@pytest.mark.parametrize("pad", [(), (2.0,)])
+def test_slow_block_frequency_in_every_form(slow, pad):
+    # the invariants lose a slow pair next to w = 1: K1 - 2 sqrt(K2)
+    # cancels, to 9.9999976e-06 for w = 1e-5 and into the zero band for
+    # 1e-7; read from the block it is exact in every form, 4x4 and 6x6
+    F = _rotation_blocks(1.0, slow, *pad)
+    want = [(w, "imaginary") for w in (1.0, slow, *pad)]
+    for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
+        res = decouple(F, form=form)
+        assert [(w.value, w.nature) for w in res.frequencies] == want
+
+
+def test_frequencies_agree_across_forms():
+    # one rule in every form: equal natures and senses of rotation, and
+    # values equal to rounding, on random stable 4x4
+    rng = np.random.default_rng(211)
+    signs = set()
+    for _ in range(150):
+        F = random_stable_symplex(rng) * rng.choice([-1.0, 1.0])
+        ref = decouple(F, form=FORM_NORMAL).frequencies
+        for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN):
+            got = decouple(F, form=form).frequencies
+            assert [w.nature for w in got] == [w.nature for w in ref]
+            for u, v in zip(got, ref):
+                assert math.copysign(1.0, u.value) == \
+                    math.copysign(1.0, v.value)
+                assert u.value == pytest.approx(v.value, rel=1e-13)
+        signs.update(math.copysign(1.0, w.value) for w in ref)
+    assert signs == {-1.0, 1.0}
 
 
 def _random_block_diagonal(rng):
@@ -446,12 +489,14 @@ def test_decouple_2n_is_jacobi(n, form):
     # for bit, and the result carries its iteration counters
     F = random_test_symplex(n, 5).matrix
     res = decouple(F, form=form, jacobi_tol=1e-11, max_steps=500)
+    block = jacobi._block_stage(Symplex(F), 1e-11, 500)
     if form == FORM_BLOCK_DIAGONAL:
-        block = jacobi._block_stage(Symplex(F), 1e-11, 500)
         transform, out, stats = block.transform, block.final, block.stats
     else:
         transform, out, stats = jacobi_decouple(F, tol=1e-11, max_steps=500)
-    final, freqs = out.matrix, None
+    # the block stage reads one frequency per block from its final and the
+    # Hamiltonian pass carries them; the normal form reads its own
+    final, freqs = out.matrix, _block_frequencies(block.final.matrix)
     if form == FORM_NORMAL:
         scaling, freqs = normal_form_scaling(final)
         final = scaling.r @ final @ scaling.rinv

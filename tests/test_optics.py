@@ -130,6 +130,18 @@ def test_matched_sigma_unstable_rejected():
         matched_sigma(M, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("emit", [(-1.0, 2.0), (float("nan"), 1.0),
+                                  (0.0, 1.0)])
+def test_matched_sigma_checks_emittances_before_stability(emit):
+    # the same ValueError as on a stable ring, not UnstableSystem
+    F = np.zeros((4, 4))
+    F[0, 1], F[1, 0] = 1.0, -1.0
+    F[2, 3], F[3, 2] = 1.0, 1.0
+    M = matrix_exponential(F, 1.0).matrix
+    with pytest.raises(ValueError, match="emittances"):
+        matched_sigma(M, emit)
+
+
 def test_matched_sigma_identity_rejected():
     with pytest.raises(UnstableSystem):
         matched_sigma(np.eye(4), (1.0, 1.0))

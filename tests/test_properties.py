@@ -2,14 +2,18 @@
 replay, off-block measures, the Hamiltonian rotation, the normal-form
 scaling) and of the symplex residual over the Dirac basis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdec.decouple4 import (decouple, normal_form_scaling, off_block_max,
+from symdec.decouple4 import (_block_frequencies, decouple,
+                              normal_form_scaling, off_block_max,
                               to_hamiltonian_form)
 from symdec.dirac import from_coefficients, symplectic_unit, symplex_residual
-from symdec.jacobi import off_block_norms
+from symdec.emeq import Symplex
+from symdec.jacobi import _block_stage, off_block_norms
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, dof_transform,
                               replay, symplectic_residual)
 
@@ -175,3 +179,63 @@ def test_hamiltonian_rotation_ignores_units(B, exponent):
     want = c * ref.final.matrix
     assert np.linalg.norm(got.final.matrix - want) <= \
         1e-13 * np.linalg.norm(want)
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@st.composite
+def conjugated_blocks(draw):
+    """(M, natures, senses): a block-diagonal 2n x 2n symplex, n = 1..5,
+    whose block k is T N T^-1 with T = rot(theta) diag(e^s, e^-s) rot(phi)
+    in SL(2), |s| <= 1, and N = [[0, w], [-w, 0]] for an imaginary pair
+    (sense of rotation sign(w)) or diag(w, -w) for a real one."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    M = np.zeros((2 * n, 2 * n))
+    natures, senses = [], []
+    for k in range(n):
+        nature = draw(st.sampled_from(("imaginary", "real")))
+        sense, w = draw(signs), draw(magnitudes)
+        N = np.array([[0.0, sense * w], [-sense * w, 0.0]]) \
+            if nature == "imaginary" else np.diag([w, -w])
+        theta, phi = draw(params), draw(params)
+        s = draw(st.floats(min_value=-1.0, max_value=1.0))
+        T = rotation(theta) @ np.diag([math.exp(s), math.exp(-s)]) \
+            @ rotation(phi)
+        Tinv = rotation(-phi) @ np.diag([math.exp(-s), math.exp(s)]) \
+            @ rotation(-theta)
+        M[2 * k:2 * k + 2, 2 * k:2 * k + 2] = T @ N @ Tinv
+        natures.append(nature)
+        senses.append(sense if nature == "imaginary" else 1.0)
+    return M, natures, senses
+
+
+def natures_and_senses(freqs):
+    return [(w.nature, math.copysign(1.0, w.value)) for w in freqs]
+
+
+@PROPERTY
+@given(case=conjugated_blocks())
+def test_block_frequencies_read_each_block(case):
+    # each block's pair is read from the block: it matches the block's
+    # eigenvalues, an imaginary pair carries the sign of the block's upper
+    # off-diagonal entry (its sense of rotation), and the Hamiltonian pass
+    # keeps every nature and sense
+    M, natures, senses = case
+    res = _block_stage(Symplex(M), 1e-12, None)  # M is block diagonal
+    assert res.frequencies == _block_frequencies(M)
+    assert natures_and_senses(res.frequencies) == list(zip(natures, senses))
+    for k, w in enumerate(res.frequencies):
+        blk = M[2 * k:2 * k + 2, 2 * k:2 * k + 2]
+        ev = np.linalg.eigvals(blk)
+        if w.nature == "imaginary":
+            assert math.copysign(1.0, w.value) == np.sign(blk[0, 1])
+            assert abs(w.value) == pytest.approx(ev.imag.max(), rel=1e-11)
+        else:
+            assert w.value == pytest.approx(ev.real.max(), rel=1e-11)
+    ham = to_hamiltonian_form(res)
+    assert ham.frequencies == res.frequencies
+    assert natures_and_senses(_block_frequencies(ham.final.matrix)) == \
+        natures_and_senses(res.frequencies)
