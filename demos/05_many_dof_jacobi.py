@@ -23,7 +23,7 @@ print(off_block_norms(sym.matrix))
 
 transform, out, stats = jacobi_decouple(sym)
 print(f"\nConverged after {stats.pivot_steps} pivots + "
-      f"{stats.hamiltonian_steps} pair rotations "
+      f"{stats.hamiltonian_steps} dof pairs rotated to Hamiltonian form "
       f"(residual {stats.final_residual:.2e})")
 print("transform symplectic to", symplectic_residual(transform.r))
 print("\nfirst pivots (i, j, block norm before):")

@@ -63,8 +63,7 @@ def _matrix_doc(M: np.ndarray) -> list:
 
 def _steps_doc(steps) -> list:
     return [{"generator": int(s.generator), "epsilon": float(s.epsilon),
-             "block": None if s.block is None else [int(s.block[0]),
-                                                    int(s.block[1])],
+             "block": None if s.block is None else [int(d) for d in s.block],
              "skipped": bool(s.skipped)} for s in steps]
 
 

@@ -18,9 +18,9 @@ and B_y coefficients surviving.
 Each geometric step moves the ten coefficients (energy, P, E, B) in
 closed form (emeq.transform_coefficients); R F R^-1 is built once per
 stage and every pattern check reads its re-extracted coefficients.  A
-step whose target coefficient is already below STEP_TOL is logged as a
-skip, so inputs in canonical position pass through with the identity
-transform.
+rotation whose target is below STEP_TOL times the coefficient it is
+measured against is logged as a skip, a test free of the units of F, so
+inputs in canonical position pass through with the identity transform.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ FORM_NORMAL = "normal"
 FORM_COMPLEX_CANONICAL = "complex_canonical"
 
 
-# Angles and target coefficients below STEP_TOL are logged as skips;
-# POST_TOL bounds the postconditions (the reached pattern, coefficient drift).
+# Angles, and rotation targets relative to their reference, below STEP_TOL
+# are skips; POST_TOL bounds the postconditions (pattern, coefficient drift).
 STEP_TOL = 1e-14
 POST_TOL = 1e-10
 
@@ -125,11 +125,11 @@ class _Pipeline:
                turn: bool = False) -> None:
         """Rotate by sign * atan2(num, den), the angle that removes `num`.
 
-        A negligible `num` is logged as a skip: atan2 would rotate by pi
-        whenever den < 0, needlessly permuting the blocks of an input in
-        canonical position.  With `turn`, a den below -STEP_TOL still turns.
+        A `num` within STEP_TOL of |den|, a unit-free test, is a skip: atan2
+        would rotate by pi whenever den < 0, needlessly permuting the blocks
+        of an input in canonical position.  With `turn`, a den < 0 turns.
         """
-        if abs(num) < STEP_TOL and not (turn and den < -STEP_TOL):
+        if abs(num) <= STEP_TOL * abs(den) and not (turn and den < 0.0):
             self.step(b, 0.0)
         else:
             self.step(b, sign * math.atan2(num, den))
@@ -272,7 +272,7 @@ def decouple_block_diagonal(F) -> DecoupleResult:
     pipe.rotate(0, m.m_g, m.m_r)
     pipe.align_y(lambda s: aux_vectors(s).b)
     m, b_y = pipe.masses, aux_vectors(pipe.state).b[1]
-    if abs(m.m_r) >= STEP_TOL * scale:
+    if abs(m.m_r) > STEP_TOL * abs(b_y):
         if abs(m.m_r) >= abs(b_y):
             raise ComplexEigenvalues(
                 f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "

@@ -54,15 +54,16 @@ class IterationStats:
 
     @property
     def total_steps(self) -> int:
-        """Steps to Hamiltonian form: pivots plus the pair transforms of the
-        Hamiltonian pass."""
+        """Steps to Hamiltonian form: pivots plus the dof pairs rotated by
+        the Hamiltonian pass."""
         return self.pivot_steps + self.hamiltonian_steps
 
     def after_hamiltonian(self, t: SymplecticTransform,
                           final: Symplex) -> IterationStats:
-        """Continued by the Hamiltonian pass t to final: one step per
-        embedded pair transform that acts, and final's residual."""
-        M, acting = final.matrix, {s.block for s in t.steps if not s.skipped}
+        """Continued by the Hamiltonian pass t to final: one step per dof
+        pair (2m, 2m + 1) that t rotates, and final's residual."""
+        M = final.matrix
+        acting = {s.block[0] // 2 for s in t.steps if not s.skipped}
         return replace(self, hamiltonian_steps=len(acting),
                        final_residual=_off_residual(M, off_block_norms(M)))
 

@@ -36,21 +36,25 @@ __all__ = [
     "matrix_exponential",
 ]
 
-# (a, b) with gamma(a) = diag(G, G), gamma(b) = diag(G, -G): dof_transform
-DOF_ROTATION = (0, 8)
-DOF_SCALING = (3, 4)
+DOF_ROTATION = 0  # the per-dof generators of dof_transform
+DOF_SCALING = 3
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
+# the 2x2 block G of each generator with gamma(g) = diag(G, G)
+_DOF_BLOCKS = {b: GAMMA[b][:2, :2].tolist() for b in range(10)
+               if np.array_equal(GAMMA[b], np.kron(np.eye(2), GAMMA[b][:2, :2]))}
 
 
 @dataclass(frozen=True)
 class TransformStep:
     """One generator application: which gamma, the full angle/rapidity,
-    and (for 2n > 4) the pair of degrees of freedom it was embedded at."""
+    and the degrees of freedom it acts on: None for a 4x4 step, a pair
+    (i, j) for a 4x4 step embedded at dofs i < j, a single dof (k,) for
+    the 2x2 block G of gamma = diag(G, G) acting on dof k alone."""
 
     generator: int
     epsilon: float
-    block: tuple[int, int] | None = None
+    block: tuple[int, ...] | None = None
     skipped: bool = False
 
 
@@ -102,15 +106,29 @@ def basic_transform(b: int, epsilon: float,
     """
     if not 0 <= b <= 9:
         raise IndexError(f"generator index out of range: {b}")
+    c, s = _half_angle(b, epsilon)
+    step = TransformStep(generator=b, epsilon=float(epsilon), skipped=skipped)
+    return SymplecticTransform(r=c * _EYE4 + s * GAMMA[b], steps=(step,))
+
+
+def _half_angle(b: int, epsilon: float) -> tuple[float, float]:
+    """(c, s) with exp(gamma(b) eps/2) = c 1 + s gamma(b): cos/sin of the
+    half angle for a rotation, cosh/sinh of the half rapidity for a boost."""
     if not math.isfinite(epsilon):
         raise ValueError(f"non-finite transform parameter: {epsilon}")
-    g = GAMMA[b]
     if gamma_signature(b) < 0:
-        c, s = math.cos(epsilon / 2.0), math.sin(epsilon / 2.0)
-    else:
-        c, s = math.cosh(epsilon / 2.0), math.sinh(epsilon / 2.0)
-    step = TransformStep(generator=b, epsilon=float(epsilon), skipped=skipped)
-    return SymplecticTransform(r=c * _EYE4 + s * g, steps=(step,))
+        return math.cos(epsilon / 2.0), math.sin(epsilon / 2.0)
+    return math.cosh(epsilon / 2.0), math.sinh(epsilon / 2.0)
+
+
+def _dof_block(b: int, epsilon: float) -> list[list[float]]:
+    """exp(G eps/2) = c 1 + s G for gamma(b) = diag(G, G), on floats;
+    DimensionMismatch for a generator that is no such block diagonal."""
+    if b not in _DOF_BLOCKS:
+        raise DimensionMismatch(f"generator {b} is not diag(G, G)")
+    (p, q), (u, v) = _DOF_BLOCKS[b]
+    c, s = _half_angle(b, epsilon)
+    return [[c + s * p, s * q], [s * u, c + s * v]]
 
 
 def apply_similarity(t: SymplecticTransform, F: np.ndarray) -> np.ndarray:
@@ -130,19 +148,20 @@ def compose(t2: SymplecticTransform, t1: SymplecticTransform) -> SymplecticTrans
     return SymplecticTransform(r=t2.r @ t1.r, steps=t1.steps + t2.steps)
 
 
-def embed_rows(A: np.ndarray, r4: np.ndarray, i: int, j: int) -> list[int]:
-    """A <- E A in place, E the 4x4 matrix r4 embedded at the
-    degree-of-freedom pair (i, j) of n = len(A) / 2.
+def embed_rows(A: np.ndarray, rk, *dofs: int) -> list[int]:
+    """A <- E A in place, E the 2k x 2k matrix rk embedded at the k
+    increasing degrees of freedom `dofs` of n = len(A) / 2.
 
-    E is the identity outside rows and columns (2i, 2i+1, 2j, 2j+1), so
-    only those four rows of A change, at O(n) cost per column; their
-    indices are returned.  IndexError unless 0 <= i < j < n.
+    E is the identity outside rows and columns 2d, 2d + 1 of each dof d,
+    so only those 2k rows of A change, at O(n) cost per column; their
+    indices are returned.  IndexError unless 0 <= dofs[0] < ... < n.
     """
     n = A.shape[0] // 2
-    if not 0 <= i < j < n:
-        raise IndexError(f"invalid block pair ({i}, {j}) for n={n}")
-    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    A[idx] = r4 @ A.take(idx, 0)
+    bounds = (-1, *dofs, n)
+    if not dofs or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise IndexError(f"invalid dofs {dofs} for n={n}")
+    idx = [m for d in dofs for m in (2 * d, 2 * d + 1)]
+    A[idx] = rk @ A.take(idx, 0)
     return idx
 
 
@@ -168,72 +187,51 @@ def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTrans
 def replay(steps, dim: int = 4) -> SymplecticTransform:
     """Rebuild the accumulated transform from a step log.
 
-    Steps are applied in log order (earliest first), skipped entries
-    included as identity factors, embedded entries to the four rows of
-    their recorded block pair (embed_rows).  A 2x2 log holds single-dof
-    steps, whose generators must be block-diagonal (see dof_transform).
+    Steps are applied in log order (earliest first), skipped entries as
+    identity factors.  A step with no block is a 4x4 step (dim 4 only); a
+    pair (i, j) embeds its 4x4 at those dofs and a single dof (k,) the
+    2x2 block of its diag(G, G) generator at dof k (embed_rows).
     """
-    r, log = np.eye(dim), []
+    steps = tuple(steps)
+    r = np.eye(dim)
     for s in steps:
         eps = 0.0 if s.skipped else s.epsilon
-        if dim == 2:
-            t = dof_transform((s.generator,), [eps])
-        elif s.block is None and dim != 4:
-            raise DimensionMismatch(
-                "un-embedded 4x4 step in a log of dimension "
-                f"{dim}; block indices required")
+        if s.block is None:
+            if dim != 4:
+                raise DimensionMismatch(
+                    "un-embedded 4x4 step in a log of dimension "
+                    f"{dim}; block indices required")
+            r = basic_transform(s.generator, eps).r @ r
+        elif len(s.block) == 1:
+            embed_rows(r, _dof_block(s.generator, eps), *s.block)
         else:
-            t = basic_transform(s.generator, eps, skipped=s.skipped)
-        if dim == 2 or s.block is None:
-            r = t.r @ r
-            log += t.steps
-        else:
-            embed_rows(r, t.r, *s.block)
-            log += embed_steps(t.steps, *s.block)
-    return SymplecticTransform(r=r, steps=tuple(log))
+            embed_rows(r, basic_transform(s.generator, eps).r, *s.block)
+    return SymplecticTransform(r=r, steps=steps)
 
 
-def dof_transform(generators, epsilons) -> SymplecticTransform:
+def dof_transform(generator: int, epsilons) -> SymplecticTransform:
     """Block-diagonal transform exp(G eps_k / 2) on every degree of freedom.
 
-    generators is a pair (a, b) of block-diagonal generators with
-    gamma(a) = diag(G, G) and gamma(b) = diag(G, -G): DOF_ROTATION
-    (G = [[0, 1], [-1, 0]]) or DOF_SCALING (G = diag(-1, 1)).  For n = 1
-    the transform is the top-left 2x2 block of exp(gamma(a) eps / 2) and
-    only a is used.  For n >= 2 the dofs are taken in pairs (0, 1),
-    (2, 3), ..., an odd last dof with its predecessor at parameter 0;
-    each pair (i, j) gets gamma(a) at (eps_i + eps_j)/2 followed by
-    gamma(b) at (eps_i - eps_j)/2, embedded at (i, j) when n > 2, so the
-    step log replays.  Exactly-zero parameters are logged as skips.
+    gamma(generator) = diag(G, G): DOF_ROTATION (G = [[0, 1], [-1, 0]])
+    or DOF_SCALING (G = diag(-1, 1)); DimensionMismatch for any other.
+    Dof k gets its 2x2 block written directly and one step (k,) in the
+    log, so the log replays; an exactly-zero parameter is logged as a
+    skip.
     """
     eps = [float(e) for e in np.atleast_1d(epsilons)]
     n = len(eps)
-    if n == 1:
-        g = generators[0]
-        t = basic_transform(g, eps[0], skipped=eps[0] == 0.0)
-        if np.any(GAMMA[g][:2, 2:]) or np.any(GAMMA[g][2:, :2]):
-            raise DimensionMismatch(
-                f"generator {g} has no 2x2 restriction")
-        return SymplecticTransform(r=t.r[:2, :2], steps=t.steps)
-    a, b = generators
-    pairs = [(k, k + 1, eps[k], eps[k + 1]) for k in range(0, n - 1, 2)]
-    if n % 2:
-        pairs.append((n - 2, n - 1, 0.0, eps[n - 1]))
-    r, steps = np.eye(2 * n), []
-    for (i, j, u, v) in pairs:
-        su, dif = 0.5 * (u + v), 0.5 * (u - v)
-        t = compose(basic_transform(b, dif, skipped=dif == 0.0),
-                    basic_transform(a, su, skipped=su == 0.0))
-        embed_rows(r, t.r, i, j)
-        steps += t.steps if n == 2 else embed_steps(t.steps, i, j)
-    return SymplecticTransform(r=r, steps=tuple(steps))
+    r = np.zeros((n, 2, n, 2))
+    r[range(n), :, range(n), :] = [_dof_block(generator, e) for e in eps]
+    steps = tuple(TransformStep(generator, e, (d,), e == 0.0)
+                  for d, e in enumerate(eps))
+    return SymplecticTransform(r=r.reshape(2 * n, 2 * n), steps=steps)
 
 
 def block_scaling(exponents) -> SymplecticTransform:
     """Diagonal symplectic scaling diag(exp(-u_k), exp(u_k)) per dof.
 
-    The dof_transform of the gamma(3)/gamma(4) pair at eps_k = 2 u_k, so
-    the step log stays replayable.  One exponent per degree of freedom.
+    The dof_transform of DOF_SCALING at eps_k = 2 u_k, so the step log
+    replays.  One exponent per degree of freedom.
     """
     return dof_transform(DOF_SCALING,
                          [2.0 * float(u) for u in np.atleast_1d(exponents)])

@@ -5,14 +5,16 @@ import pytest
 
 from symdec import jacobi
 from symdec.decouple4 import decouple
-from symdec.dirac import GAMMA, is_symplex, symplectic_unit
+from symdec.dirac import (GAMMA, is_symplex, symplectic_unit,
+                          symplex_cosymplex_split)
 from symdec.emeq import Symplex
 from symdec.errors import ComplexEigenvalues, PivotComplex
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
-from symdec.transform import (TransformStep, basic_transform, embed_4x4,
-                              matrix_exponential, replay, symplectic_residual)
+from symdec.transform import (DOF_ROTATION, TransformStep, basic_transform,
+                              dof_transform, embed_4x4, matrix_exponential,
+                              replay, symplectic_residual)
 
 from conftest import random_stable_symplex
 
@@ -332,7 +334,14 @@ def test_replay_matches_dense_embedding():
     dense = np.eye(10)
     for s in transform.steps:
         t = basic_transform(s.generator, 0.0 if s.skipped else s.epsilon)
-        dense = embed_4x4(t, *s.block, 5).r @ dense
+        if len(s.block) == 2:
+            dense = embed_4x4(t, *s.block, 5).r @ dense
+        else:
+            # a single-dof step: the 2x2 block of gamma = diag(G, G)
+            k = 2 * s.block[0]
+            e = np.eye(10)
+            e[k:k + 2, k:k + 2] = t.r[:2, :2]
+            dense = e @ dense
     rebuilt = replay(transform.steps, dim=10)
     assert rebuilt.steps == transform.steps
     assert np.abs(rebuilt.r - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -365,3 +374,40 @@ def test_stable_ring_complex_pivot_falls_back(n, seed, tau, monkeypatch):
     phases = np.sort(np.abs(np.angle(np.linalg.eigvals(M))))[::2]
     np.testing.assert_allclose(np.sort(report.tunes), phases / (2 * np.pi),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("angles, count", [((0.3, 0.0, -0.2), 2),
+                                           ((0.0, 0.0, -0.2), 1),
+                                           ((0.3, -0.2, 0.0), 1),
+                                           ((0.0, 0.0, 0.0), 0)])
+def test_hamiltonian_steps_count_rotated_dof_pairs(angles, count):
+    # dofs (0, 1) form one pair, the odd last dof 2 another
+    t = dof_transform(DOF_ROTATION, angles)
+    stats = IterationStats().after_hamiltonian(t, random_test_symplex(3, 0))
+    assert stats.hamiltonian_steps == count
+
+
+@pytest.mark.parametrize("seed, pivots", [(0, 60), (1, 57), (2, 56), (3, 57),
+                                          (4, 56)])
+@pytest.mark.parametrize("c", [1e-4, 0.01, 1.0, 100.0])
+def test_pivot_count_does_not_depend_on_units(seed, pivots, c):
+    # a rotation is skipped when its target is negligible against the
+    # coefficient it is measured against; an absolute skip test stalled
+    # the small scales at a residual near 1e-11 until the budget ran out
+    _, _, stats = jacobi_decouple(random_test_symplex(6, seed).matrix * c,
+                                  max_steps=100)
+    assert stats.pivot_steps == pivots
+
+
+@pytest.mark.parametrize("n, seed, tau", [(3, 1, 0.1), (3, 12, 0.1),
+                                          (3, 19, 0.1), (3, 22, 0.1),
+                                          (6, 9, 0.5), (6, 11, 0.5)])
+def test_short_period_ring_converges(n, seed, tau):
+    # the symplex part of a short-period ring is small (about sin(w tau)),
+    # the units at which an absolute skip test stalled the pivot loop
+    M = matrix_exponential(random_test_symplex(n, seed).matrix, tau).matrix
+    jacobi_decouple(symplex_cosymplex_split(M)[0], max_steps=10 * n * n)
+    report = analyze_one_turn(M, tau=tau)
+    phases = np.sort(np.abs(np.angle(np.linalg.eigvals(M))))[::2]
+    np.testing.assert_allclose(np.sort(report.tunes), phases / (2 * np.pi),
+                               rtol=0, atol=1e-14)

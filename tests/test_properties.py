@@ -13,7 +13,7 @@ from symdec.decouple4 import (_block_frequencies, decouple,
                               to_hamiltonian_form)
 from symdec.dirac import from_coefficients, symplectic_unit, symplex_residual
 from symdec.emeq import Symplex
-from symdec.jacobi import _block_stage, off_block_norms
+from symdec.jacobi import _block_stage, off_block_norms, random_test_symplex
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, dof_transform,
                               replay, symplectic_residual)
 
@@ -29,11 +29,11 @@ def per_dof(elements=params):
     return st.lists(elements, min_size=1, max_size=6)
 
 
-def dof_block(pair, eps):
-    """exp(G eps / 2) for the 2x2 block G of the generator pair."""
-    c, s = (np.cos(eps / 2), np.sin(eps / 2)) if pair == DOF_ROTATION \
+def dof_block(generator, eps):
+    """exp(G eps / 2) for the 2x2 block G of gamma(generator) = diag(G, G)."""
+    c, s = (np.cos(eps / 2), np.sin(eps / 2)) if generator == DOF_ROTATION \
         else (np.cosh(eps / 2), np.sinh(eps / 2))
-    G = np.array([[0.0, 1.0], [-1.0, 0.0]]) if pair == DOF_ROTATION \
+    G = np.array([[0.0, 1.0], [-1.0, 0.0]]) if generator == DOF_ROTATION \
         else np.diag([-1.0, 1.0])
     return c * np.eye(2) + s * G
 
@@ -45,23 +45,24 @@ def random_symplex(n, seed):
 
 
 @PROPERTY
-@given(eps=per_dof(), pair=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
-def test_dof_transform_is_per_dof_block_exponential(eps, pair):
-    t = dof_transform(pair, eps)
+@given(eps=per_dof(), generator=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
+def test_dof_transform_is_per_dof_block_exponential(eps, generator):
+    t = dof_transform(generator, eps)
     n = len(eps)
     scale = max(1.0, float(np.max(np.abs(t.r))))**2
     assert symplectic_residual(t.r) <= 1e-13 * scale
     np.testing.assert_allclose(t.r @ t.rinv, np.eye(2 * n), atol=1e-13 * scale)
     want = np.zeros((2 * n, 2 * n))
     for k, e in enumerate(eps):
-        want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = dof_block(pair, e)
+        want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = dof_block(generator, e)
     np.testing.assert_allclose(t.r, want, rtol=1e-13, atol=1e-13 * scale)
 
 
 @PROPERTY
-@given(eps=per_dof(), pair=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
-def test_replay_rebuilds_dof_transform(eps, pair):
-    t = dof_transform(pair, eps)
+@given(eps=per_dof(), generator=st.sampled_from((DOF_ROTATION, DOF_SCALING)))
+def test_replay_rebuilds_dof_transform(eps, generator):
+    t = dof_transform(generator, eps)
+    assert [s.block for s in t.steps] == [(k,) for k in range(len(eps))]
     rebuilt = replay(t.steps, dim=2 * len(eps))
     scale = max(1.0, float(np.max(np.abs(t.r))))
     np.testing.assert_allclose(rebuilt.r, t.r, rtol=1e-14, atol=1e-14 * scale)
@@ -239,3 +240,21 @@ def test_block_frequencies_read_each_block(case):
     assert ham.frequencies == res.frequencies
     assert natures_and_senses(_block_frequencies(ham.final.matrix)) == \
         natures_and_senses(res.frequencies)
+
+
+def pivots_and_skips(res):
+    return ([(i, j) for i, j, _ in res.stats.pivots],
+            [s.skipped for s in res.transform.steps])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6), seed=seeds,
+       exponent=st.floats(min_value=-4.0, max_value=4.0))
+def test_block_stage_ignores_units(n, seed, exponent):
+    # every skip test of a pivot is relative to the coefficient it is
+    # measured against, so c F takes the pivots and skips of F
+    F = random_test_symplex(n, seed).matrix
+    budget = 10 * n * n
+    ref = _block_stage(Symplex(F), 1e-12, budget)
+    got = _block_stage(Symplex(F * 10.0 ** exponent), 1e-12, budget)
+    assert pivots_and_skips(got) == pivots_and_skips(ref)

@@ -10,10 +10,11 @@ from symdec.emeq import Symplex, aux_vectors, emeq_from_symplex, lax_invariants
 from symdec.errors import DimensionMismatch
 from symdec.matrixio import MatrixFile
 from symdec.optics import analyze_one_turn, effective_force, matched_sigma
-from symdec.transform import (apply_similarity, basic_transform,
-                              block_scaling, compose, embed_4x4,
-                              identity_transform, matrix_exponential, replay,
-                              symplectic_residual)
+from symdec.jacobi import random_test_symplex
+from symdec.transform import (TransformStep, apply_similarity,
+                              basic_transform, block_scaling, compose,
+                              embed_4x4, embed_rows, identity_transform,
+                              matrix_exponential, replay, symplectic_residual)
 
 from conftest import random_stable_symplex, random_symplex
 
@@ -225,16 +226,49 @@ def test_replay_rebuilds_transform():
 
 
 def test_replay_single_dof_needs_block_diagonal_generator():
-    from symdec.transform import TransformStep
-    steps = (TransformStep(generator=0, epsilon=0.3),
-             TransformStep(generator=3, epsilon=-0.2))
+    steps = (TransformStep(generator=0, epsilon=0.3, block=(0,)),
+             TransformStep(generator=3, epsilon=-0.2, block=(0,)))
     r = replay(steps, dim=2)
     c, s = np.cos(0.15), np.sin(0.15)
     np.testing.assert_allclose(
         r.r, np.diag([np.exp(0.1), np.exp(-0.1)]) @ [[c, s], [-s, c]],
         atol=1e-15)
     with pytest.raises(DimensionMismatch):
-        replay((TransformStep(generator=2, epsilon=0.3),), dim=2)
+        replay((TransformStep(generator=2, epsilon=0.3, block=(0,)),), dim=2)
+
+
+def test_replay_mixes_pipeline_and_single_dof_steps():
+    # a 4x4 normal-form log: pipeline steps (no block) then one step per dof
+    res = decouple(random_stable_symplex(np.random.default_rng(29)),
+                   form="normal")
+    blocks = [s.block for s in res.transform.steps]
+    assert None in blocks and (0,) in blocks and (1,) in blocks
+    r = replay(res.transform.steps, dim=4)
+    assert r.steps == res.transform.steps
+    np.testing.assert_allclose(r.r, res.transform.r, rtol=0, atol=1e-13)
+    # a hand-made mix against its dense product
+    steps = (TransformStep(7, 0.4), TransformStep(0, -0.6, (1,)),
+             TransformStep(3, 0.5, (0,)), TransformStep(2, 0.2, skipped=True))
+    b1 = np.eye(4)
+    b1[2:, 2:] = basic_transform(0, -0.6).r[:2, :2]
+    b0 = np.eye(4)
+    b0[:2, :2] = basic_transform(3, 0.5).r[:2, :2]
+    np.testing.assert_allclose(replay(steps).r,
+                               b0 @ b1 @ basic_transform(7, 0.4).r,
+                               rtol=0, atol=1e-15)
+
+
+def test_replay_single_dof_log():
+    res = decouple(random_test_symplex(1, 4), form="normal")
+    assert [s.block for s in res.transform.steps] == [(0,), (0,)]
+    r = replay(res.transform.steps, dim=2)
+    np.testing.assert_allclose(r.r, res.transform.r, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dofs", [(3,), (1, 1), (2, 1), (-1,), ()])
+def test_embed_rows_needs_increasing_dofs_below_n(dofs):
+    with pytest.raises(IndexError):
+        embed_rows(np.eye(6), np.eye(2 * len(dofs)), *dofs)
 
 
 def test_block_scaling_diagonal():
