@@ -18,9 +18,9 @@ and B_y coefficients surviving.
 Each geometric step moves the ten coefficients (energy, P, E, B) in
 closed form (emeq.transform_coefficients); R F R^-1 is built once per
 stage and every pattern check reads its re-extracted coefficients.  A
-rotation whose target is below STEP_TOL times the coefficient it is
-measured against is logged as a skip, a test free of the units of F, so
-inputs in canonical position pass through with the identity transform.
+rotation whose target is below STEP_TOL times its reference, or within
+the rounding noise of the coefficients, is a skip (free of the units of
+F), so inputs in canonical position pass through with the identity.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "FORM_NORMAL",
     "FORM_COMPLEX_CANONICAL",
     "STEP_TOL",
+    "NOISE_TOL",
     "POST_TOL",
     "DecoupleResult",
     "decouple_block_diagonal",
@@ -70,9 +71,11 @@ FORM_NORMAL = "normal"
 FORM_COMPLEX_CANONICAL = "complex_canonical"
 
 
-# Angles, and rotation targets relative to their reference, below STEP_TOL
-# are skips; POST_TOL bounds the postconditions (pattern, coefficient drift).
+# Angles, and rotation targets below STEP_TOL times their reference or
+# NOISE_TOL |c|^d (the unit roundoff of a degree-d form in the coefficients
+# c), are skips; POST_TOL bounds the postconditions (pattern, drift).
 STEP_TOL = 1e-14
+NOISE_TOL = 2.0 ** -53
 POST_TOL = 1e-10
 
 
@@ -121,25 +124,29 @@ class _Pipeline:
     def masses(self) -> MassComponents:
         return mass_components(self.state)
 
-    def rotate(self, b: int, num: float, den: float, sign: float = 1.0,
-               turn: bool = False) -> None:
-        """Rotate by sign * atan2(num, den), the angle that removes `num`.
+    def noise(self, degree: int) -> float:
+        """NOISE_TOL |c|^degree, the rounding of a form of that degree."""
+        return NOISE_TOL * float(self.c @ self.c) ** (0.5 * degree)
 
-        A `num` within STEP_TOL of |den|, a unit-free test, is a skip: atan2
-        would rotate by pi whenever den < 0, needlessly permuting the blocks
-        of an input in canonical position.  With `turn`, a den < 0 turns.
-        """
-        if abs(num) <= STEP_TOL * abs(den) and not (turn and den < 0.0):
+    def rotate(self, b: int, num: float, den: float, degree: int,
+               sign: float = 1.0, turn: bool = False) -> None:
+        """Rotate by sign * atan2(num, den) to remove `num`, num and den of
+        `degree` in the coefficients.  A skip when |num| is within STEP_TOL
+        |den| or the noise: atan2 would turn by pi for den < 0, or by the
+        sign of a rounding error.  With `turn`, a den < -noise turns."""
+        noise = self.noise(degree)
+        if (abs(num) <= max(STEP_TOL * abs(den), noise)
+                and not (turn and den < -noise)):
             self.step(b, 0.0)
         else:
             self.step(b, sign * math.atan2(num, den))
 
-    def align_y(self, vector, skip: bool = False) -> None:
+    def align_y(self, vector, degree: int, skip: bool = False) -> None:
         """Turn vector(state) onto the y axis: gamma7 removes its z
         component, then gamma9 its x component; two skips with `skip`."""
         for b, k, sign in ((7, 2, 1.0), (9, 0, -1.0)):
             v = vector(self.state)
-            self.rotate(b, 0.0 if skip else v[k], v[1], sign)
+            self.rotate(b, 0.0 if skip else v[k], v[1], degree, sign)
 
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator, or log a skip for negligible angles."""
@@ -269,17 +276,15 @@ def decouple_block_diagonal(F) -> DecoupleResult:
     pipe = _Pipeline(sym)
 
     m = pipe.masses
-    pipe.rotate(0, m.m_g, m.m_r)
-    pipe.align_y(lambda s: aux_vectors(s).b)
+    pipe.rotate(0, m.m_g, m.m_r, 2)
+    pipe.align_y(lambda s: aux_vectors(s).b, 2)
     m, b_y = pipe.masses, aux_vectors(pipe.state).b[1]
-    if abs(m.m_r) > STEP_TOL * abs(b_y):
-        if abs(m.m_r) >= abs(b_y):
-            raise ComplexEigenvalues(
-                f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "
-                f"|b_y| = {abs(b_y):.6e}")
-        pipe.step(2, math.atanh(m.m_r / b_y))
-    else:
-        pipe.step(2, 0.0)
+    boost = abs(m.m_r) > max(STEP_TOL * abs(b_y), pipe.noise(2))
+    if boost and abs(m.m_r) >= abs(b_y):
+        raise ComplexEigenvalues(
+            f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "
+            f"|b_y| = {abs(b_y):.6e}")
+    pipe.step(2, math.atanh(m.m_r / b_y) if boost else 0.0)
 
     transform, final, c = pipe.finish()
     pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
@@ -430,10 +435,10 @@ def complex_low_energy(F) -> DecoupleResult:
     pipe = _Pipeline(sym)
 
     m = pipe.masses
-    pipe.rotate(0, m.m_g, m.m_r)                                 # 1
+    pipe.rotate(0, m.m_g, m.m_r, 2)                              # 1
     # the E alignment only serves the energy-removing boost; with no
     # energy left both rotations are skips
-    pipe.align_y(lambda s: s.e,                                  # 2-3
+    pipe.align_y(lambda s: s.e, 1,                               # 2-3
                  skip=abs(pipe.state.energy) < STEP_TOL)
     s = pipe.state
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=4)          # 4
@@ -441,9 +446,9 @@ def complex_low_energy(F) -> DecoupleResult:
     pipe.boost(3, s.p[0], s.b[1], -1.0, step_index=5)            # 5
     s = pipe.state
     pipe.boost(1, s.p[2], s.b[1], +1.0, step_index=6)            # 6
-    pipe.align_y(lambda s: s.b)                                  # 7-8
+    pipe.align_y(lambda s: s.b, 1)                               # 7-8
     s = pipe.state
-    pipe.rotate(8, s.e[0], s.e[2])                               # 9
+    pipe.rotate(8, s.e[0], s.e[2], 1)                            # 9
     return _complex_canonical_result(pipe, inv)
 
 
@@ -471,17 +476,17 @@ def complex_intermediate(F) -> DecoupleResult:
     e2, p2 = float(s.e @ s.e), float(s.p @ s.p)
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
-    pipe.rotate(0, 2.0 * m.m_b, e2 - p2, sign=0.5, turn=True)    # 1
-    pipe.align_y(lambda s: s.p)                                  # 2-3
+    pipe.rotate(0, 2.0 * m.m_b, e2 - p2, 2, 0.5, turn=True)      # 1
+    pipe.align_y(lambda s: s.p, 1)                               # 2-3
     s = pipe.state
     # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
     # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
     pipe.boost(5, s.p[1], s.energy, -1.0, step_index=4)          # 4
-    pipe.align_y(lambda s: s.b)                                  # 5-6
+    pipe.align_y(lambda s: s.b, 1)                               # 5-6
     s = pipe.state
     pipe.boost(2, s.energy, s.e[1], +1.0, step_index=7)          # 7
     s = pipe.state
-    pipe.rotate(8, s.e[0], s.e[2])                               # 8
+    pipe.rotate(8, s.e[0], s.e[2], 1)                            # 8
     return _complex_canonical_result(pipe, inv)
 
 

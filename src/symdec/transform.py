@@ -40,9 +40,8 @@ DOF_ROTATION = 0  # the per-dof generators of dof_transform
 DOF_SCALING = 3
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
-# the 2x2 block G of each generator with gamma(g) = diag(G, G)
-_DOF_BLOCKS = {b: GAMMA[b][:2, :2].tolist() for b in range(10)
-               if np.array_equal(GAMMA[b], np.kron(np.eye(2), GAMMA[b][:2, :2]))}
+# the 2x2 block G of gamma(g) = diag(G, G) for the two per-dof generators
+_DOF_BLOCKS = {g: GAMMA[g][:2, :2].tolist() for g in (DOF_ROTATION, DOF_SCALING)}
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,9 @@ def _half_angle(b: int, epsilon: float) -> tuple[float, float]:
 
 def _dof_block(b: int, epsilon: float) -> list[list[float]]:
     """exp(G eps/2) = c 1 + s G for gamma(b) = diag(G, G), on floats;
-    DimensionMismatch for a generator that is no such block diagonal."""
+    DimensionMismatch unless b is DOF_ROTATION or DOF_SCALING."""
     if b not in _DOF_BLOCKS:
-        raise DimensionMismatch(f"generator {b} is not diag(G, G)")
+        raise DimensionMismatch(f"generator {b} is no per-dof generator")
     (p, q), (u, v) = _DOF_BLOCKS[b]
     c, s = _half_angle(b, epsilon)
     return [[c + s * p, s * q], [s * u, c + s * v]]
@@ -202,10 +201,9 @@ def replay(steps, dim: int = 4) -> SymplecticTransform:
                     "un-embedded 4x4 step in a log of dimension "
                     f"{dim}; block indices required")
             r = basic_transform(s.generator, eps).r @ r
-        elif len(s.block) == 1:
-            embed_rows(r, _dof_block(s.generator, eps), *s.block)
         else:
-            embed_rows(r, basic_transform(s.generator, eps).r, *s.block)
+            embed_rows(r, _dof_block(s.generator, eps) if len(s.block) == 1
+                       else basic_transform(s.generator, eps).r, *s.block)
     return SymplecticTransform(r=r, steps=steps)
 
 
@@ -214,9 +212,7 @@ def dof_transform(generator: int, epsilons) -> SymplecticTransform:
 
     gamma(generator) = diag(G, G): DOF_ROTATION (G = [[0, 1], [-1, 0]])
     or DOF_SCALING (G = diag(-1, 1)); DimensionMismatch for any other.
-    Dof k gets its 2x2 block written directly and one step (k,) in the
-    log, so the log replays; an exactly-zero parameter is logged as a
-    skip.
+    Dof k gets its block and a replayable step (k,), a skip if eps_k = 0.
     """
     eps = [float(e) for e in np.atleast_1d(epsilons)]
     n = len(eps)

@@ -5,7 +5,7 @@ import pytest
 
 from symdec import emeq, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
-                              FORM_HAMILTONIAN, FORM_NORMAL,
+                              FORM_HAMILTONIAN, FORM_NORMAL, _Pipeline,
                               _block_frequencies,
                               closed_form_block_coefficients,
                               complex_intermediate, complex_low_energy,
@@ -16,13 +16,14 @@ from symdec.dirac import GAMMA
 from symdec.emeq import (Symplex, aux_vectors, emeq_from_symplex,
                          mass_components, spectral_invariants,
                          state_from_coefficients)
-from symdec.errors import (BranchMismatch, ComplexEigenvalues, NotASymplex,
-                           NotSymplectic, PrecisionLoss, UnstableBlock)
+from symdec.errors import (BranchMismatch, ComplexEigenvalues, DegenerateB,
+                           NotASymplex, NotSymplectic, PrecisionLoss,
+                           UnstableBlock)
 from symdec.jacobi import (_off_residual, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
-from symdec.transform import (apply_similarity, compose, matrix_exponential,
-                              symplectic_residual)
+from symdec.transform import (apply_similarity, basic_transform, compose,
+                              matrix_exponential, symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
                       random_stable_symplex, random_symplex)
@@ -646,3 +647,49 @@ def test_invariants_preserved_through_pipeline():
         assert abs(inv1.k1 - inv0.k1) < 1e-9 * scale
         assert abs(inv1.k2 - inv0.k2) < 1e-9 * scale
 
+
+
+@pytest.mark.parametrize("c", [1e-4, 1.0, 1e4])
+def test_rotate_skips_targets_within_noise(c):
+    pipe = _Pipeline(Symplex(random_symplex(np.random.default_rng(3)) * c))
+    noise = pipe.noise(2)
+    assert noise == pytest.approx(
+        np.finfo(float).eps / 2 * float(pipe.c @ pipe.c))
+    # both noise, den < 0: atan2 would turn by the sign of a rounding error
+    pipe.rotate(0, 0.5 * noise, -0.1 * noise, 2)
+    # a target below STEP_TOL against its reference
+    pipe.rotate(0, 3.0 * noise, -1e3 * noise / 1e-14, 2)
+    # a quarter turn asked for, its reference noise
+    pipe.rotate(0, 0.5 * noise, -0.5 * noise, 2, 0.5, turn=True)
+    assert [s.skipped for s in pipe.steps] == [True, True, True]
+    pipe.rotate(0, 3.0 * noise, -0.1 * noise, 2)
+    assert not pipe.steps[-1].skipped
+
+
+def equal_frequency_symplex(rng, sense):
+    """Two unit frequencies (same or opposite sense) in normal form,
+    conjugated by six random generators: K2 = 0, so the auxiliary b_y and
+    E.B that the block stage's boost divides are both rounding noise."""
+    F = np.zeros((4, 4))
+    F[0, 1], F[1, 0], F[2, 3], F[3, 2] = 1.0, -1.0, sense, -sense
+    for _ in range(6):
+        t = basic_transform(int(rng.integers(10)), float(rng.normal(0, 0.7)))
+        F = apply_similarity(t, F)
+    return F
+
+
+def test_equal_frequencies_take_no_noise_boost():
+    # a boost guard relative to b_y alone boosted by atanh(noise / noise)
+    # or raised ComplexEigenvalues on 16 of these 100 decouplings
+    rng, decoupled = np.random.default_rng(5), 0
+    for k in range(50):
+        F = equal_frequency_symplex(rng, (-1.0) ** k)
+        try:
+            res = decouple_block_diagonal(F)
+        except DegenerateB:
+            continue  # b has no direction when the frequencies are equal
+        boost = res.transform.steps[3]
+        assert boost.generator == 2 and boost.skipped
+        assert res.residual <= 1e-12
+        decoupled += 1
+    assert decoupled >= 5
