@@ -32,14 +32,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dirac import GAMMA, _frobenius, rdm_coefficients
-from .emeq import (EmeqState, Frequency, MassComponents, SpectralInvariants,
-                   Symplex, _cross, _state_view, aux_vectors,
-                   mass_components, transform_coefficients)
+from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
+                   _axpy_cross, _cross, _dot, aux_vectors, mass_components,
+                   transform_coefficients)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
-from .transform import (DOF_ROTATION, SymplecticTransform, TransformStep,
-                        apply_similarity, basic_transform, block_scaling,
-                        compose, dof_transform)
+from .transform import (_EYE4, DOF_ROTATION, SymplecticTransform,
+                        TransformStep, _half_angle, _symplectic_inverse,
+                        apply_similarity, block_scaling, compose,
+                        dof_transform)
 
 if TYPE_CHECKING:
     from .jacobi import IterationStats
@@ -105,24 +106,19 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """One stage: propagated coefficient vector, accumulated R, step log."""
+    """One stage on a 4x4: propagated coefficients c (as Python floats f),
+    accumulated R, step log tagged with `block`."""
 
-    def __init__(self, sym: Symplex):
-        self.source = sym
+    def __init__(self, sym: Symplex, block: tuple[int, int] | None = None):
+        self.source, self.block = sym, block
         self.c = sym.state.coefficients
-        self._state = sym.state
+        self.f = self.c.tolist()
         self.r, self.steps = np.eye(4), []
 
-    @property
-    def state(self) -> EmeqState:
-        """EMEQ view of the propagated coefficients, built on first read."""
-        if self._state is None:
-            self._state = _state_view(self.c)
-        return self._state
-
-    @property
-    def masses(self) -> MassComponents:
-        return mass_components(self.state)
+    def masses(self) -> tuple[float, float, float]:
+        """E.B, B.P and E.P of the propagated coefficients."""
+        p, e, b = self.f[1:4], self.f[4:7], self.f[7:10]
+        return _dot(e, b), _dot(b, p), _dot(e, p)
 
     def noise(self, degree: int) -> float:
         """NOISE_TOL |c|^degree, the rounding of a form of that degree."""
@@ -142,22 +138,22 @@ class _Pipeline:
             self.step(b, sign * math.atan2(num, den))
 
     def align_y(self, vector, degree: int, skip: bool = False) -> None:
-        """Turn vector(state) onto the y axis: gamma7 removes its z
-        component, then gamma9 its x component; two skips with `skip`."""
+        """Turn vector(f) onto the y axis: gamma7 removes its z component,
+        then gamma9 its x component; two skips with `skip`."""
         for b, k, sign in ((7, 2, 1.0), (9, 0, -1.0)):
-            v = vector(self.state)
+            v = vector(self.f)
             self.rotate(b, 0.0 if skip else v[k], v[1], degree, sign)
 
     def step(self, b: int, epsilon: float) -> None:
-        """Apply one generator, or log a skip for negligible angles."""
+        """Apply one generator (basic_transform's factor), or log a skip."""
         if abs(epsilon) < STEP_TOL:
-            self.steps.append(TransformStep(b, 0.0, skipped=True))
+            self.steps.append(TransformStep(b, 0.0, self.block, True))
             return
-        t = basic_transform(b, epsilon)
+        c, s = _half_angle(b, epsilon)
         self.c = transform_coefficients(self.c, b, epsilon)
-        self._state = None
-        self.r = t.r @ self.r
-        self.steps.append(t.steps[0])
+        self.f = self.c.tolist()
+        self.r = (c * _EYE4 + s * GAMMA[b]) @ self.r
+        self.steps.append(TransformStep(b, epsilon, self.block))
 
     def boost(self, b: int, num: float, den: float, sign: float,
               step_index: int) -> None:
@@ -171,18 +167,23 @@ class _Pipeline:
                 "has modulus >= 1", step=step_index)
         self.step(b, sign * math.atanh(num / den))
 
-    def finish(self) -> tuple[SymplecticTransform, Symplex, np.ndarray]:
-        """The stage transform, R F R^-1 and its ten re-extracted
-        coefficients (NotASymplex if it left the symplices, PrecisionLoss
-        if the propagation drifted)."""
-        t = SymplecticTransform(self.r, tuple(self.steps))
-        final = Symplex.from_matrix(
-            apply_similarity(t, self.source.matrix), tol=1e-8)
+    def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, np.ndarray]:
+        """R, R^-1, R F R^-1 and its ten re-extracted coefficients
+        (NotASymplex if it left the symplices, PrecisionLoss if the
+        propagation drifted)."""
+        rinv = _symplectic_inverse(self.r)
+        final = Symplex.from_matrix(self.r @ self.source.matrix @ rinv,
+                                    tol=1e-8)
         c = rdm_coefficients(final.matrix)[:10]
         drift = float(np.abs(c - self.c).max())
         if drift > POST_TOL * _scale(final.matrix):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
-        return t, final, c
+        return self.r, rinv, final, c
+
+
+def _aux_b(f) -> tuple[float, float, float]:
+    """The auxiliary vector b = energy B + E x P of the floats f."""
+    return _axpy_cross(f[0], f[7:10], f[4:7], f[1:4])
 
 
 def _as_symplex(F) -> Symplex:
@@ -257,45 +258,54 @@ def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
     return dof_transform(DOF_ROTATION, angles)
 
 
+def _solve_block(F, block: tuple[int, int] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, list, Symplex]:
+    """(R, R^-1, steps tagged `block`, R F R^-1) of F's 4x4 block stage for
+    decouple_block_diagonal and each Jacobi pivot; every call checks F, K2,
+    the boost, R F R^-1, the drift and the pattern (DegenerateB)."""
+    sym = _as_symplex(F)
+    inv = sym.invariants
+    if inv.k2 < 0.0 and not inv.degenerate:
+        raise ComplexEigenvalues(
+            f"second invariant K2 = {inv.k2:.6e} < 0; eigenvalues form a "
+            "complex quadruple")
+    pipe = _Pipeline(sym, block)
+
+    m_r, m_g, _ = pipe.masses()
+    pipe.rotate(0, m_g, m_r, 2)
+    pipe.align_y(_aux_b, 2)
+    m_r, b_y = pipe.masses()[0], _aux_b(pipe.f)[1]
+    boost = abs(m_r) > max(STEP_TOL * abs(b_y), pipe.noise(2))
+    if boost and abs(m_r) >= abs(b_y):
+        raise ComplexEigenvalues(
+            f"boost infeasible: |E.B| = {abs(m_r):.6e} >= "
+            f"|b_y| = {abs(b_y):.6e}")
+    pipe.step(2, math.atanh(m_r / b_y) if boost else 0.0)
+
+    r, rinv, final, c = pipe.finish()
+    pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
+    if pattern > POST_TOL * _scale(sym.matrix):
+        raise DegenerateB(
+            "geometric strategy exhausted with off-block coefficients up to "
+            f"{pattern:.3e}; auxiliary vector b gives no usable direction")
+    return r, rinv, pipe.steps, final
+
+
 def decouple_block_diagonal(F) -> DecoupleResult:
     """Block-diagonalize a 4x4 symplex with real/imaginary eigenvalues.
 
     Strategy: (1) phase rotation removing B.P, (2)-(3) spatial rotations
     aligning the auxiliary vector b with the y-axis, (4) a phase boost
-    removing E.B.  The boost exists exactly when the second invariant is
-    non-negative; otherwise ComplexEigenvalues is raised and the caller
-    should use the complex-quadruple procedures.
+    removing E.B (_solve_block).  The boost exists exactly when the second
+    invariant is non-negative; otherwise ComplexEigenvalues is raised and
+    the caller should use the complex-quadruple procedures.
     """
     sym = _as_symplex(F)
-    inv = sym.invariants
-    scale = _scale(sym.matrix)
-    if inv.k2 < 0.0 and not inv.degenerate:
-        raise ComplexEigenvalues(
-            f"second invariant K2 = {inv.k2:.6e} < 0; eigenvalues form a "
-            "complex quadruple")
-    pipe = _Pipeline(sym)
-
-    m = pipe.masses
-    pipe.rotate(0, m.m_g, m.m_r, 2)
-    pipe.align_y(lambda s: aux_vectors(s).b, 2)
-    m, b_y = pipe.masses, aux_vectors(pipe.state).b[1]
-    boost = abs(m.m_r) > max(STEP_TOL * abs(b_y), pipe.noise(2))
-    if boost and abs(m.m_r) >= abs(b_y):
-        raise ComplexEigenvalues(
-            f"boost infeasible: |E.B| = {abs(m.m_r):.6e} >= "
-            f"|b_y| = {abs(b_y):.6e}")
-    pipe.step(2, math.atanh(m.m_r / b_y) if boost else 0.0)
-
-    transform, final, c = pipe.finish()
-    pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
-    if pattern > POST_TOL * scale:
-        raise DegenerateB(
-            "geometric strategy exhausted with off-block coefficients up to "
-            f"{pattern:.3e}; auxiliary vector b gives no usable direction")
+    r, _, steps, final = _solve_block(sym)
     return DecoupleResult(
-        source=sym.matrix, transform=transform, final=final,
-        form=FORM_BLOCK_DIAGONAL,
-        residual=off_block_max(final.matrix), invariants=inv,
+        source=sym.matrix, transform=SymplecticTransform(r, tuple(steps)),
+        final=final, form=FORM_BLOCK_DIAGONAL,
+        residual=off_block_max(final.matrix), invariants=sym.invariants,
         frequencies=_block_frequencies(final.matrix))
 
 
@@ -399,7 +409,7 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
 
 def _complex_canonical_result(pipe: _Pipeline,
                               inv: SpectralInvariants) -> DecoupleResult:
-    transform, final, c = pipe.finish()
+    r, _, final, c = pipe.finish()
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
     resid = float(np.max(off))
@@ -408,7 +418,8 @@ def _complex_canonical_result(pipe: _Pipeline,
             f"complex canonical coefficients off by {resid:.3e}")
     rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
     return DecoupleResult(
-        source=pipe.source.matrix, transform=transform, final=final,
+        source=pipe.source.matrix,
+        transform=SymplecticTransform(r, tuple(pipe.steps)), final=final,
         form=FORM_COMPLEX_CANONICAL, residual=resid, invariants=inv,
         frequencies=None, complex_radius=float(rho))
 
@@ -432,23 +443,19 @@ def complex_low_energy(F) -> DecoupleResult:
     if s.energy**2 >= max(s.p @ s.p, s.e @ s.e):
         raise BranchMismatch(
             "energy^2 >= max(P^2, E^2); use complex_intermediate")
-    pipe = _Pipeline(sym)
+    pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
 
-    m = pipe.masses
-    pipe.rotate(0, m.m_g, m.m_r, 2)                              # 1
+    m_r, m_g, _ = pipe.masses()
+    pipe.rotate(0, m_g, m_r, 2)                                  # 1
     # the E alignment only serves the energy-removing boost; with no
     # energy left both rotations are skips
-    pipe.align_y(lambda s: s.e, 1,                               # 2-3
-                 skip=abs(pipe.state.energy) < STEP_TOL)
-    s = pipe.state
-    pipe.boost(2, s.energy, s.e[1], +1.0, step_index=4)          # 4
-    s = pipe.state
-    pipe.boost(3, s.p[0], s.b[1], -1.0, step_index=5)            # 5
-    s = pipe.state
-    pipe.boost(1, s.p[2], s.b[1], +1.0, step_index=6)            # 6
-    pipe.align_y(lambda s: s.b, 1)                               # 7-8
-    s = pipe.state
-    pipe.rotate(8, s.e[0], s.e[2], 1)                            # 9
+    pipe.align_y(lambda f: f[4:7], 1,                            # 2-3
+                 skip=abs(pipe.f[0]) < STEP_TOL)
+    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, step_index=4)      # 4 energy
+    pipe.boost(3, pipe.f[1], pipe.f[8], -1.0, step_index=5)      # 5 P_x
+    pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, step_index=6)      # 6 P_z
+    pipe.align_y(lambda f: f[7:10], 1)                           # 7-8
+    pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 9 E_x
     return _complex_canonical_result(pipe, inv)
 
 
@@ -470,23 +477,19 @@ def complex_intermediate(F) -> DecoupleResult:
     if s.energy**2 < min(s.p @ s.p, s.e @ s.e):
         raise BranchMismatch(
             "energy^2 < min(P^2, E^2); use complex_low_energy")
-    pipe = _Pipeline(sym)
+    pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
 
-    s, m = pipe.state, pipe.masses
     e2, p2 = float(s.e @ s.e), float(s.p @ s.p)
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
-    pipe.rotate(0, 2.0 * m.m_b, e2 - p2, 2, 0.5, turn=True)      # 1
-    pipe.align_y(lambda s: s.p, 1)                               # 2-3
-    s = pipe.state
+    pipe.rotate(0, 2.0 * pipe.masses()[2], e2 - p2, 2, 0.5, turn=True)  # 1
+    pipe.align_y(lambda f: f[1:4], 1)                            # 2-3
     # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
     # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
-    pipe.boost(5, s.p[1], s.energy, -1.0, step_index=4)          # 4
-    pipe.align_y(lambda s: s.b, 1)                               # 5-6
-    s = pipe.state
-    pipe.boost(2, s.energy, s.e[1], +1.0, step_index=7)          # 7
-    s = pipe.state
-    pipe.rotate(8, s.e[0], s.e[2], 1)                            # 8
+    pipe.boost(5, pipe.f[2], pipe.f[0], -1.0, step_index=4)      # 4 P_y
+    pipe.align_y(lambda f: f[7:10], 1)                           # 5-6
+    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, step_index=7)      # 7 energy
+    pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 8 E_x
     return _complex_canonical_result(pipe, inv)
 
 

@@ -3,7 +3,7 @@
 The matrix is viewed as an n x n grid of 2x2 blocks.  Each iteration
 picks the off-diagonal block of largest mean-square amplitude, extracts
 the corresponding degree-of-freedom pair as a 4x4 symplex, decouples it
-with the geometric 4x4 pipeline, and applies the embedded transform E
+by decouple4's fully checked 4x4 solve, and applies the embedded E
 where it acts: E M E^-1 changes four rows and four columns of M, E R
 four rows of the accumulated R, and the step log grows by the pivot's
 steps; a pair whose 4x4 has complex eigenvalues gives way to the next
@@ -22,14 +22,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decouple4 import (FORM_BLOCK_DIAGONAL, DecoupleResult, _as_symplex,
-                        _block_frequencies, _check_iteration,
-                        decouple_block_diagonal, off_block_max,
-                        to_hamiltonian_form)
+                        _block_frequencies, _check_iteration, _solve_block,
+                        off_block_max, to_hamiltonian_form)
 from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
-from .transform import SymplecticTransform, embed_rows, embed_steps
+from .transform import SymplecticTransform, embed_rows
 
 __all__ = [
     "IterationStats",
@@ -44,7 +43,7 @@ class IterationStats:
     """Per-run counters: pivot history and the residual trend."""
 
     hamiltonian_steps: int = 0
-    pivots: list = field(default_factory=list)   # (i, j, off norm before)
+    pivots: list = field(default_factory=list)  # (i, j, RMS entry |B_ij|_F/2)
     residuals: list = field(default_factory=list)
     final_residual: float = 0.0
 
@@ -120,9 +119,9 @@ def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
                     exc: Exception):
-    """(i, j, decoupled 4x4) of the first nonzero pair other than `first`,
-    by falling amplitude and then index, whose 4x4 decouples over the
-    reals; PivotComplex naming `first` when there is none."""
+    """(i, j, _solve_block of its 4x4) of the first nonzero pair other
+    than `first`, by falling amplitude and then index, whose 4x4 decouples
+    over the reals; PivotComplex naming `first` when there is none."""
     iu, ju = np.triu_indices(amp.shape[0], 1)
     pair_amp = np.maximum(amp, amp.T)[iu, ju]
     for k in np.lexsort((ju, iu, -pair_amp)):
@@ -130,7 +129,7 @@ def _fallback_pivot(M: np.ndarray, amp: np.ndarray, first: tuple,
         if (i, j) == first or pair_amp[k] == 0.0:
             continue
         try:
-            return i, j, decouple_block_diagonal(_extract_pair(M, i, j))
+            return i, j, _solve_block(_extract_pair(M, i, j), (i, j))
         except (ComplexEigenvalues, DegenerateB):
             continue
     raise PivotComplex(
@@ -163,16 +162,15 @@ def _block_stage(sym: Symplex, tol: float,
         if i > j:
             i, j = j, i
         try:
-            res4 = decouple_block_diagonal(_extract_pair(M, i, j))
+            r4, rinv4, steps4, _ = _solve_block(_extract_pair(M, i, j), (i, j))
         except (ComplexEigenvalues, DegenerateB) as exc:
-            i, j, res4 = _fallback_pivot(M, amp, (i, j), exc)
+            i, j, (r4, rinv4, steps4, _) = _fallback_pivot(M, amp, (i, j), exc)
         # E M E^-1 and E R for E = r4 embedded at (i, j): four rows and
         # four columns of M, four rows of R
-        t4 = res4.transform
-        idx = embed_rows(M, t4.r, i, j)
-        M[:, idx] = M.take(idx, 1) @ t4.rinv
-        embed_rows(R, t4.r, i, j)
-        steps += embed_steps(t4.steps, i, j)
+        idx = embed_rows(M, r4, i, j)
+        M[:, idx] = M.take(idx, 1) @ rinv4
+        embed_rows(R, r4, i, j)
+        steps += steps4
         stats.pivots.append((i, j, math.sqrt(amp[i, j])))
 
     stats.final_residual = resid

@@ -10,7 +10,7 @@ is its matrix R and a replayable step log; R^-1 = -g0 R^T g0 is derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "apply_similarity",
     "compose",
     "embed_rows",
-    "embed_steps",
     "embed_4x4",
     "replay",
     "dof_transform",
@@ -70,9 +69,8 @@ class SymplecticTransform:
 
     @cached_property
     def rinv(self) -> np.ndarray:
-        """Symplectic inverse -g0 R^T g0, computed as (R g0)^T g0."""
-        g0 = symplectic_unit(self.dim // 2)
-        return (self.r @ g0).T @ g0
+        """The symplectic inverse of r, computed on first use."""
+        return _symplectic_inverse(self.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +87,12 @@ def symplectic_residual(R: np.ndarray) -> float:
     R = np.asarray(R, dtype=float)
     g0 = symplectic_unit(R.shape[0] // 2)
     return float(np.linalg.norm(R @ g0 @ R.T - g0))
+
+
+def _symplectic_inverse(r: np.ndarray) -> np.ndarray:
+    """Symplectic inverse -g0 R^T g0, computed as (R g0)^T g0."""
+    g0 = symplectic_unit(r.shape[0] // 2)
+    return (r @ g0).T @ g0
 
 
 def identity_transform(dim: int = 4) -> SymplecticTransform:
@@ -164,23 +168,18 @@ def embed_rows(A: np.ndarray, rk, *dofs: int) -> list[int]:
     return idx
 
 
-def embed_steps(steps, i: int, j: int) -> tuple[TransformStep, ...]:
-    """A 4x4 step log tagged with the degree-of-freedom pair (i, j)."""
-    return tuple(TransformStep(s.generator, s.epsilon, (i, j), s.skipped)
-                 for s in steps)
-
-
 def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTransform:
     """Embed a 4x4 transform at the degree-of-freedom pair (i, j) of n.
 
     The 2n x 2n result is the identity outside the four 2x2 blocks at
-    rows/columns (2i, 2i+1) and (2j, 2j+1).
+    rows/columns (2i, 2i+1) and (2j, 2j+1); its steps are tagged (i, j).
     """
     if t.dim != 4:
         raise DimensionMismatch("only 4x4 transforms can be embedded")
     r = np.eye(2 * n)
     embed_rows(r, t.r, i, j)
-    return SymplecticTransform(r=r, steps=embed_steps(t.steps, i, j))
+    return SymplecticTransform(r=r, steps=tuple(
+        replace(s, block=(i, j)) for s in t.steps))
 
 
 def replay(steps, dim: int = 4) -> SymplecticTransform:

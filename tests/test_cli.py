@@ -282,7 +282,7 @@ def test_threshold_flags_removed(tmp_path, capsys, argv):
 def test_decouple_bad_iteration_flags_exit2(tmp_path, capsys, monkeypatch,
                                             flags):
     # rejected before any pivot, not after spending the 40 n^2 budget
-    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    monkeypatch.setattr(jacobi, "_solve_block", _no_pivot)
     path = tmp_path / "f8.json"
     save_matrix_json(path, random_test_symplex(4, 0).matrix, kind="force")
     assert main(["decouple", str(path), "--json", *flags]) == 2
@@ -581,7 +581,7 @@ def test_bench_range_validated(capsys):
     ["--seeds", "0"], ["--seeds", "-2"], ["--jacobi-tol", "-1"],
     ["--jacobi-tol", "nan"], ["--jacobi-tol", "0"]])
 def test_bench_bad_flags_exit2(capsys, monkeypatch, flags):
-    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    monkeypatch.setattr(jacobi, "_solve_block", _no_pivot)
     assert main(["bench", "--n-min", "3", "--n-max", "4", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,14 +1,16 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from symdec import jacobi
-from symdec.decouple4 import decouple
+from symdec import decouple4, jacobi
+from symdec.decouple4 import decouple, decouple_block_diagonal
 from symdec.dirac import (GAMMA, is_symplex, symplectic_unit,
                           symplex_cosymplex_split)
-from symdec.emeq import Symplex
-from symdec.errors import ComplexEigenvalues, PivotComplex
+from symdec.emeq import Symplex, transform_coefficients
+from symdec.errors import (ComplexEigenvalues, NotASymplex, PivotComplex,
+                           PrecisionLoss)
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
@@ -222,7 +224,7 @@ def _no_pivot(*args):
 @pytest.mark.parametrize("entry", ["jacobi_decouple", "decouple"])
 def test_bad_iteration_arguments_rejected_before_any_pivot(
         monkeypatch, entry, kwargs):
-    monkeypatch.setattr(jacobi, "decouple_block_diagonal", _no_pivot)
+    monkeypatch.setattr(jacobi, "_solve_block", _no_pivot)
     F = random_test_symplex(4, 0).matrix
     if entry == "decouple":
         kwargs = {"jacobi_tol" if k == "tol" else k: v
@@ -302,15 +304,78 @@ PIVOT_SEQUENCES = {
 }
 
 
+def pivot_digest(stats):
+    seq = [(i, j) for i, j, _ in stats.pivots]
+    return len(seq), hashlib.sha256(repr(seq).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("n", sorted(PIVOT_SEQUENCES))
 def test_pivot_sequences_pinned(n):
-    got = []
-    for s in range(4):
-        seq = [(i, j) for i, j, _ in
-               jacobi_decouple(random_test_symplex(n, s))[2].pivots]
-        got.append((len(seq),
-                    hashlib.sha256(repr(seq).encode()).hexdigest()[:16]))
-    assert tuple(got) == PIVOT_SEQUENCES[n]
+    got = tuple(pivot_digest(jacobi_decouple(random_test_symplex(n, s))[2])
+                for s in range(4))
+    assert got == PIVOT_SEQUENCES[n]
+
+
+# the same at the benchmark's larger sizes and tolerance:
+# jacobi_decouple(random_test_symplex(n, s), tol=1e-10)
+BENCHMARK_SEQUENCES = {
+    (16, 0): (500, 'b3257be86c1dcabe'), (16, 1): (499, 'c1a10996c817b563'),
+    (20, 0): (825, '5b0826b071c4f159'), (20, 1): (805, 'b0619a097021a4ad'),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(BENCHMARK_SEQUENCES))
+def test_benchmark_pivot_sequences_pinned(n, seed):
+    stats = jacobi_decouple(random_test_symplex(n, seed), tol=1e-10)[2]
+    assert pivot_digest(stats) == BENCHMARK_SEQUENCES[(n, seed)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_is_the_4x4_entry_point(seed, monkeypatch):
+    # each pivot's R and steps are decouple_block_diagonal's on the
+    # extracted 4x4, bit for bit, with the steps tagged (i, j)
+    calls = []
+    solve = jacobi._solve_block
+
+    def recording(F4, block):
+        out = solve(F4, block)
+        calls.append((F4, block, out))
+        return out
+    monkeypatch.setattr(jacobi, "_solve_block", recording)
+    transform, _, stats = jacobi_decouple(random_test_symplex(6, seed))
+    assert [b for _, b, _ in calls] == [(i, j) for i, j, _ in stats.pivots]
+    logged = []
+    for F4, (i, j), (r4, _, steps4, _) in calls:
+        res = decouple_block_diagonal(F4)
+        assert r4.tobytes() == res.transform.r.tobytes()
+        assert steps4 == [replace(s, block=(i, j))
+                          for s in res.transform.steps]
+        logged += steps4
+    assert tuple(logged) == transform.steps[:len(logged)]
+
+
+def test_faults_inside_a_pivot_surface(monkeypatch):
+    # every pivot keeps the 4x4 checks: a coefficient propagation that
+    # drifts by 1e-6 relative raises PrecisionLoss, and a pivot block off
+    # the symplices raises NotASymplex; at 1e-9 relative it passes the
+    # 1e-8 check of R F R^-1, so only the entry check (1e-10) sees it
+    def drifting(c, b, eps):
+        out = transform_coefficients(c, b, eps)
+        out[np.abs(out).argmax()] *= 1.0 + 1e-6
+        return out
+    with monkeypatch.context() as m:
+        m.setattr(decouple4, "transform_coefficients", drifting)
+        with pytest.raises(PrecisionLoss, match="drifted"):
+            jacobi_decouple(random_test_symplex(6, 0))
+    extract = jacobi._extract_pair
+
+    def asymmetric(F, i, j):
+        F4 = extract(F, i, j)
+        F4[0, 2] += 1e-9 * np.abs(F4).max()
+        return F4
+    monkeypatch.setattr(jacobi, "_extract_pair", asymmetric)
+    with pytest.raises(NotASymplex):
+        jacobi_decouple(random_test_symplex(6, 0))
 
 
 @pytest.mark.parametrize("hamiltonian", [True, False])
