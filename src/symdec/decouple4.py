@@ -15,12 +15,13 @@ quadruples) cannot be block-diagonalized over the reals; two dedicated
 procedures bring them to the real canonical form with only the E_y, E_z
 and B_y coefficients surviving.
 
-Each geometric step moves the ten coefficients (energy, P, E, B) in
-closed form (emeq.transform_coefficients); R F R^-1 is built once per
-stage and every pattern check reads its re-extracted coefficients.  A
-rotation whose target is below STEP_TOL times its reference, or within
-the rounding noise of the coefficients, is a skip (free of the units of
-F), so inputs in canonical position pass through with the identity.
+Each geometric step moves the ten coefficients (energy, P, E, B), kept
+as Python floats, in closed form (emeq.transform_coefficients); R F R^-1
+is built once per stage and every pattern check reads its re-extracted
+coefficients.  A rotation whose target is below STEP_TOL times its
+reference, or within the rounding noise of the coefficients, is a skip
+(free of the units of F), so inputs in canonical position pass through
+with the identity.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import numpy as np
 
 from .dirac import GAMMA, _frobenius, rdm_coefficients
 from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
-                   _axpy_cross, _cross, _dot, aux_vectors, mass_components,
-                   transform_coefficients)
+                   _axpy_cross, _cross, _dot, _transform_floats, aux_vectors,
+                   mass_components)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (_EYE4, DOF_ROTATION, SymplecticTransform,
-                        TransformStep, _half_angle, _symplectic_inverse,
-                        apply_similarity, block_scaling, compose,
-                        dof_transform)
+                        TransformStep, _block_positions, _half_angle,
+                        _symplectic_inverse, block_scaling, dof_transform)
 
 if TYPE_CHECKING:
     from .jacobi import IterationStats
@@ -106,14 +106,13 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """One stage on a 4x4: propagated coefficients c (as Python floats f),
+    """One stage on a 4x4: propagated coefficients f (Python floats),
     accumulated R, step log tagged with `block`."""
 
     def __init__(self, sym: Symplex, block: tuple[int, int] | None = None):
         self.source, self.block = sym, block
-        self.c = sym.state.coefficients
-        self.f = self.c.tolist()
-        self.r, self.steps = np.eye(4), []
+        self.f = sym.state.coefficients.tolist()
+        self.r, self.steps = _EYE4.copy(), []
 
     def masses(self) -> tuple[float, float, float]:
         """E.B, B.P and E.P of the propagated coefficients."""
@@ -121,8 +120,8 @@ class _Pipeline:
         return _dot(e, b), _dot(b, p), _dot(e, p)
 
     def noise(self, degree: int) -> float:
-        """NOISE_TOL |c|^degree, the rounding of a form of that degree."""
-        return NOISE_TOL * float(self.c @ self.c) ** (0.5 * degree)
+        """NOISE_TOL |f|^degree, the rounding of a form of that degree."""
+        return NOISE_TOL * math.hypot(*self.f) ** degree
 
     def rotate(self, b: int, num: float, den: float, degree: int,
                sign: float = 1.0, turn: bool = False) -> None:
@@ -150,8 +149,7 @@ class _Pipeline:
             self.steps.append(TransformStep(b, 0.0, self.block, True))
             return
         c, s = _half_angle(b, epsilon)
-        self.c = transform_coefficients(self.c, b, epsilon)
-        self.f = self.c.tolist()
+        self.f = _transform_floats(self.f, b, epsilon)
         self.r = (c * _EYE4 + s * GAMMA[b]) @ self.r
         self.steps.append(TransformStep(b, epsilon, self.block))
 
@@ -167,15 +165,15 @@ class _Pipeline:
                 "has modulus >= 1", step=step_index)
         self.step(b, sign * math.atanh(num / den))
 
-    def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, np.ndarray]:
+    def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, list[float]]:
         """R, R^-1, R F R^-1 and its ten re-extracted coefficients
         (NotASymplex if it left the symplices, PrecisionLoss if the
         propagation drifted)."""
         rinv = _symplectic_inverse(self.r)
         final = Symplex.from_matrix(self.r @ self.source.matrix @ rinv,
                                     tol=1e-8)
-        c = rdm_coefficients(final.matrix)[:10]
-        drift = float(np.abs(c - self.c).max())
+        c = rdm_coefficients(final.matrix)[:10].tolist()
+        drift = max([abs(x - y) for x, y in zip(c, self.f)])
         if drift > POST_TOL * _scale(final.matrix):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
         return self.r, rinv, final, c
@@ -207,9 +205,15 @@ def off_block_max(M: np.ndarray) -> float:
     """Largest entry modulus outside the 2x2 diagonal blocks of a 2n x 2n
     matrix (0 for n = 1)."""
     A = np.abs(np.asarray(M, dtype=float))
-    for k in range(0, A.shape[0], 2):
-        A[k:k + 2, k:k + 2] = 0.0
+    A.put(_block_positions(A.shape[0] // 2)[:2 * A.shape[0]], 0.0)
     return float(A.max())
+
+
+def _diagonal_blocks(M: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """(a, b, c, d) of each diagonal 2x2 block [[a, b], [c, d]] of M."""
+    rows = M.tolist()
+    return [(rows[k][k], rows[k][k + 1], rows[k + 1][k], rows[k + 1][k + 1])
+            for k in range(0, len(rows), 2)]
 
 
 def _block_defect(M: np.ndarray, form: str) -> float:
@@ -219,25 +223,30 @@ def _block_defect(M: np.ndarray, form: str) -> float:
     [[0, w], [-w, 0]] holds."""
     if form == FORM_BLOCK_DIAGONAL:
         return 0.0
-    defect = np.abs(M.diagonal()).max()
+    blocks = _diagonal_blocks(M)
+    defect = max([max(abs(a), abs(d)) for a, _, _, d in blocks])
     if form == FORM_NORMAL:
-        defect = max(defect, 0.5 * np.abs(M.diagonal(1)[::2]
-                                          + M.diagonal(-1)[::2]).max())
-    return float(defect)
+        defect = max(defect, 0.5 * max([abs(b + c) for _, b, c, _ in blocks]))
+    return defect
 
 
 def _dof_stage(res: DecoupleResult, t: SymplecticTransform, form: str,
-               **fields) -> DecoupleResult:
-    """res continued by the per-dof transform t to `form`.  PrecisionLoss
-    is raised on the diagonal blocks only, the entries the stage sets."""
+               frequencies: tuple[Frequency, ...]) -> DecoupleResult:
+    """res continued by the per-dof transform t to `form`, its blocks
+    having `frequencies`.  PrecisionLoss is raised on the diagonal blocks
+    only, the entries the stage sets."""
     M = res.final.matrix
-    final = Symplex.from_matrix(apply_similarity(t, M), tol=1e-8)
+    final = Symplex.from_matrix(t.r @ M @ t.rinv, tol=1e-8)
     defect = _block_defect(final.matrix, form)
     if defect > POST_TOL * _scale(M):
         raise PrecisionLoss(f"{form} form off by {defect:.3e}")
-    return replace(res, transform=compose(t, res.transform), final=final,
-                   form=form, **fields,
-                   residual=max(off_block_max(final.matrix), defect))
+    transform = SymplecticTransform(t.r @ res.transform.r,
+                                    res.transform.steps + t.steps)
+    return DecoupleResult(
+        source=res.source, transform=transform, final=final, form=form,
+        residual=max(off_block_max(final.matrix), defect),
+        invariants=res.invariants, frequencies=frequencies,
+        complex_radius=res.complex_radius, stats=res.stats)
 
 
 def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
@@ -250,8 +259,7 @@ def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
     skips do not depend on the units of M.
     """
     angles = []
-    for k in range(0, M.shape[0], 2):
-        (a, b), (c, d) = M[k:k + 2, k:k + 2].tolist()
+    for a, b, c, d in _diagonal_blocks(M):
         norm = math.sqrt(a * a + b * b + c * c + d * d)
         angles.append(0.0 if abs(2.0 * a) < STEP_TOL * norm
                       else float(np.arctan2(-2.0 * a, b + c)))
@@ -320,7 +328,7 @@ def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     if res.form != FORM_BLOCK_DIAGONAL:
         raise ValueError(f"not a block_diagonal result: {res.form!r}")
     t = _hamiltonian_rotation(res.final.matrix)
-    out = _dof_stage(res, t, FORM_HAMILTONIAN)
+    out = _dof_stage(res, t, FORM_HAMILTONIAN, res.frequencies)
     if res.stats is None:
         return out
     return replace(out, stats=res.stats.after_hamiltonian(t, out.final))
@@ -336,29 +344,25 @@ def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
     rotation.
     """
     band = (STEP_TOL * max(1.0, _frobenius(M))) ** 2
-    rows = M.tolist()
-    freqs = []
-    for k in range(0, len(rows), 2):
-        (p, q), (r, s) = rows[k][k:k + 2], rows[k + 1][k:k + 2]
-        freqs.append(Frequency.from_square(p * s - q * r, band, q))
-    return tuple(freqs)
+    return tuple([Frequency.from_square(p * s - q * r, band, q)
+                  for p, q, r, s in _diagonal_blocks(M)])
 
 
-def normal_form_scaling(H: np.ndarray
+def normal_form_scaling(H: Symplex | np.ndarray
                         ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
     """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
 
-    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n matrix H is
-    classified by _block_frequencies.  An imaginary pair, +-i w with
+    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n symplex H (a Symplex,
+    or a matrix that Symplex.from_matrix accepts) is classified by
+    _block_frequencies.  An imaginary pair, +-i w with
     w = sign(a) sqrt(a b), takes the block_scaling exponent log|a/b|/4,
     which turns the block into [[0, w], [-w, 0]]; real and zero blocks
     keep exponent 0.  Returns the scaling and one Frequency per block.
     """
-    H = np.asarray(H, dtype=float)
+    H = _as_symplex(H).matrix
     freqs = _block_frequencies(H)
-    exponents = [0.25 * math.log(H[k, k + 1] / -H[k + 1, k])
-                 if w.nature == "imaginary" else 0.0
-                 for k, w in zip(range(0, H.shape[0], 2), freqs)]
+    exponents = [0.25 * math.log(a / -b) if w.nature == "imaginary" else 0.0
+                 for (_, a, b, _), w in zip(_diagonal_blocks(H), freqs)]
     return block_scaling(exponents), freqs
 
 
@@ -374,14 +378,14 @@ def to_normal_form(res: DecoupleResult) -> DecoupleResult:
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
     M = res.final.matrix
-    scaling, freqs = normal_form_scaling(M)
+    scaling, freqs = normal_form_scaling(res.final)
     for idx, w in enumerate(freqs):
         if w.nature != "imaginary":
             raise UnstableBlock(
                 f"block {idx} has entries ({M[2 * idx, 2 * idx + 1]:.6e}, "
                 f"{-M[2 * idx + 1, 2 * idx]:.6e}): a {w.nature} eigenvalue "
                 "pair has no rotation normal form", block=idx)
-    return _dof_stage(res, scaling, FORM_NORMAL, frequencies=freqs)
+    return _dof_stage(res, scaling, FORM_NORMAL, freqs)
 
 
 def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
@@ -411,8 +415,7 @@ def _complex_canonical_result(pipe: _Pipeline,
                               inv: SpectralInvariants) -> DecoupleResult:
     r, _, final, c = pipe.finish()
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
-    off = np.abs(np.concatenate((c[:5], [c[7]], [c[9]])))
-    resid = float(np.max(off))
+    resid = max(map(abs, c[:5] + [c[7], c[9]]))
     if resid > POST_TOL * _scale(final.matrix):
         raise PrecisionLoss(
             f"complex canonical coefficients off by {resid:.3e}")

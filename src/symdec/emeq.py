@@ -255,18 +255,23 @@ def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (10,):
         raise ValueError(f"expected 10 coefficients, got shape {c.shape}")
+    return np.array(_transform_floats(c.tolist(), b, epsilon))
+
+
+def _transform_floats(f: list[float], b: int, epsilon: float) -> list[float]:
+    """transform_coefficients on a list of ten Python floats (a new list)."""
     # 1 - cos(eps) = 2 sin(eps/2)^2, free of cancellation at small eps
     if gamma_signature(b) < 0:
         s, k = math.sin(epsilon), 2.0 * math.sin(epsilon / 2.0) ** 2
     else:
         s, k = math.sinh(epsilon), 2.0 * math.sinh(epsilon / 2.0) ** 2
-    out = c.tolist()
+    out = f.copy()
     for i, j, aij, aji in _ACTION_PAIRS[b]:
         ci, cj = out[i], out[j]
         # (A c)_i = A_ij c_j and (A^2 c)_i = A_ij A_ji c_i
         out[i] = ci + s * (aij * cj) + k * (aij * aji * ci)
         out[j] = cj + s * (aji * ci) + k * (aji * aij * cj)
-    return np.array(out)
+    return out
 
 
 def spectral_invariants(s: EmeqState) -> SpectralInvariants:

@@ -149,7 +149,7 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
             f"tolerance {SYMPLECTIC_TOL:.1e}")
     Ms, Mc = symplex_cosymplex_split(tm.matrix)
     transform, out, _ = jacobi_decouple(Ms)
-    scaling, freqs = normal_form_scaling(out.matrix)
+    scaling, freqs = normal_form_scaling(out)
     transform = compose(scaling, transform)
     Mt, Ms_t, Mc_t = (apply_similarity(transform, X)
                       for X in (tm.matrix, Ms, Mc))

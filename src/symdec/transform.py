@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -212,14 +212,33 @@ def dof_transform(generator: int, epsilons) -> SymplecticTransform:
     gamma(generator) = diag(G, G): DOF_ROTATION (G = [[0, 1], [-1, 0]])
     or DOF_SCALING (G = diag(-1, 1)); DimensionMismatch for any other.
     Dof k gets its block and a replayable step (k,), a skip if eps_k = 0.
+    Each block [[a, b], [c, d]] has det 1, so rinv is set to the blocks
+    [[d, -b], [-c, a]]: _symplectic_inverse(r), bit for bit.
     """
-    eps = [float(e) for e in np.atleast_1d(epsilons)]
-    n = len(eps)
-    r = np.zeros((n, 2, n, 2))
-    r[range(n), :, range(n), :] = [_dof_block(generator, e) for e in eps]
-    steps = tuple(TransformStep(generator, e, (d,), e == 0.0)
-                  for d, e in enumerate(eps))
-    return SymplecticTransform(r=r.reshape(2 * n, 2 * n), steps=steps)
+    eps = np.atleast_1d(np.asarray(epsilons, dtype=float)).tolist()
+    blocks = [_dof_block(generator, e) for e in eps]
+    steps = tuple([TransformStep(generator, e, (d,), e == 0.0)
+                   for d, e in enumerate(eps)])
+    r = np.zeros((2, 2 * len(eps), 2 * len(eps)))  # R and R^-1
+    # 0.0 - x: a zero entry is +0.0, as the dense product makes it
+    r.put(_block_positions(len(eps)),
+          [x for (a, b), (c, d) in blocks for x in (a, b, c, d)]
+          + [x for (a, b), (c, d) in blocks for x in (d, 0.0 - b, 0.0 - c, a)])
+    t = SymplecticTransform(r=r[0], steps=steps)
+    vars(t)["rinv"] = r[1]  # where cached_property looks first
+    return t
+
+
+@lru_cache
+def _block_positions(n: int) -> np.ndarray:
+    """Flat positions of a, b, c, d of each diagonal block [[a, b], [c, d]]
+    of a 2n x 2n matrix, block by block, then the same in a second 2n x 2n
+    matrix stacked after the first (read-only)."""
+    d = 2 * n
+    first = (np.arange(n)[:, None] * (2 * d + 2) + [0, 1, d, d + 1]).ravel()
+    positions = np.concatenate((first, first + d * d))
+    positions.flags.writeable = False
+    return positions
 
 
 def block_scaling(exponents) -> SymplecticTransform:
@@ -228,8 +247,7 @@ def block_scaling(exponents) -> SymplecticTransform:
     The dof_transform of DOF_SCALING at eps_k = 2 u_k, so the step log
     replays.  One exponent per degree of freedom.
     """
-    return dof_transform(DOF_SCALING,
-                         [2.0 * float(u) for u in np.atleast_1d(exponents)])
+    return dof_transform(DOF_SCALING, 2.0 * np.asarray(exponents, dtype=float))
 
 
 def matrix_exponential(F: np.ndarray, s: float = 1.0) -> TransferMatrix:

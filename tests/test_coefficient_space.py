@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from symdec import decouple4
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, from_coefficients, rdm_coefficients
-from symdec.emeq import (_cross, aux_vectors, lax_invariants, mass_components,
-                         spectral_invariants, state_from_coefficients,
-                         transform_coefficients)
+from symdec.emeq import (_cross, _transform_floats, aux_vectors,
+                         lax_invariants, mass_components, spectral_invariants,
+                         state_from_coefficients, transform_coefficients)
 from symdec.errors import PrecisionLoss
 from symdec.transform import apply_similarity, basic_transform
 
@@ -114,9 +114,10 @@ def test_corrupted_propagation_raises_precision_loss(monkeypatch, kind):
          else random_complex_symplex(rng, "low"))
     decouple(F, form="normal")
 
-    def drifting(c, b, eps):
-        return transform_coefficients(c, b, eps) + 1e-6
+    # the pipeline propagates Python floats through _transform_floats
+    def drifting(f, b, eps):
+        return [x + 1e-6 for x in _transform_floats(f, b, eps)]
 
-    monkeypatch.setattr(decouple4, "transform_coefficients", drifting)
+    monkeypatch.setattr(decouple4, "_transform_floats", drifting)
     with pytest.raises(PrecisionLoss, match="drifted"):
         decouple(F, form="normal")

@@ -654,7 +654,7 @@ def test_rotate_skips_targets_within_noise(c):
     pipe = _Pipeline(Symplex(random_symplex(np.random.default_rng(3)) * c))
     noise = pipe.noise(2)
     assert noise == pytest.approx(
-        np.finfo(float).eps / 2 * float(pipe.c @ pipe.c))
+        np.finfo(float).eps / 2 * float(np.dot(pipe.f, pipe.f)))
     # both noise, den < 0: atan2 would turn by the sign of a rounding error
     pipe.rotate(0, 0.5 * noise, -0.1 * noise, 2)
     # a target below STEP_TOL against its reference

@@ -8,7 +8,7 @@ from symdec import decouple4, jacobi
 from symdec.decouple4 import decouple, decouple_block_diagonal
 from symdec.dirac import (GAMMA, is_symplex, symplectic_unit,
                           symplex_cosymplex_split)
-from symdec.emeq import Symplex, transform_coefficients
+from symdec.emeq import Symplex, _transform_floats
 from symdec.errors import (ComplexEigenvalues, NotASymplex, PivotComplex,
                            PrecisionLoss)
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
@@ -359,12 +359,12 @@ def test_faults_inside_a_pivot_surface(monkeypatch):
     # drifts by 1e-6 relative raises PrecisionLoss, and a pivot block off
     # the symplices raises NotASymplex; at 1e-9 relative it passes the
     # 1e-8 check of R F R^-1, so only the entry check (1e-10) sees it
-    def drifting(c, b, eps):
-        out = transform_coefficients(c, b, eps)
-        out[np.abs(out).argmax()] *= 1.0 + 1e-6
+    def drifting(f, b, eps):
+        out = _transform_floats(f, b, eps)
+        out[int(np.abs(out).argmax())] *= 1.0 + 1e-6
         return out
     with monkeypatch.context() as m:
-        m.setattr(decouple4, "transform_coefficients", drifting)
+        m.setattr(decouple4, "_transform_floats", drifting)
         with pytest.raises(PrecisionLoss, match="drifted"):
             jacobi_decouple(random_test_symplex(6, 0))
     extract = jacobi._extract_pair
