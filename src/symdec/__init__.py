@@ -16,8 +16,8 @@ from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
 from .transform import (SymplecticTransform, TransferMatrix, TransformStep,
                         apply_similarity, basic_transform, block_scaling,
                         compose, dof_transform, embed_4x4,
-                        identity_transform, matrix_exponential, replay,
-                        symplectic_residual)
+                        identity_transform, is_symplectic,
+                        matrix_exponential, replay, symplectic_residual)
 from .decouple4 import (DecoupleResult, closed_form_block_coefficients,
                         complex_intermediate, complex_low_energy, decouple,
                         decouple_block_diagonal, diagonalize,

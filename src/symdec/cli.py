@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 validation failure, 3 pipeline infeasibility,
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
+import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
-from .transform import apply_similarity, replay, symplectic_residual
+from .transform import (apply_similarity, is_symplectic, replay,
+                        symplectic_residual)
 
 SCHEMA = "symdec-report/1"
 
@@ -111,8 +112,7 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 def _input_doc(path: str, mf) -> dict:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return {"path": str(path), "sha256": digest, "dim": int(mf.dim),
+    return {"path": str(path), "sha256": mf.sha256, "dim": int(mf.dim),
             "n": int(mf.n), "kind": mf.kind, "tau": mf.tau,
             "label": mf.label}
 
@@ -138,13 +138,6 @@ def _invariant_doc(M: np.ndarray) -> dict:
     return doc
 
 
-def _load(path: str):
-    try:
-        return load_matrix(path)
-    except MatrixFileError as exc:
-        raise _Failure(str(exc), EXIT_IO) from exc
-
-
 # ---------------------------------------------------------------------------
 # check
 
@@ -152,7 +145,7 @@ def cmd_check(args) -> int:
     if not 0.0 <= args.tol < np.inf:
         raise _Failure(f"--tol {args.tol!r}: need a finite tolerance >= 0",
                        EXIT_VALIDATION)
-    mf = _load(args.path)
+    mf = load_matrix(args.path)
     kind = mf.kind or args.kind
     M = mf.matrix
     doc = {"schema": SCHEMA, "command": "check",
@@ -173,8 +166,8 @@ def cmd_check(args) -> int:
         doc["invariants"] = _invariant_doc(M)
     else:
         resid = symplectic_residual(M)
-        doc["symplectic_residual"] = resid
-        ok = resid <= args.tol * max(1.0, float(np.linalg.norm(M)))
+        doc["symplectic_residual"] = resid if math.isfinite(resid) else None
+        ok = is_symplectic(M, args.tol, resid)
         doc["invariants"] = _invariant_doc(symplex_cosymplex_split(M)[0]) \
             if ok else {}
     doc["valid"] = bool(ok)
@@ -190,7 +183,7 @@ _FORMS = {"block": FORM_BLOCK_DIAGONAL, "hamiltonian": FORM_HAMILTONIAN,
 
 
 def cmd_decouple(args) -> int:
-    mf = _load(args.path)
+    mf = load_matrix(args.path)
     if mf.kind == "transfer":
         raise _Failure(
             f"{args.path}: decouple expects a force matrix, file says "
@@ -242,7 +235,7 @@ def cmd_decouple(args) -> int:
 # tunes
 
 def cmd_tunes(args) -> int:
-    mf = _load(args.path)
+    mf = load_matrix(args.path)
     if mf.kind == "force":
         raise _Failure(
             f"{args.path}: tunes expects a transfer matrix, file says "
@@ -327,7 +320,10 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (__wrapped__() builds anew); it
+    holds no functions: main looks up cmd_<command> when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="symdec",
         description="Symplectic decoupling of Hamiltonian (force) matrices: "
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative residual tolerance")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decouple", help="decouple a force matrix")
     p.add_argument("path")
@@ -355,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true", help="JSON output")
     group.add_argument("--text", action="store_false", dest="json",
                        help="plain-text output (default)")
-    p.set_defaults(func=cmd_decouple, json=False)
+    p.set_defaults(json=False)
 
     p = sub.add_parser("tunes", help="analyze a one-turn transfer matrix")
     p.add_argument("path")
@@ -364,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emittances", default=None,
                    help="comma-separated emittances for the matched beam")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=cmd_tunes)
 
     p = sub.add_parser("bench", help="iteration-count study")
     p.add_argument("--n-min", type=int, default=2)
@@ -373,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jacobi-tol", type=float, default=1e-12)
     p.add_argument("--csv", default=None, help="write CSV here instead "
                    "of stdout")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _Failure as exc:
         print(f"symdec: error: {exc}", file=sys.stderr)
         return exc.code

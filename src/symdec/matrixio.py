@@ -15,8 +15,9 @@ consuming command decides the kind.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ class MatrixFile:
     kind: str | None = None
     tau: float | None = None
     label: str | None = None
+    sha256: str | None = None
 
     @property
     def dim(self) -> int:
@@ -126,16 +128,18 @@ def _load_text(text: str, where: str) -> MatrixFile:
 
 
 def load_matrix(path) -> MatrixFile:
-    """Load a matrix file, auto-detecting JSON versus plain text."""
+    """Load a UTF-8 (as JSON, RFC 8259) matrix file, auto-detecting JSON
+    versus plain text; its sha256 is the digest of the bytes parsed."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise MatrixFileError(f"{path}: {exc.strerror or exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _load_json(text, str(path))
-    return _load_text(text, str(path))
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise MatrixFileError(f"{path}: {why}") from exc
+    load = _load_json if text.lstrip().startswith("{") else _load_text
+    return replace(load(text, str(path)),
+                   sha256=hashlib.sha256(data).hexdigest())
 
 
 def save_matrix_json(path, matrix: np.ndarray, kind: str | None = None,

@@ -12,7 +12,7 @@ the block trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .emeq import EmeqState
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import jacobi_decouple
 from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
-                        compose, matrix_exponential, symplectic_residual)
+                        compose, is_symplectic, matrix_exponential,
+                        symplectic_residual)
 
 __all__ = [
     "SigmaMatrix",
@@ -113,19 +114,17 @@ class EffectiveForce:
     reconstruction_residual: float
 
 
-def _as_transfer(M, tau: float | None) -> TransferMatrix:
+def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
+    """The checked matrix and period of a TransferMatrix or an array."""
     if not np.isfinite(getattr(M, "matrix", M)).all():
         raise NotSymplectic("matrix has non-finite entries")
     tau = float(getattr(M, "tau", 1.0) if tau is None else tau)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if isinstance(M, TransferMatrix):
-        return M if tau == M.tau else replace(M, tau=tau)
-    M = np.asarray(M, dtype=float)
+    M = np.asarray(getattr(M, "matrix", M), dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise DimensionMismatch(f"expected a square even matrix, got {M.shape}")
-    return TransferMatrix(matrix=M, tau=tau,
-                          symplectic_residual=symplectic_residual(M))
+    return M, tau
 
 
 def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
@@ -141,20 +140,20 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
     Raises NotSymplectic when M has a non-finite entry or violates the
     symplectic condition by more than SYMPLECTIC_TOL (relative).
     """
-    tm = _as_transfer(M, tau)
-    scale = max(1.0, float(np.linalg.norm(tm.matrix)))
-    if tm.symplectic_residual > SYMPLECTIC_TOL * scale:
-        raise NotSymplectic(
-            f"symplectic residual {tm.symplectic_residual:.3e} above "
-            f"tolerance {SYMPLECTIC_TOL:.1e}")
-    Ms, Mc = symplex_cosymplex_split(tm.matrix)
+    matrix, tau = _as_transfer(M, tau)
+    resid = (M.symplectic_residual if isinstance(M, TransferMatrix)
+             else symplectic_residual(matrix))
+    if not is_symplectic(matrix, SYMPLECTIC_TOL, resid):
+        raise NotSymplectic(f"symplectic residual {resid:.3e} above "
+                            f"tolerance {SYMPLECTIC_TOL:.1e}")
+    Ms, Mc = symplex_cosymplex_split(matrix)
     transform, out, _ = jacobi_decouple(Ms)
     scaling, freqs = normal_form_scaling(out)
     transform = compose(scaling, transform)
     Mt, Ms_t, Mc_t = (apply_similarity(transform, X)
-                      for X in (tm.matrix, Ms, Mc))
+                      for X in (matrix, Ms, Mc))
 
-    n = tm.matrix.shape[0] // 2
+    n = matrix.shape[0] // 2
     blocks = []
     for k in range(n):
         blk = Mt[2 * k:2 * k + 2, 2 * k:2 * k + 2]
@@ -169,13 +168,13 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
         ambiguous = nature == NATURE_ZERO
         blocks.append(BlockTune(
             cosine=cosine, sine=float(sine), nature=nature,
-            tune=abs(angle) / (2.0 * math.pi), omega=angle / tm.tau,
+            tune=abs(angle) / (2.0 * math.pi), omega=angle / tau,
             branch_ambiguous=ambiguous, negative_direction=angle < 0.0))
     stable = all(b.nature == NATURE_IMAGINARY and abs(b.cosine) < 1.0
                  for b in blocks)
     return OpticsReport(
-        tau=tm.tau, transform=transform, blocks=tuple(blocks),
-        symplectic_residual=tm.symplectic_residual,
+        tau=tau, transform=transform, blocks=tuple(blocks),
+        symplectic_residual=resid,
         symplex_offblock_residual=off_block_max(Ms_t),
         cosymplex_offblock_residual=off_block_max(Mc_t),
         stable=stable)
@@ -208,8 +207,8 @@ def matched_sigma(M, emittances, tau: float | None = None,
     and a stable system (UnstableSystem); the fixed-point residual
     M sigma M^T - sigma is verified against FIXED_POINT_TOL.
     """
-    tm = _as_transfer(M, tau)
-    n = tm.matrix.shape[0] // 2
+    M, tau = _as_transfer(M, tau)
+    n = M.shape[0] // 2
     emit = np.atleast_1d(np.asarray(emittances, dtype=float))
     if emit.shape != (n,):
         raise DimensionMismatch(
@@ -219,7 +218,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
         raise ValueError(f"emittances must be finite and positive, got "
                          f"{emit.tolist()}")
     if report is None:
-        report = analyze_one_turn(tm)
+        report = analyze_one_turn(M, tau)
     if not report.stable:
         natures = tuple(b.nature for b in report.blocks)
         raise UnstableSystem(
@@ -231,7 +230,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
     s_lab = report.transform.rinv @ s_d @ report.transform.r
     sigma = -s_lab @ g0
     sigma = (sigma + sigma.T) / 2.0
-    resid = float(np.max(np.abs(tm.matrix @ sigma @ tm.matrix.T - sigma)))
+    resid = float(np.max(np.abs(M @ sigma @ M.T - sigma)))
     if resid > FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(sigma)))):
         raise UnstableSystem(
             f"matched fixed point violated with residual {resid:.3e}")
@@ -248,10 +247,10 @@ def effective_force(M, tau: float | None = None,
     an undefined logarithm branch; the principal branch is used and
     flagged.  Requires resolvable tunes (|cos| <= 1 per block).
     """
-    tm = _as_transfer(M, tau)
+    M, tau = _as_transfer(M, tau)
     if report is None:
-        report = analyze_one_turn(tm)
-    n = tm.matrix.shape[0] // 2
+        report = analyze_one_turn(M, tau)
+    n = M.shape[0] // 2
     flags = []
     fn = np.zeros((2 * n, 2 * n))
     for k, b in enumerate(report.blocks):
@@ -261,13 +260,13 @@ def effective_force(M, tau: float | None = None,
                 "oscillation frequency")
         angle = math.atan2(b.sine, b.cosine)
         flags.append(b.branch_ambiguous)
-        w = angle / tm.tau
+        w = angle / tau
         fn[2 * k, 2 * k + 1] = w
         fn[2 * k + 1, 2 * k] = -w
     fbar = report.transform.rinv @ fn @ report.transform.r
-    recon = matrix_exponential(fbar, tm.tau).matrix
-    resid = float(np.max(np.abs(recon - tm.matrix)))
-    return EffectiveForce(matrix=fbar, tau=tm.tau,
+    recon = matrix_exponential(fbar, tau).matrix
+    resid = float(np.max(np.abs(recon - M)))
+    return EffectiveForce(matrix=fbar, tau=tau,
                           branch_ambiguous=tuple(flags),
                           reconstruction_residual=resid)
 

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dirac import GAMMA, gamma_signature, symplectic_unit
+from .dirac import GAMMA, _rescaled, gamma_signature, symplectic_unit
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "dof_transform",
     "block_scaling",
     "symplectic_residual",
+    "is_symplectic",
     "matrix_exponential",
 ]
 
@@ -83,10 +84,21 @@ class TransferMatrix:
 
 
 def symplectic_residual(R: np.ndarray) -> float:
-    """|| R g0 R^T - g0 ||_F for the block-diagonal symplectic unit."""
+    """|| R g0 R^T - g0 ||_F for the block-diagonal symplectic unit; inf or
+    nan, without a warning, when it overflows."""
     R = np.asarray(R, dtype=float)
     g0 = symplectic_unit(R.shape[0] // 2)
-    return float(np.linalg.norm(R @ g0 @ R.T - g0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(R @ g0 @ R.T - g0))
+
+
+def is_symplectic(M: np.ndarray, tol=1e-10, residual=None) -> bool:
+    """True iff symplectic_residual(M), or the residual given, is finite and
+    <= tol max(1, ||M||_F); ||M||_F = norm 2^k is compared at scale 2^-k."""
+    resid = symplectic_residual(M) if residual is None else residual
+    _, k, norm = _rescaled(np.asarray(M, dtype=float))
+    return (math.isfinite(resid)
+            and math.ldexp(resid, -k) <= tol * max(math.ldexp(1.0, -k), norm))
 
 
 def _symplectic_inverse(r: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symdec.cli
 from symdec import jacobi
-from symdec.cli import main
+from symdec.cli import build_parser, main
 from symdec.decouple4 import POST_TOL, STEP_TOL
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, rdm_coefficients
@@ -75,6 +80,106 @@ def test_missing_file_exit_code(capsys):
     assert main(["check", "/nonexistent/file.json"]) == 4
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_input_sha256_is_digest_of_parsed_bytes(tmp_path, capsys, fmt):
+    path = tmp_path / f"m.{fmt}"
+    M = random_stable_symplex(np.random.default_rng(2))
+    if fmt == "json":
+        save_matrix_json(path, M, kind="force", label="caf\u00e9")
+    else:
+        write_text(path, M)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_matrix(path).sha256 == digest
+    for command in ("check", "decouple"):
+        assert main([command, str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["input"]["sha256"] == digest
+
+
+def test_matrix_files_are_utf8(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes('{"label": "caf\u00e9", "matrix": [[0, 1], [-1, 0]]}'
+                     .encode("utf-8"))
+    assert load_matrix(path).label == "caf\u00e9"
+    path.write_bytes('{"label": "caf\u00e9", "matrix": [[0, 1], [-1, 0]]}'
+                     .encode("latin-1"))
+    with pytest.raises(MatrixFileError, match="utf-8"):
+        load_matrix(path)
+    assert main(["check", str(path)]) == 4
+    assert "utf-8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+def _force_file(tmp_path, name="f.json"):
+    path = tmp_path / name
+    save_matrix_json(path, random_stable_symplex(np.random.default_rng(5)),
+                     kind="force")
+    return str(path)
+
+
+def _strip_timing(out):
+    doc = json.loads(out)
+    del doc["timing"]
+    return doc
+
+
+def test_parser_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    code = ("import symdec.cli as c; "
+            "assert c.build_parser.cache_info().currsize == 0")
+    src = os.path.dirname(os.path.dirname(symdec.cli.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cached_parser_defaults_do_not_leak(tmp_path, capsys, monkeypatch):
+    path = _force_file(tmp_path)
+    normal = ["decouple", path, "--form", "normal", "--json"]
+    main(["check", path])  # the parser exists before the calls under test
+    capsys.readouterr()
+    assert main(normal) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["settings"]["form"] == "normal"
+    assert main(["decouple", path]) == 0
+    text = capsys.readouterr().out
+    assert "form: block" in text and not text.startswith("{")
+    assert main(["decouple", path, "--json"]) == 0
+    block = capsys.readouterr().out
+    # a fresh parser per call gives the same reports
+    monkeypatch.setattr(symdec.cli, "build_parser",
+                        build_parser.__wrapped__)
+    for argv, out in ((normal, json.dumps(doc, indent=1) + "\n"),
+                      (["decouple", path, "--json"], block)):
+        assert main(argv) == 0
+        assert _strip_timing(capsys.readouterr().out) == _strip_timing(out)
+
+
+def test_cached_parser_survives_usage_errors(tmp_path, capsys):
+    path = _force_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decouple", path, "--form", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["decouple", path, "--json", "--text"])
+    capsys.readouterr()
+    assert main(["decouple", path, "--form", "hamiltonian", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["settings"]["form"] == "hamiltonian"
+
+
+def test_dispatch_reads_commands_at_call_time(tmp_path, capsys, monkeypatch):
+    path = _force_file(tmp_path)
+    assert main(["check", path]) == 0
+    seen = []
+    monkeypatch.setattr(symdec.cli, "cmd_check",
+                        lambda args: seen.append(args.path) or 7)
+    assert main(["check", path]) == 7
+    assert seen == [path]
+
+
 # ---------------------------------------------------------------------------
 # check command
 
@@ -127,6 +232,31 @@ def test_check_cyclotron_reports_state(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["coefficients"]["e"][1] == pytest.approx(-0.015)
     assert doc["coefficients"]["b"][2] == pytest.approx(-0.015)
+
+
+def test_check_overflowing_transfer_rejected(tmp_path, capsys):
+    # residual inf (det = 1e800): once "valid" as inf <= tol * inf
+    path = tmp_path / "big.json"
+    save_matrix_json(path, 1e200 * np.eye(4), kind="transfer")
+    assert main(["check", str(path), "--json"]) == 2
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["symplectic_residual"] is None
+    assert "Infinity" not in out and "NaN" not in out
+    assert main(["tunes", str(path), "--json"]) == 2
+    assert "symplectic residual inf" in capsys.readouterr().err
+
+
+def test_wide_symplectic_ring_accepted(tmp_path, capsys):
+    # exactly symplectic, ||M||_F^2 overflows: accepted without a warning
+    # (warnings are errors here); check's Lax invariants overflow
+    path = tmp_path / "wide.json"
+    save_matrix_json(path, np.diag([1e200, 1e-200, 1e200, 1e-200]),
+                     kind="transfer")
+    assert main(["tunes", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"]["symplectic"] == 0
+    assert main(["check", str(path), "--json"]) == 3
+    assert "Lax invariants overflow" in capsys.readouterr().err
 
 
 def test_check_transfer_matrix(tmp_path, capsys):

@@ -34,6 +34,19 @@ def test_not_symplectic_rejected():
         analyze_one_turn(np.diag([2.0, 1.0, 1.0, 1.0]))
 
 
+def test_overflowing_ring_not_symplectic():
+    # residual inf against tol * ||M||_F = 2e192: once "unstable", cosine 1e200
+    with pytest.raises(NotSymplectic, match="residual inf"):
+        analyze_one_turn(1e200 * np.eye(4))
+
+
+def test_wide_symplectic_ring_analyzed():
+    # exactly symplectic with ||M||_F^2 beyond the float range: analyzed
+    # without a warning (warnings are errors here)
+    report = analyze_one_turn(np.diag([1e200, 1e-200, 1e200, 1e-200]))
+    assert report.symplectic_residual == 0.0 and not report.stable
+
+
 def test_forward_generated_tunes_recovered():
     w1, w2, tau = 0.3, 0.7, 1.0
     M = matrix_exponential(normal_form(w1, w2), tau).matrix

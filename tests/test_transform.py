@@ -14,7 +14,8 @@ from symdec.jacobi import random_test_symplex
 from symdec.transform import (TransformStep, apply_similarity,
                               basic_transform, block_scaling, compose,
                               embed_4x4, embed_rows, identity_transform,
-                              matrix_exponential, replay, symplectic_residual)
+                              is_symplectic, matrix_exponential, replay,
+                              symplectic_residual)
 
 from conftest import random_stable_symplex, random_symplex
 
@@ -129,6 +130,26 @@ def test_compose_order_and_log():
     step_by_step = apply_similarity(t2, apply_similarity(t1, F))
     np.testing.assert_allclose(apply_similarity(c, F), step_by_step,
                                atol=1e-13)
+
+
+def test_is_symplectic_relative_and_overflow_free():
+    # warnings are errors here: no overflow may warn on the way
+    M = matrix_exponential(random_stable_symplex(
+        np.random.default_rng(4)), 0.7).matrix
+    assert is_symplectic(M) and is_symplectic(2 * np.eye(4), tol=4.0)
+    assert not is_symplectic(2 * np.eye(4))
+    wide = np.diag([1e200, 1e-200, 1e200, 1e-200])  # ||M||_F^2 overflows
+    assert symplectic_residual(wide) == 0.0 and is_symplectic(wide)
+    for big in (1e200 * np.eye(4), np.full((4, 4), 1e300)):
+        assert not np.isfinite(symplectic_residual(big))
+        assert not is_symplectic(big, tol=1e10)
+    assert not is_symplectic(np.full((4, 4), np.nan), tol=1e10)
+    # a scale whose ||M||_F overflows the float range: the test stays finite
+    # (1e308 * 1e-308 = 1, so the residual is about 2e-16)
+    huge = np.diag([1.7e308, 1 / 1.7e308, 1.7e308, 1 / 1.7e308])
+    assert is_symplectic(huge, tol=1e-8)
+    assert is_symplectic(M, residual=0.0) and not is_symplectic(
+        M, residual=np.inf)
 
 
 def test_matrix_exponential_zero():
