@@ -152,7 +152,8 @@ def cmd_check(args) -> int:
            "input": _input_doc(args.path, mf),
            "kind": kind, "tolerance": args.tol}
     if kind == "force":
-        doc["symplex_residual"] = symplex_residual(M)
+        resid = symplex_residual(M)
+        doc["symplex_residual"] = resid if math.isfinite(resid) else None
         ok = is_symplex(M, args.tol)
         if M.shape[0] == 4:
             coeffs = rdm_coefficients(M)
@@ -163,7 +164,12 @@ def cmd_check(args) -> int:
                 "b": [float(v) for v in coeffs[7:10]],
             }
             doc["cosymplex_coefficient_max"] = float(max(abs(coeffs[10:])))
-        doc["invariants"] = _invariant_doc(M)
+        try:
+            doc["invariants"] = _invariant_doc(M)
+        except PrecisionLoss:
+            if ok:
+                raise
+            doc["invariants"] = {}  # no symplex: exit 2 all the same
     else:
         resid = symplectic_residual(M)
         doc["symplectic_residual"] = resid if math.isfinite(resid) else None

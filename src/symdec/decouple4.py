@@ -27,12 +27,14 @@ with the identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dirac import GAMMA, _frobenius, rdm_coefficients
+from . import emeq
+from .dirac import GAMMA, _frobenius, _symplex_floats
 from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
                    _axpy_cross, _cross, _dot, _transform_floats, aux_vectors,
                    mass_components)
@@ -79,6 +81,9 @@ STEP_TOL = 1e-14
 NOISE_TOL = 2.0 ** -53
 POST_TOL = 1e-10
 
+_GENERATORS = np.array(GAMMA[:10])
+_GENERATORS.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class DecoupleResult:
@@ -106,13 +111,15 @@ class DecoupleResult:
 
 
 class _Pipeline:
-    """One stage on a 4x4: propagated coefficients f (Python floats),
-    accumulated R, step log tagged with `block`."""
+    """One stage on a 4x4: propagated coefficients f (Python floats, by
+    default sym.coefficients), the factors (c, s, b) of R, step log tagged
+    with `block`."""
 
-    def __init__(self, sym: Symplex, block: tuple[int, int] | None = None):
+    def __init__(self, sym: Symplex, block: tuple[int, int] | None = None,
+                 f: Sequence[float] | None = None):
         self.source, self.block = sym, block
-        self.f = sym.state.coefficients.tolist()
-        self.r, self.steps = _EYE4.copy(), []
+        self.f = sym.coefficients if f is None else f
+        self.factors, self.steps = [], []
 
     def masses(self) -> tuple[float, float, float]:
         """E.B, B.P and E.P of the propagated coefficients."""
@@ -144,13 +151,14 @@ class _Pipeline:
             self.rotate(b, 0.0 if skip else v[k], v[1], degree, sign)
 
     def step(self, b: int, epsilon: float) -> None:
-        """Apply one generator (basic_transform's factor), or log a skip."""
+        """Apply one generator to f and record its factor c 1 + s gamma_b
+        (basic_transform's), or log a skip."""
         if abs(epsilon) < STEP_TOL:
             self.steps.append(TransformStep(b, 0.0, self.block, True))
             return
         c, s = _half_angle(b, epsilon)
         self.f = _transform_floats(self.f, b, epsilon)
-        self.r = (c * _EYE4 + s * GAMMA[b]) @ self.r
+        self.factors.append((c, s, b))
         self.steps.append(TransformStep(b, epsilon, self.block))
 
     def boost(self, b: int, num: float, den: float, sign: float,
@@ -168,15 +176,23 @@ class _Pipeline:
     def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, list[float]]:
         """R, R^-1, R F R^-1 and its ten re-extracted coefficients
         (NotASymplex if it left the symplices, PrecisionLoss if the
-        propagation drifted)."""
-        rinv = _symplectic_inverse(self.r)
-        final = Symplex.from_matrix(self.r @ self.source.matrix @ rinv,
-                                    tol=1e-8)
-        c = rdm_coefficients(final.matrix)[:10].tolist()
+        propagation drifted).  R is the factors built in one array
+        operation and multiplied in order of application, F_k ... F_1."""
+        r = _EYE4.copy()
+        if self.factors:
+            c, s, b = zip(*self.factors)
+            factors = (np.array(c)[:, None, None] * _EYE4
+                       + np.array(s)[:, None, None] * _GENERATORS[list(b)])
+            r = factors[0]
+            for factor in factors[1:]:
+                r = factor @ r
+        rinv = _symplectic_inverse(r)
+        final = Symplex.from_matrix(r @ self.source.matrix @ rinv, tol=1e-8)
+        c = _symplex_floats(final.matrix)
         drift = max([abs(x - y) for x, y in zip(c, self.f)])
         if drift > POST_TOL * _scale(final.matrix):
             raise PrecisionLoss(f"propagation drifted by {drift:.3e}")
-        return self.r, rinv, final, c
+        return r, rinv, final, c
 
 
 def _aux_b(f) -> tuple[float, float, float]:
@@ -270,14 +286,20 @@ def _solve_block(F, block: tuple[int, int] | None = None
                  ) -> tuple[np.ndarray, np.ndarray, list, Symplex]:
     """(R, R^-1, steps tagged `block`, R F R^-1) of F's 4x4 block stage for
     decouple_block_diagonal and each Jacobi pivot; every call checks F, K2,
-    the boost, R F R^-1, the drift and the pattern (DegenerateB)."""
-    sym = _as_symplex(F)
-    inv = sym.invariants
+    the boost, R F R^-1, the drift and the pattern (DegenerateB).  A
+    Symplex brings its coefficients and invariants; a matrix (a Jacobi
+    pivot) is checked and its coefficients read once, as Python floats."""
+    if isinstance(F, Symplex):
+        sym, f, inv = F, F.coefficients, F.invariants
+    else:
+        sym = Symplex.from_matrix(F)
+        f = _symplex_floats(sym.matrix)
+        inv = emeq.spectral_invariants(f)
     if inv.k2 < 0.0 and not inv.degenerate:
         raise ComplexEigenvalues(
             f"second invariant K2 = {inv.k2:.6e} < 0; eigenvalues form a "
             "complex quadruple")
-    pipe = _Pipeline(sym, block)
+    pipe = _Pipeline(sym, block, f)
 
     m_r, m_g, _ = pipe.masses()
     pipe.rotate(0, m_g, m_r, 2)

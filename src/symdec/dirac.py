@@ -88,6 +88,7 @@ _SIGNATURE = tuple(int(round((m @ m)[0, 0])) for m in GAMMA)
 # formula m_k = s_k Tr(M gamma_k) / 4 is row k . vec(M) / 4
 _STACKED = np.array([m.ravel() for m in GAMMA])
 _STACKED.flags.writeable = False
+_SYMPLEX_ROWS = _STACKED[:10]
 
 
 def gamma(k: int) -> np.ndarray:
@@ -119,12 +120,18 @@ def rdm_coefficients(M: np.ndarray) -> np.ndarray:
     """Expansion coefficients of a real 4x4 matrix over the Dirac basis.
 
     Returns the length-16 vector m with M = sum_k m[k] * gamma(k): the
-    trace formula m_k = s_k Tr(M gamma_k) / 4 as one 16x16 matrix product.
+    trace formula m_k = s_k Tr(M gamma_k) / 4 as one 16x16 matrix product,
+    scaled first (exact bar underflow), so a finite m never overflows.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
-    return _STACKED @ M.ravel() / 4.0
+    return _STACKED @ (M.ravel() * 0.25)
+
+
+def _symplex_floats(M: np.ndarray) -> list[float]:
+    """rdm_coefficients(M)[:10] of a 4x4 float array, as Python floats."""
+    return (_SYMPLEX_ROWS @ (M.ravel() * 0.25)).tolist()
 
 
 def from_coefficients(c: np.ndarray) -> np.ndarray:
@@ -157,9 +164,13 @@ def _split_norm(M: np.ndarray, sign: int) -> float:
 
 def symplex_residual(M: np.ndarray) -> float:
     """|| M^T - g0 M g0 ||_F = || S - S^T ||_F with S = g0 M (g0 is
-    orthogonal): M is a symplex exactly when g0 M is symmetric."""
+    orthogonal): M is a symplex exactly when g0 M is symmetric.  inf when
+    it exceeds the float range."""
     M, k, _ = _rescaled(np.asarray(M, dtype=float))
-    return math.ldexp(_split_norm(M, -1), k)
+    try:
+        return math.ldexp(_split_norm(M, -1), k)
+    except OverflowError:
+        return math.inf
 
 
 def _relative_test(M: np.ndarray, tol: float, sign: int) -> bool:

@@ -10,6 +10,7 @@ into a vector orthogonalization/alignment problem.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,12 +154,6 @@ def state_from_coefficients(c) -> EmeqState:
     c = np.array(c, dtype=float)
     if c.shape != (10,):
         raise ValueError(f"expected 10 coefficients, got shape {c.shape}")
-    return _state_view(c)
-
-
-def _state_view(c: np.ndarray) -> EmeqState:
-    """EmeqState whose vectors are views of the float array c (10 or 16
-    coefficients), which the caller must not change afterwards."""
     return EmeqState(energy=float(c[0]), p=c[1:4], e=c[4:7], b=c[7:10])
 
 
@@ -185,13 +180,18 @@ class Symplex:
         return self.matrix.shape[0] // 2
 
     @cached_property
+    def coefficients(self) -> tuple[float, ...]:
+        """The ten Dirac coefficients (energy, P, E, B) as Python floats,
+        read once (ValueError unless 4x4)."""
+        return tuple(rdm_coefficients(self.matrix)[:10].tolist())
+
+    @cached_property
     def state(self) -> EmeqState:
-        # ValueError unless 4x4
-        return _state_view(rdm_coefficients(self.matrix))
+        return state_from_coefficients(self.coefficients)
 
     @cached_property
     def invariants(self) -> SpectralInvariants:
-        return spectral_invariants(self.state)
+        return spectral_invariants(self.coefficients)
 
 
 def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
@@ -258,14 +258,15 @@ def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
     return np.array(_transform_floats(c.tolist(), b, epsilon))
 
 
-def _transform_floats(f: list[float], b: int, epsilon: float) -> list[float]:
-    """transform_coefficients on a list of ten Python floats (a new list)."""
+def _transform_floats(f: Sequence[float], b: int,
+                      epsilon: float) -> list[float]:
+    """transform_coefficients on ten Python floats (a new list)."""
     # 1 - cos(eps) = 2 sin(eps/2)^2, free of cancellation at small eps
     if gamma_signature(b) < 0:
         s, k = math.sin(epsilon), 2.0 * math.sin(epsilon / 2.0) ** 2
     else:
         s, k = math.sinh(epsilon), 2.0 * math.sinh(epsilon / 2.0) ** 2
-    out = f.copy()
+    out = list(f)
     for i, j, aij, aji in _ACTION_PAIRS[b]:
         ci, cj = out[i], out[j]
         # (A c)_i = A_ij c_j and (A^2 c)_i = A_ij A_ji c_i
@@ -274,8 +275,9 @@ def _transform_floats(f: list[float], b: int, epsilon: float) -> list[float]:
     return out
 
 
-def spectral_invariants(s: EmeqState) -> SpectralInvariants:
-    """Invariants K1, K2, the determinant, and the eigenvalue structure.
+def spectral_invariants(s: EmeqState | Sequence[float]) -> SpectralInvariants:
+    """Invariants K1, K2, the determinant, and the eigenvalue structure of
+    a state or of its ten coefficients as Python floats.
 
     The eigenvalues of the symplex are +-sqrt(-(K1 +- 2 sqrt(K2))).  For
     K2 < 0 they form a complex quadruple off both axes and no real
@@ -283,8 +285,8 @@ def spectral_invariants(s: EmeqState) -> SpectralInvariants:
     overflows above about 1e77; PrecisionLoss is raised when K1, K2 or
     the determinant is not finite.
     """
-    e0 = float(s.energy)
-    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
+    f = _floats(s.coefficients) if isinstance(s, EmeqState) else s
+    e0, p, e, b = f[0], f[1:4], f[4:7], f[7:10]
     k1 = e0 * e0 + _dot(b, b) - _dot(e, e) - _dot(p, p)
     bvec = _axpy_cross(e0, b, e, p)
     eb, pb = _dot(e, b), _dot(p, b)

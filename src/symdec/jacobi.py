@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
-from .transform import SymplecticTransform, embed_rows
+from .transform import SymplecticTransform
 
 __all__ = [
     "IterationStats",
@@ -112,8 +113,16 @@ def random_test_symplex(n: int, seed: int) -> Symplex:
     return Symplex(symplectic_unit(n) @ A)
 
 
+@lru_cache(maxsize=None)
+def _pair_rows(i: int, j: int) -> np.ndarray:
+    """Rows 2i, 2i + 1, 2j, 2j + 1 of the dof pair (i, j) (read-only)."""
+    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
+    idx.flags.writeable = False
+    return idx
+
+
 def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
-    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    idx = _pair_rows(i, j)
     return F.take(idx, 0).take(idx, 1)
 
 
@@ -167,9 +176,10 @@ def _block_stage(sym: Symplex, tol: float,
             i, j, (r4, rinv4, steps4, _) = _fallback_pivot(M, amp, (i, j), exc)
         # E M E^-1 and E R for E = r4 embedded at (i, j): four rows and
         # four columns of M, four rows of R
-        idx = embed_rows(M, r4, i, j)
+        idx = _pair_rows(i, j)
+        M[idx] = r4 @ M.take(idx, 0)
         M[:, idx] = M.take(idx, 1) @ rinv4
-        embed_rows(R, r4, i, j)
+        R[idx] = r4 @ R.take(idx, 0)
         steps += steps4
         stats.pivots.append((i, j, math.sqrt(amp[i, j])))
 

@@ -22,8 +22,7 @@ from .emeq import EmeqState
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import jacobi_decouple
 from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
-                        compose, is_symplectic, matrix_exponential,
-                        symplectic_residual)
+                        compose, is_symplectic, symplectic_residual)
 
 __all__ = [
     "SigmaMatrix",
@@ -242,17 +241,19 @@ def effective_force(M, tau: float | None = None,
     """Average force matrix: the symplex logarithm of the one-turn matrix.
 
     Computed through the decoupling route: per-block phase advances
-    atan2(sine, cosine) build the normal-form generator, which is pulled
-    back with the decoupling transform.  Blocks with vanishing sine have
-    an undefined logarithm branch; the principal branch is used and
-    flagged.  Requires resolvable tunes (|cos| <= 1 per block).
+    mu_k = atan2(sine, cosine) build the normal-form generator, which is
+    pulled back with the decoupling transform.  Blocks with vanishing sine
+    have an undefined logarithm branch; the principal branch is used and
+    flagged.  Requires resolvable tunes (|cos| <= 1 per block).  The
+    reconstruction residual compares M with exp(Fbar tau) in closed form,
+    R^-1 blockdiag([[cos mu_k, sin mu_k], [-sin mu_k, cos mu_k]]) R.
     """
     M, tau = _as_transfer(M, tau)
     if report is None:
         report = analyze_one_turn(M, tau)
     n = M.shape[0] // 2
     flags = []
-    fn = np.zeros((2 * n, 2 * n))
+    fn, mn = np.zeros((2, 2 * n, 2 * n))
     for k, b in enumerate(report.blocks):
         if b.nature == NATURE_REAL or abs(b.cosine) > 1.0:
             raise UnstableSystem(
@@ -263,9 +264,11 @@ def effective_force(M, tau: float | None = None,
         w = angle / tau
         fn[2 * k, 2 * k + 1] = w
         fn[2 * k + 1, 2 * k] = -w
-    fbar = report.transform.rinv @ fn @ report.transform.r
-    recon = matrix_exponential(fbar, tau).matrix
-    resid = float(np.max(np.abs(recon - M)))
+        c, s = math.cos(angle), math.sin(angle)
+        mn[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, s], [-s, c]]
+    rinv, r = report.transform.rinv, report.transform.r
+    fbar = rinv @ fn @ r
+    resid = float(np.max(np.abs(rinv @ mn @ r - M)))
     return EffectiveForce(matrix=fbar, tau=tau,
                           branch_ambiguous=tuple(flags),
                           reconstruction_residual=resid)

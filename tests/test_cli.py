@@ -247,6 +247,31 @@ def test_check_overflowing_transfer_rejected(tmp_path, capsys):
     assert "symplectic residual inf" in capsys.readouterr().err
 
 
+def test_check_overflowing_symplex_residual_rejected(tmp_path, capsys):
+    # 1.7e308 I: its symplex residual has no float (inf, written as null);
+    # no symplex, so exit 2 though its Lax invariants overflow too
+    path = tmp_path / "big.json"
+    save_matrix_json(path, 1.7e308 * np.eye(4), kind="force")
+    assert main(["check", str(path), "--json"]) == 2
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["symplex_residual"] is None
+    assert "Infinity" not in out and "NaN" not in out
+    assert main(["decouple", str(path), "--json"]) == 2
+    assert "symplex residual inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["decouple", "check"])
+def test_largest_coefficients_exit3(tmp_path, capsys, cmd):
+    # 1.7e308 gamma(0): the coefficients are read without an overflow
+    # warning (warnings are errors here), then the invariants overflow
+    path = tmp_path / "big.json"
+    save_matrix_json(path, 1.7e308 * GAMMA[0], kind="force")
+    assert main([cmd, str(path), "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "PrecisionLoss" in err and "overflow" in err
+
+
 def test_wide_symplectic_ring_accepted(tmp_path, capsys):
     # exactly symplectic, ||M||_F^2 overflows: accepted without a warning
     # (warnings are errors here); check's Lax invariants overflow

@@ -110,6 +110,25 @@ def test_overflowing_norm_still_checked(n):
     assert symplex_residual(g0) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_symplex_residual_beyond_float_range_is_inf(n):
+    # 2 sqrt(2n) 1.7e308 has no float: inf, as symplectic_residual gives,
+    # not an OverflowError
+    big = 1.7e308 * np.eye(2 * n)
+    assert symplex_residual(big) == np.inf
+    assert not is_symplex(big)
+
+
+def test_coefficients_of_extreme_entries_without_overflow():
+    # every coefficient of 1.7e308 gamma(0) is finite: the 1/4 is applied
+    # before the sums (warnings are errors here), exactly
+    c = rdm_coefficients(1.7e308 * GAMMA[0])
+    assert c[0] == 1.7e308 and not c[1:].any()
+    F = random_symplex(np.random.default_rng(5))
+    assert np.array_equal(rdm_coefficients(F) * 2.0 ** 1000,
+                          rdm_coefficients(F * 2.0 ** 1000))
+
+
 def test_coefficients_of_basis_elements():
     for k in range(16):
         c = rdm_coefficients(GAMMA[k])

@@ -210,6 +210,23 @@ def test_effective_force_reconstructs_coupled():
         np.testing.assert_allclose(eff.matrix, F, atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_reconstruction_residual_is_closed_form(n):
+    # exp(Fbar tau) = R^-1 exp(Fn tau) R in closed form: the residual the
+    # effective force reports is the one of the Taylor exponential
+    rng = np.random.default_rng(97 + n)
+    for _ in range(20):
+        F = random_stable_symplex(rng, n)
+        # phase advances inside (0, pi/2): distinct, well separated sines
+        tau = 0.45 * np.pi / np.abs(np.linalg.eigvals(F).imag).max()
+        M = matrix_exponential(F, tau).matrix
+        eff = effective_force(M, tau=tau)
+        taylor = np.abs(matrix_exponential(eff.matrix, tau).matrix - M).max()
+        assert abs(eff.reconstruction_residual - taylor) <= \
+            1e-12 * max(1.0, np.linalg.norm(M))
+        assert eff.reconstruction_residual < 1e-7
+
+
 def test_effective_force_unstable_rejected():
     F = np.zeros((4, 4))
     F[0, 1], F[1, 0] = 1.0, -1.0
