@@ -14,10 +14,9 @@ from .emeq import (AuxVectors, EmeqState, Frequency, MassComponents,
                    emeq_from_symplex, lax_invariants, mass_components,
                    spectral_invariants, state_from_coefficients)
 from .transform import (SymplecticTransform, TransferMatrix, TransformStep,
-                        apply_similarity, basic_transform, block_scaling,
-                        compose, dof_transform, embed_4x4,
-                        identity_transform, is_symplectic,
-                        matrix_exponential, replay, symplectic_residual)
+                        apply_similarity, basic_transform, compose,
+                        dof_transform, is_symplectic, matrix_exponential,
+                        replay, symplectic_residual)
 from .decouple4 import (DecoupleResult, closed_form_block_coefficients,
                         complex_intermediate, complex_low_energy, decouple,
                         decouple_block_diagonal, diagonalize,
@@ -29,7 +28,7 @@ from .optics import (BlockTune, EffectiveForce, OpticsReport, SigmaMatrix,
                      analyze_one_turn, cosymplex_observable_forms,
                      cosymplex_observable_rates, effective_force,
                      matched_sigma, propagate_sigma, rdm_expectations,
-                     spinor_observables, tune_cosines_from_traces)
+                     spinor_observables)
 from . import errors
 
 __version__ = "0.1.0"

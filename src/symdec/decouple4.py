@@ -16,7 +16,7 @@ procedures bring them to the real canonical form with only the E_y, E_z
 and B_y coefficients surviving.
 
 Each geometric step moves the ten coefficients (energy, P, E, B), kept
-as Python floats, in closed form (emeq.transform_coefficients); R F R^-1
+as Python floats, in closed form (emeq._transform_floats); R F R^-1
 is built once per stage and every pattern check reads its re-extracted
 coefficients.  A rotation whose target is below STEP_TOL times its
 reference, or within the rounding noise of the coefficients, is a skip
@@ -40,9 +40,9 @@ from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
                    mass_components)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
-from .transform import (_EYE4, DOF_ROTATION, SymplecticTransform,
-                        TransformStep, _block_positions, _half_angle,
-                        _symplectic_inverse, block_scaling, dof_transform)
+from .transform import (_EYE4, DOF_ROTATION, DOF_SCALING,
+                        SymplecticTransform, TransformStep, _block_positions,
+                        _half_angle, _symplectic_inverse, dof_transform)
 
 if TYPE_CHECKING:
     from .jacobi import IterationStats
@@ -377,15 +377,16 @@ def normal_form_scaling(H: Symplex | np.ndarray
     Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n symplex H (a Symplex,
     or a matrix that Symplex.from_matrix accepts) is classified by
     _block_frequencies.  An imaginary pair, +-i w with
-    w = sign(a) sqrt(a b), takes the block_scaling exponent log|a/b|/4,
-    which turns the block into [[0, w], [-w, 0]]; real and zero blocks
-    keep exponent 0.  Returns the scaling and one Frequency per block.
+    w = sign(a) sqrt(a b), takes the DOF_SCALING rapidity log|a/b|/2,
+    the scaling diag(|b/a|^(1/4), |a/b|^(1/4)), which turns the block
+    into [[0, w], [-w, 0]]; real and zero blocks keep rapidity 0.
+    Returns the scaling and one Frequency per block.
     """
     H = _as_symplex(H).matrix
     freqs = _block_frequencies(H)
-    exponents = [0.25 * math.log(a / -b) if w.nature == "imaginary" else 0.0
-                 for (_, a, b, _), w in zip(_diagonal_blocks(H), freqs)]
-    return block_scaling(exponents), freqs
+    return dof_transform(DOF_SCALING, [
+        0.5 * math.log(a / -b) if w.nature == "imaginary" else 0.0
+        for (_, a, b, _), w in zip(_diagonal_blocks(H), freqs)]), freqs
 
 
 def to_normal_form(res: DecoupleResult) -> DecoupleResult:
@@ -433,20 +434,30 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     return vecs, values
 
 
-def _complex_canonical_result(pipe: _Pipeline,
-                              inv: SpectralInvariants) -> DecoupleResult:
+def _complex_canonical_result(pipe: _Pipeline) -> DecoupleResult:
     r, _, final, c = pipe.finish()
     # surviving pattern: E_y, E_z, B_y; everything else must vanish
     resid = max(map(abs, c[:5] + [c[7], c[9]]))
     if resid > POST_TOL * _scale(final.matrix):
         raise PrecisionLoss(
             f"complex canonical coefficients off by {resid:.3e}")
+    inv = pipe.source.invariants
     rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
     return DecoupleResult(
         source=pipe.source.matrix,
         transform=SymplecticTransform(r, tuple(pipe.steps)), final=final,
         form=FORM_COMPLEX_CANONICAL, residual=resid, invariants=inv,
         frequencies=None, complex_radius=float(rho))
+
+
+def _complex_precondition(sym: Symplex) -> tuple[float, float, float]:
+    """energy^2, P^2 and E^2 of a 4x4 symplex, whose comparison picks the
+    complex procedure; BranchMismatch unless K2 < 0."""
+    if sym.invariants.k2 >= 0.0:
+        raise BranchMismatch(f"K2 = {sym.invariants.k2:.6e} >= 0; "
+                             "use decouple_block_diagonal")
+    s = sym.state
+    return s.energy**2, float(s.p @ s.p), float(s.e @ s.e)
 
 
 def complex_low_energy(F) -> DecoupleResult:
@@ -460,12 +471,8 @@ def complex_low_energy(F) -> DecoupleResult:
     (K1^2 + 4 |K2|)^(1/4).
     """
     sym = _as_symplex(F)
-    inv = sym.invariants
-    s = sym.state
-    if inv.k2 >= 0.0:
-        raise BranchMismatch(
-            f"K2 = {inv.k2:.6e} >= 0; use decouple_block_diagonal")
-    if s.energy**2 >= max(s.p @ s.p, s.e @ s.e):
+    energy2, p2, e2 = _complex_precondition(sym)
+    if energy2 >= max(p2, e2):
         raise BranchMismatch(
             "energy^2 >= max(P^2, E^2); use complex_intermediate")
     pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
@@ -481,7 +488,7 @@ def complex_low_energy(F) -> DecoupleResult:
     pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, step_index=6)      # 6 P_z
     pipe.align_y(lambda f: f[7:10], 1)                           # 7-8
     pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 9 E_x
-    return _complex_canonical_result(pipe, inv)
+    return _complex_canonical_result(pipe)
 
 
 def complex_intermediate(F) -> DecoupleResult:
@@ -494,17 +501,12 @@ def complex_intermediate(F) -> DecoupleResult:
     low-energy case.
     """
     sym = _as_symplex(F)
-    inv = sym.invariants
-    s = sym.state
-    if inv.k2 >= 0.0:
-        raise BranchMismatch(
-            f"K2 = {inv.k2:.6e} >= 0; use decouple_block_diagonal")
-    if s.energy**2 < min(s.p @ s.p, s.e @ s.e):
+    energy2, p2, e2 = _complex_precondition(sym)
+    if energy2 < min(p2, e2):
         raise BranchMismatch(
             "energy^2 < min(P^2, E^2); use complex_low_energy")
     pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
 
-    e2, p2 = float(s.e @ s.e), float(s.p @ s.p)
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
     pipe.rotate(0, 2.0 * pipe.masses()[2], e2 - p2, 2, 0.5, turn=True)  # 1
@@ -515,7 +517,7 @@ def complex_intermediate(F) -> DecoupleResult:
     pipe.align_y(lambda f: f[7:10], 1)                           # 5-6
     pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, step_index=7)      # 7 energy
     pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 8 E_x
-    return _complex_canonical_result(pipe, inv)
+    return _complex_canonical_result(pipe)
 
 
 def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
@@ -541,8 +543,8 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     else:
         inv = sym.invariants
         if inv.k2 < 0.0 and not inv.degenerate:
-            s = sym.state
-            if s.energy**2 < max(s.p @ s.p, s.e @ s.e):
+            energy2, p2, e2 = _complex_precondition(sym)
+            if energy2 < max(p2, e2):
                 return complex_low_energy(sym)
             return complex_intermediate(sym)
         res = decouple_block_diagonal(sym)

@@ -26,8 +26,6 @@ import numpy as np
 
 __all__ = [
     "GAMMA",
-    "SYMPLEX_INDICES",
-    "COSYMPLEX_INDICES",
     "gamma",
     "gamma_signature",
     "symplectic_unit",
@@ -38,10 +36,6 @@ __all__ = [
     "is_cosymplex",
     "symplex_cosymplex_split",
 ]
-
-SYMPLEX_INDICES = tuple(range(10))
-COSYMPLEX_INDICES = tuple(range(10, 16))
-
 
 def _build_basis() -> tuple[np.ndarray, ...]:
     g = [None] * 16

@@ -35,7 +35,6 @@ __all__ = [
     "state_from_coefficients",
     "mass_components",
     "aux_vectors",
-    "transform_coefficients",
     "spectral_invariants",
     "lax_invariants",
 ]
@@ -245,22 +244,15 @@ def aux_vectors(s: EmeqState) -> AuxVectors:
                       b=np.array(_axpy_cross(e0, b, e, p)))
 
 
-def transform_coefficients(c, b: int, epsilon: float) -> np.ndarray:
-    """The ten coefficients of R F R^-1, R = basic_transform(b, epsilon),
-    from those of F: c + sin(eps) A c + (1 - cos(eps)) A^2 c, A the action
-    of ad(gamma_b) / 2, as A^3 = -A; a boost (A^3 = A) takes sinh(eps) and
-    cosh(eps) - 1.  A mixes three coefficient pairs (_ACTION_PAIRS) and
-    leaves the other four alone, so this is six updates on Python floats.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (10,):
-        raise ValueError(f"expected 10 coefficients, got shape {c.shape}")
-    return np.array(_transform_floats(c.tolist(), b, epsilon))
-
-
 def _transform_floats(f: Sequence[float], b: int,
                       epsilon: float) -> list[float]:
-    """transform_coefficients on ten Python floats (a new list)."""
+    """The ten coefficients of R F R^-1, R = basic_transform(b, epsilon),
+    from those f of F, as Python floats (a new list): f + sin(eps) A f +
+    (1 - cos(eps)) A^2 f, A the action of ad(gamma_b) / 2, as A^3 = -A; a
+    boost (A^3 = A) takes sinh(eps) and cosh(eps) - 1.  A mixes three
+    coefficient pairs (_ACTION_PAIRS) and leaves the other four alone, so
+    this is six updates.
+    """
     # 1 - cos(eps) = 2 sin(eps/2)^2, free of cancellation at small eps
     if gamma_signature(b) < 0:
         s, k = math.sin(epsilon), 2.0 * math.sin(epsilon / 2.0) ** 2

@@ -29,12 +29,10 @@ __all__ = [
     "BlockTune",
     "OpticsReport",
     "EffectiveForce",
-    "TransferMatrix",
     "analyze_one_turn",
     "matched_sigma",
     "effective_force",
     "propagate_sigma",
-    "tune_cosines_from_traces",
     "spinor_observables",
     "rdm_expectations",
     "cosymplex_observable_forms",
@@ -177,22 +175,6 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
         symplex_offblock_residual=off_block_max(Ms_t),
         cosymplex_offblock_residual=off_block_max(Mc_t),
         stable=stable)
-
-
-def tune_cosines_from_traces(Mt: np.ndarray) -> tuple[float, float]:
-    """Tune cosines of a decoupled 4x4 one-turn matrix from two traces.
-
-    The sum of the cosines is Tr(Mt)/4 * 2; their difference is read off
-    the anticommutator trace with gamma(12) (the pseudo-vector y
-    component), which with this basis yields cos2 - cos1.  Returns
-    (cos1, cos2) paired with the first and second 2x2 block.
-    """
-    Mt = np.asarray(Mt, dtype=float)
-    if Mt.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 matrix, got {Mt.shape}")
-    total = float(np.trace(Mt)) / 2.0
-    diff = float(np.trace(Mt @ GAMMA[12] + GAMMA[12] @ Mt)) / 4.0
-    return (total - diff) / 2.0, (total + diff) / 2.0
 
 
 def matched_sigma(M, emittances, tau: float | None = None,

@@ -10,7 +10,7 @@ is its matrix R and a replayable step log; R^-1 = -g0 R^T g0 is derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,15 +22,12 @@ __all__ = [
     "TransformStep",
     "SymplecticTransform",
     "TransferMatrix",
-    "identity_transform",
     "basic_transform",
     "apply_similarity",
     "compose",
     "embed_rows",
-    "embed_4x4",
     "replay",
     "dof_transform",
-    "block_scaling",
     "symplectic_residual",
     "is_symplectic",
     "matrix_exponential",
@@ -107,11 +104,6 @@ def _symplectic_inverse(r: np.ndarray) -> np.ndarray:
     return (r @ g0).T @ g0
 
 
-def identity_transform(dim: int = 4) -> SymplecticTransform:
-    """The do-nothing transform of the given even dimension."""
-    return SymplecticTransform(r=np.eye(dim))
-
-
 def basic_transform(b: int, epsilon: float,
                     skipped: bool = False) -> SymplecticTransform:
     """Elementary 4x4 transform generated by gamma(b), b in 0..9.
@@ -180,20 +172,6 @@ def embed_rows(A: np.ndarray, rk, *dofs: int) -> list[int]:
     return idx
 
 
-def embed_4x4(t: SymplecticTransform, i: int, j: int, n: int) -> SymplecticTransform:
-    """Embed a 4x4 transform at the degree-of-freedom pair (i, j) of n.
-
-    The 2n x 2n result is the identity outside the four 2x2 blocks at
-    rows/columns (2i, 2i+1) and (2j, 2j+1); its steps are tagged (i, j).
-    """
-    if t.dim != 4:
-        raise DimensionMismatch("only 4x4 transforms can be embedded")
-    r = np.eye(2 * n)
-    embed_rows(r, t.r, i, j)
-    return SymplecticTransform(r=r, steps=tuple(
-        replace(s, block=(i, j)) for s in t.steps))
-
-
 def replay(steps, dim: int = 4) -> SymplecticTransform:
     """Rebuild the accumulated transform from a step log.
 
@@ -251,15 +229,6 @@ def _block_positions(n: int) -> np.ndarray:
     positions = np.concatenate((first, first + d * d))
     positions.flags.writeable = False
     return positions
-
-
-def block_scaling(exponents) -> SymplecticTransform:
-    """Diagonal symplectic scaling diag(exp(-u_k), exp(u_k)) per dof.
-
-    The dof_transform of DOF_SCALING at eps_k = 2 u_k, so the step log
-    replays.  One exponent per degree of freedom.
-    """
-    return dof_transform(DOF_SCALING, 2.0 * np.asarray(exponents, dtype=float))
 
 
 def matrix_exponential(F: np.ndarray, s: float = 1.0) -> TransferMatrix:

@@ -13,7 +13,7 @@ from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, from_coefficients, rdm_coefficients
 from symdec.emeq import (_cross, _transform_floats, aux_vectors,
                          lax_invariants, mass_components, spectral_invariants,
-                         state_from_coefficients, transform_coefficients)
+                         state_from_coefficients)
 from symdec.errors import PrecisionLoss
 from symdec.transform import apply_similarity, basic_transform
 
@@ -33,7 +33,7 @@ matrices = st.lists(entries, min_size=16, max_size=16).map(
 def test_coefficient_action_matches_similarity(b, c, eps):
     F = from_coefficients(np.concatenate((c, np.zeros(6))))
     want = rdm_coefficients(apply_similarity(basic_transform(b, eps), F))
-    got = transform_coefficients(c, b, eps)
+    got = np.array(_transform_floats(c.tolist(), b, eps))
     # a boost stretches coefficients by up to e^|eps|
     scale = max(1.0, float(np.linalg.norm(c))) * math.exp(abs(eps))
     assert np.max(np.abs(got - want[:10])) <= 1e-12 * scale
@@ -59,10 +59,6 @@ def test_coefficient_extraction_checks_shapes():
         rdm_coefficients(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         from_coefficients(np.zeros(10))
-    with pytest.raises(ValueError):
-        transform_coefficients(np.zeros(16), 0, 0.1)
-    with pytest.raises(IndexError):
-        transform_coefficients(np.zeros(10), 10, 0.1)
 
 
 @PROPERTY

@@ -15,7 +15,7 @@ from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
 from symdec.transform import (DOF_ROTATION, TransformStep, basic_transform,
-                              dof_transform, embed_4x4, matrix_exponential,
+                              dof_transform, matrix_exponential,
                               replay, symplectic_residual)
 
 from conftest import random_stable_symplex
@@ -398,15 +398,14 @@ def test_replay_matches_dense_embedding():
     transform = jacobi_decouple(random_test_symplex(5, 1))[0]
     dense = np.eye(10)
     for s in transform.steps:
+        # the step's 4x4, or for a single dof the 2x2 block G of its
+        # gamma = diag(G, G), written densely at the rows and columns of
+        # its dofs, independently of embed_rows
         t = basic_transform(s.generator, 0.0 if s.skipped else s.epsilon)
-        if len(s.block) == 2:
-            dense = embed_4x4(t, *s.block, 5).r @ dense
-        else:
-            # a single-dof step: the 2x2 block of gamma = diag(G, G)
-            k = 2 * s.block[0]
-            e = np.eye(10)
-            e[k:k + 2, k:k + 2] = t.r[:2, :2]
-            dense = e @ dense
+        idx = [m for d in s.block for m in (2 * d, 2 * d + 1)]
+        e = np.eye(10)
+        e[np.ix_(idx, idx)] = t.r[:len(idx), :len(idx)]
+        dense = e @ dense
     rebuilt = replay(transform.steps, dim=10)
     assert rebuilt.steps == transform.steps
     assert np.abs(rebuilt.r - dense).max() <= 1e-12 * np.abs(dense).max()

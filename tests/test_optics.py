@@ -8,7 +8,7 @@ from symdec.optics import (SigmaMatrix, analyze_one_turn,
                            cosymplex_observable_forms,
                            cosymplex_observable_rates, effective_force,
                            matched_sigma, propagate_sigma, rdm_expectations,
-                           spinor_observables, tune_cosines_from_traces)
+                           spinor_observables)
 from symdec.transform import TransferMatrix, matrix_exponential
 
 from conftest import (random_stable_symplex, random_symplex,
@@ -72,18 +72,6 @@ def test_coupled_random_tunes_match_oracle():
         np.testing.assert_allclose(got, want, atol=1e-9)
         assert report.symplex_offblock_residual < 1e-8
         assert report.cosymplex_offblock_residual < 1e-8
-
-
-def test_trace_route_matches_block_cosines():
-    rng = np.random.default_rng(67)
-    for _ in range(50):
-        F = random_stable_symplex(rng)
-        M = matrix_exponential(F, 0.5).matrix
-        report = analyze_one_turn(M, tau=0.5)
-        Mt = report.transform.r @ M @ report.transform.rinv
-        c1, c2 = tune_cosines_from_traces(Mt)
-        assert c1 == pytest.approx(report.blocks[0].cosine, abs=1e-10)
-        assert c2 == pytest.approx(report.blocks[1].cosine, abs=1e-10)
 
 
 def test_cyclotron_tunes_cross_module():

@@ -59,17 +59,15 @@ def test_dof_transform_inverse_is_the_symplectic_inverse(generator):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("form", [FORM_HAMILTONIAN, FORM_NORMAL])
 def test_corrupted_dof_block_raises_precision_loss(monkeypatch, form, n):
-    # every angle (Hamiltonian) or scaling exponent (normal) of the stage
-    # off by 1e-6: its diagonal blocks miss the form and the stage names it
+    # every angle (Hamiltonian) or scaling rapidity (normal) of the form's
+    # own stage off by 1e-6: its diagonal blocks miss the form and the
+    # stage names it
     F = random_test_symplex(n, 0)
     decouple(F, form=form)
-    dof, scaling = decouple4.dof_transform, decouple4.block_scaling
-    if form == FORM_HAMILTONIAN:
-        monkeypatch.setattr(decouple4, "dof_transform", lambda g, eps: dof(
-            g, [e + 1e-6 for e in eps]))
-    else:
-        monkeypatch.setattr(decouple4, "block_scaling", lambda u: scaling(
-            [x + 1e-6 for x in u]))
+    dof = decouple4.dof_transform
+    own = DOF_ROTATION if form == FORM_HAMILTONIAN else DOF_SCALING
+    monkeypatch.setattr(decouple4, "dof_transform", lambda g, eps: dof(
+        g, [e + 1e-6 for e in eps] if g == own else eps))
     with pytest.raises(PrecisionLoss, match=f"^{form} form off by"):
         decouple(F, form=form)
 

@@ -11,11 +11,11 @@ from symdec.errors import DimensionMismatch
 from symdec.matrixio import MatrixFile
 from symdec.optics import analyze_one_turn, effective_force, matched_sigma
 from symdec.jacobi import random_test_symplex
-from symdec.transform import (TransformStep, apply_similarity,
-                              basic_transform, block_scaling, compose,
-                              embed_4x4, embed_rows, identity_transform,
-                              is_symplectic, matrix_exponential, replay,
-                              symplectic_residual)
+from symdec.transform import (DOF_SCALING, SymplecticTransform,
+                              TransformStep, apply_similarity,
+                              basic_transform, compose, dof_transform,
+                              embed_rows, is_symplectic, matrix_exponential,
+                              replay, symplectic_residual)
 
 from conftest import random_stable_symplex, random_symplex
 
@@ -76,7 +76,7 @@ def test_apply_similarity_preserves_symplex_and_invariants():
 def test_apply_similarity_identity():
     F = random_symplex(np.random.default_rng(5))
     np.testing.assert_array_equal(
-        apply_similarity(identity_transform(4), F), F)
+        apply_similarity(SymplecticTransform(np.eye(4)), F), F)
 
 
 def test_apply_similarity_dimension_checked():
@@ -202,42 +202,9 @@ def test_matrix_exponential_group_property():
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
-def test_embed_identity():
-    t = embed_4x4(identity_transform(4), 0, 2, 3)
-    np.testing.assert_array_equal(t.r, np.eye(6))
-
-
-def test_embed_leaves_other_pairs_fixed():
-    t4 = basic_transform(7, 0.9)
-    t = embed_4x4(t4, 0, 1, 3)
-    # third pair coordinates are untouched by the embedded action
-    for col in (4, 5):
-        e = np.zeros(6)
-        e[col] = 1.0
-        np.testing.assert_array_equal(t.r @ e, e)
-    assert symplectic_residual(t.r) < 1e-12
-
-
-def test_embed_preserves_eigenvalues():
-    rng = np.random.default_rng(19)
-    F = random_stable_symplex(rng, n=3)
-    t = embed_4x4(basic_transform(2, 0.4), 0, 2, 3)
-    Ft = t.r @ F @ t.rinv
-    np.testing.assert_allclose(np.poly(Ft), np.poly(F), rtol=1e-9, atol=1e-9)
-
-
-def test_embed_index_validation():
-    with pytest.raises(IndexError):
-        embed_4x4(identity_transform(4), 1, 1, 3)
-    with pytest.raises(IndexError):
-        embed_4x4(identity_transform(4), 0, 3, 3)
-    with pytest.raises(DimensionMismatch):
-        embed_4x4(identity_transform(6), 0, 1, 3)
-
-
 def test_replay_rebuilds_transform():
     rng = np.random.default_rng(23)
-    t = identity_transform(4)
+    t = SymplecticTransform(np.eye(4))
     for _ in range(6):
         t = compose(basic_transform(int(rng.integers(0, 10)),
                                     rng.uniform(-1, 1)), t)
@@ -293,7 +260,7 @@ def test_embed_rows_needs_increasing_dofs_below_n(dofs):
 
 
 def test_block_scaling_diagonal():
-    t = block_scaling([0.2, -0.4, 0.1])
+    t = dof_transform(DOF_SCALING, [0.4, -0.8, 0.2])
     expected = np.diag([np.exp(-0.2), np.exp(0.2), np.exp(0.4),
                         np.exp(-0.4), np.exp(-0.1), np.exp(0.1)])
     np.testing.assert_allclose(t.r, expected, atol=1e-14)
@@ -312,7 +279,7 @@ def _array_dataclasses():
         "DecoupleResult": decouple(F),
         "EmeqState": state,
         "AuxVectors": aux_vectors(state),
-        "SymplecticTransform": identity_transform(4),
+        "SymplecticTransform": SymplecticTransform(np.eye(4)),
         "TransferMatrix": M,
         "SigmaMatrix": matched_sigma(M.matrix, (1.0, 2.0), tau=0.3),
         "EffectiveForce": effective_force(M.matrix, tau=0.3),
