@@ -106,7 +106,7 @@ def _render_text(doc, indent: int = 0, out=None) -> list:
 
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=1))
+        print(json.dumps(doc))
     else:
         print("\n".join(_render_text(doc)))
 
@@ -122,15 +122,16 @@ def _frequencies_doc(freqs) -> list:
                                     "nature": w.nature} for w in freqs]
 
 
-def _invariant_doc(M: np.ndarray) -> dict:
-    doc = {}
-    lax = lax_invariants(M)
-    doc["lax"] = [float(v) for v in lax]
+def _invariant_doc(M: np.ndarray, inv=None) -> dict:
+    """The Lax traces of M and, for a 4x4, its invariants: inv, read once
+    a symplex check accepted M, else read if one at 1e-6 does."""
+    doc = {"lax": [float(v) for v in lax_invariants(M)]}
     if M.shape[0] == 4:
-        try:
-            inv = Symplex.from_matrix(M, tol=1e-6).invariants
-        except NotASymplex:
-            return doc
+        if inv is None:
+            try:
+                inv = Symplex.from_matrix(M, tol=1e-6).invariants
+            except NotASymplex:
+                return doc
         doc.update({"k1": inv.k1, "k2": inv.k2, "det": inv.det,
                     "classification": inv.classification,
                     "stable": inv.stable, "degenerate": inv.degenerate})
@@ -156,16 +157,14 @@ def cmd_check(args) -> int:
         doc["symplex_residual"] = resid if math.isfinite(resid) else None
         ok = is_symplex(M, args.tol)
         if M.shape[0] == 4:
-            coeffs = rdm_coefficients(M)
-            doc["coefficients"] = {
-                "energy": float(coeffs[0]),
-                "p": [float(v) for v in coeffs[1:4]],
-                "e": [float(v) for v in coeffs[4:7]],
-                "b": [float(v) for v in coeffs[7:10]],
-            }
-            doc["cosymplex_coefficient_max"] = float(max(abs(coeffs[10:])))
+            c = rdm_coefficients(M).tolist()
+            doc["coefficients"] = {"energy": c[0], "p": c[1:4],
+                                   "e": c[4:7], "b": c[7:10]}
+            doc["cosymplex_coefficient_max"] = max(map(abs, c[10:]))
         try:
-            doc["invariants"] = _invariant_doc(M)
+            # those of the symplex the check accepts, at --tol
+            doc["invariants"] = _invariant_doc(
+                M, Symplex(M).invariants if ok and M.shape[0] == 4 else None)
         except PrecisionLoss:
             if ok:
                 raise
@@ -211,7 +210,7 @@ def cmd_decouple(args) -> int:
            "input": _input_doc(args.path, mf),
            "settings": {"form": args.form, "step_tol": STEP_TOL,
                         "post_tol": POST_TOL, "jacobi_tol": args.jacobi_tol},
-           "invariants_before": _invariant_doc(M),
+           "invariants_before": _invariant_doc(M, res.invariants),
            "form_reached": res.form}
     if res.invariants is not None:
         doc["classification"] = res.invariants.classification
@@ -230,7 +229,8 @@ def cmd_decouple(args) -> int:
         doc["frequencies"] = _frequencies_doc(res.frequencies)
     if res.complex_radius is not None:
         doc["complex_radius"] = float(res.complex_radius)
-    doc["invariants_after"] = _invariant_doc(final)
+    doc["invariants_after"] = _invariant_doc(  # res.final: checked at 1e-8
+        final, res.final.invariants if res.final.n == 2 else None)
     doc["replay_residual"] = replay_resid
     doc["timing"] = {"seconds": elapsed}
     _emit(doc, args.json)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -232,37 +232,43 @@ def _diagonal_blocks(M: np.ndarray) -> list[tuple[float, float, float, float]]:
             for k in range(0, len(rows), 2)]
 
 
-def _block_defect(M: np.ndarray, form: str) -> float:
-    """Largest entry of the diagonal 2x2 blocks of M off the pattern of
-    `form`: none in block_diagonal, the diagonals past it, and in normal
-    form also (a - b)/2, the part of [[0, a], [-b, 0]] that no rotation
-    [[0, w], [-w, 0]] holds."""
-    if form == FORM_BLOCK_DIAGONAL:
-        return 0.0
+def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
+    """A block_diagonal or hamiltonian result continued to `form`: the
+    per-dof rotation to H = R M R^-1 (unless res is in Hamiltonian form),
+    then for normal form the per-dof scaling to S H S^-1, all products
+    dense, R = S (R R_res) too.  Only the final matrix is checked: a
+    symplex at 1e-8, its diagonal blocks on `form` within POST_TOL times
+    the scale of the last stage's input (PrecisionLoss); a scaling keeps
+    every diagonal, so this also sees a Hamiltonian defect."""
+    M, freqs, stats = res.final.matrix, res.frequencies, res.stats
+    r, steps, last = res.transform.r, res.transform.steps, M
+    if res.form == FORM_BLOCK_DIAGONAL:
+        t = _hamiltonian_rotation(M)
+        M, r, steps = t.r @ M @ t.rinv, t.r @ r, steps + t.steps
+        if stats is not None:
+            stats = stats.after_hamiltonian(t, Symplex(M))
+    if form == FORM_NORMAL:
+        t, freqs = normal_form_scaling(Symplex(M))  # unchecked
+        for k, w in enumerate(freqs):
+            if w.nature != "imaginary":
+                raise UnstableBlock(
+                    f"block {k} has entries ({M[2 * k, 2 * k + 1]:.6e}, "
+                    f"{-M[2 * k + 1, 2 * k]:.6e}): a {w.nature} eigenvalue "
+                    "pair has no rotation normal form", block=k)
+        last, M, r, steps = M, t.r @ M @ t.rinv, t.r @ r, steps + t.steps
+    final = Symplex.from_matrix(M, tol=1e-8)
+    # the diagonals, and in normal form (a - b)/2 of each [[0, a], [-b, 0]]
     blocks = _diagonal_blocks(M)
     defect = max([max(abs(a), abs(d)) for a, _, _, d in blocks])
     if form == FORM_NORMAL:
         defect = max(defect, 0.5 * max([abs(b + c) for _, b, c, _ in blocks]))
-    return defect
-
-
-def _dof_stage(res: DecoupleResult, t: SymplecticTransform, form: str,
-               frequencies: tuple[Frequency, ...]) -> DecoupleResult:
-    """res continued by the per-dof transform t to `form`, its blocks
-    having `frequencies`.  PrecisionLoss is raised on the diagonal blocks
-    only, the entries the stage sets."""
-    M = res.final.matrix
-    final = Symplex.from_matrix(t.r @ M @ t.rinv, tol=1e-8)
-    defect = _block_defect(final.matrix, form)
-    if defect > POST_TOL * _scale(M):
+    if defect > POST_TOL * _scale(last):
         raise PrecisionLoss(f"{form} form off by {defect:.3e}")
-    transform = SymplecticTransform(t.r @ res.transform.r,
-                                    res.transform.steps + t.steps)
     return DecoupleResult(
-        source=res.source, transform=transform, final=final, form=form,
-        residual=max(off_block_max(final.matrix), defect),
-        invariants=res.invariants, frequencies=frequencies,
-        complex_radius=res.complex_radius, stats=res.stats)
+        source=res.source, transform=SymplecticTransform(r, steps),
+        final=final, form=form, residual=max(off_block_max(M), defect),
+        invariants=res.invariants, frequencies=freqs,
+        complex_radius=res.complex_radius, stats=stats)
 
 
 def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
@@ -274,12 +280,13 @@ def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
     |2a| below STEP_TOL times its Frobenius norm keeps angle 0, so the
     skips do not depend on the units of M.
     """
-    angles = []
-    for a, b, c, d in _diagonal_blocks(M):
-        norm = math.sqrt(a * a + b * b + c * c + d * d)
-        angles.append(0.0 if abs(2.0 * a) < STEP_TOL * norm
-                      else float(np.arctan2(-2.0 * a, b + c)))
-    return dof_transform(DOF_ROTATION, angles)
+    blocks = _diagonal_blocks(M)
+    skip = [abs(2.0 * a) < STEP_TOL * math.sqrt(a * a + b * b + c * c + d * d)
+            for a, b, c, d in blocks]
+    angles = np.arctan2([-2.0 * a for a, _, _, _ in blocks],
+                        [b + c for _, b, c, _ in blocks]).tolist()
+    return dof_transform(DOF_ROTATION, [0.0 if k else x
+                                        for k, x in zip(skip, angles)])
 
 
 def _solve_block(F, block: tuple[int, int] | None = None
@@ -349,11 +356,7 @@ def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
     """
     if res.form != FORM_BLOCK_DIAGONAL:
         raise ValueError(f"not a block_diagonal result: {res.form!r}")
-    t = _hamiltonian_rotation(res.final.matrix)
-    out = _dof_stage(res, t, FORM_HAMILTONIAN, res.frequencies)
-    if res.stats is None:
-        return out
-    return replace(out, stats=res.stats.after_hamiltonian(t, out.final))
+    return _dof_stages(res, FORM_HAMILTONIAN)
 
 
 def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
@@ -400,15 +403,7 @@ def to_normal_form(res: DecoupleResult) -> DecoupleResult:
     """
     if res.form != FORM_HAMILTONIAN:
         raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
-    M = res.final.matrix
-    scaling, freqs = normal_form_scaling(res.final)
-    for idx, w in enumerate(freqs):
-        if w.nature != "imaginary":
-            raise UnstableBlock(
-                f"block {idx} has entries ({M[2 * idx, 2 * idx + 1]:.6e}, "
-                f"{-M[2 * idx + 1, 2 * idx]:.6e}): a {w.nature} eigenvalue "
-                "pair has no rotation normal form", block=idx)
-    return _dof_stage(res, scaling, FORM_NORMAL, freqs)
+    return _dof_stages(res, FORM_NORMAL)
 
 
 def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +525,8 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     if energy^2 < max(P^2, E^2), intermediate otherwise) regardless of
     the requested form.  Any other n takes Jacobi's block stage
     (threshold jacobi_tol, pivot budget max_steps) and carries its
-    IterationStats.  Both continue by to_hamiltonian_form and
-    to_normal_form.
+    IterationStats.  Both continue in one per-dof pass (_dof_stages), as
+    to_hamiltonian_form and then to_normal_form would.
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
@@ -548,9 +543,7 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
                 return complex_low_energy(sym)
             return complex_intermediate(sym)
         res = decouple_block_diagonal(sym)
-    if form != FORM_BLOCK_DIAGONAL:
-        res = to_hamiltonian_form(res)
-    return to_normal_form(res) if form == FORM_NORMAL else res
+    return res if form == FORM_BLOCK_DIAGONAL else _dof_stages(res, form)
 
 
 def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:

@@ -205,15 +205,22 @@ def dof_transform(generator: int, epsilons) -> SymplecticTransform:
     Each block [[a, b], [c, d]] has det 1, so rinv is set to the blocks
     [[d, -b], [-c, a]]: _symplectic_inverse(r), bit for bit.
     """
+    if generator not in _DOF_BLOCKS:
+        raise DimensionMismatch(f"generator {generator} is no per-dof "
+                                "generator")
+    (p, q), (u, v) = _DOF_BLOCKS[generator]
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float)).tolist()
-    blocks = [_dof_block(generator, e) for e in eps]
     steps = tuple([TransformStep(generator, e, (d,), e == 0.0)
                    for d, e in enumerate(eps)])
+    blocks, inverse = [], []  # a, b, c, d of each block and of its inverse
+    for e in eps:
+        x, y = _half_angle(generator, e)  # exp(G e/2) = x 1 + y G
+        a, b, c, d = x + y * p, y * q, y * u, x + y * v
+        # 0.0 - b: a zero entry is +0.0, as the dense product makes it
+        blocks += (a, b, c, d)
+        inverse += (d, 0.0 - b, 0.0 - c, a)
     r = np.zeros((2, 2 * len(eps), 2 * len(eps)))  # R and R^-1
-    # 0.0 - x: a zero entry is +0.0, as the dense product makes it
-    r.put(_block_positions(len(eps)),
-          [x for (a, b), (c, d) in blocks for x in (a, b, c, d)]
-          + [x for (a, b), (c, d) in blocks for x in (d, 0.0 - b, 0.0 - c, a)])
+    r.put(_block_positions(len(eps)), blocks + inverse)
     t = SymplecticTransform(r=r[0], steps=steps)
     vars(t)["rinv"] = r[1]  # where cached_property looks first
     return t

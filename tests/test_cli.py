@@ -9,7 +9,7 @@ import pytest
 
 import symdec.cli
 from symdec import jacobi
-from symdec.cli import build_parser, main
+from symdec.cli import _invariant_doc, build_parser, main
 from symdec.decouple4 import POST_TOL, STEP_TOL
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, rdm_coefficients
@@ -315,6 +315,28 @@ def test_check_zero_tol_valid(tmp_path, capsys, kind):
     assert doc["tolerance"] == 0.0 and doc["valid"] is True
 
 
+def test_check_tol_reports_invariants_of_the_accepted_symplex(tmp_path,
+                                                            capsys):
+    # F[0, 2] off by 1e-5 max|F|: a symplex at --tol 1e-4, none at the
+    # default 1e-10 (nor at 1e-6); the invariants follow the verdict
+    F = random_test_symplex(2, 0).matrix.copy()
+    F[0, 2] += 1e-5 * np.abs(F).max()
+    path = tmp_path / "f.json"
+    save_matrix_json(path, F, kind="force")
+    assert main(["check", str(path), "--tol", "1e-4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inv = Symplex.from_matrix(F, tol=1e-4).invariants
+    assert doc["valid"] is True
+    assert doc["invariants"]["k1"] == inv.k1
+    assert doc["invariants"]["k2"] == inv.k2
+    assert doc["invariants"]["classification"] == inv.classification
+    assert [w["value"] for w in doc["invariants"]["frequencies"]] == [
+        inv.omega1.value, inv.omega2.value]
+    assert main(["check", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["valid"] is False and list(doc["invariants"]) == ["lax"]
+
+
 # ---------------------------------------------------------------------------
 # decouple command
 
@@ -358,6 +380,49 @@ def test_decouple_text_and_json_same_numbers(tmp_path, capsys):
     for row in doc["final_matrix"]:
         for v in row:
             assert repr(v) in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["decouple", "f4.json", "--form", "block"],
+    ["decouple", "f4.json", "--form", "hamiltonian"],
+    ["decouple", "f4.json", "--form", "normal"],
+    ["decouple", "cplx.json"],
+    ["decouple", "f6.json", "--form", "normal"],
+    ["check", "f4.json"],
+    ["check", "f6.json"],
+    ["tunes", "ring.json", "--emittances", "2,0.5"],
+], ids=" ".join)
+def test_json_report_is_one_line_of_the_built_document(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # --json writes the report compactly: one newline-terminated line that
+    # parses to the document the command built; decouple's invariants are
+    # those a fresh _invariant_doc reads from the input and the final matrix
+    save_matrix_json(tmp_path / "f4.json",
+                     random_stable_symplex(np.random.default_rng(7)),
+                     kind="force")
+    save_matrix_json(tmp_path / "cplx.json", 0.4 * GAMMA[4] + 0.9 * GAMMA[7],
+                     kind="force")
+    save_matrix_json(tmp_path / "f6.json", random_test_symplex(3, 0).matrix,
+                     kind="force")
+    save_matrix_json(tmp_path / "ring.json", matrix_exponential(
+        random_stable_symplex(np.random.default_rng(8)), 0.4).matrix,
+        kind="transfer", tau=0.4)
+    built = []
+    emit = symdec.cli._emit
+    monkeypatch.setattr(symdec.cli, "_emit", lambda doc, as_json: (
+        built.append(doc), emit(doc, as_json)))
+    path = str(tmp_path / argv[1])
+    assert main([argv[0], path, *argv[2:], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc, = built
+    assert json.loads(out) == doc
+    if argv[0] == "decouple":
+        # float for float, the sign of a zero included
+        final = np.array(doc["final_matrix"])
+        for key, M in (("invariants_before", load_matrix(path).matrix),
+                       ("invariants_after", final)):
+            assert json.dumps(doc[key]) == json.dumps(_invariant_doc(M))
 
 
 def test_decouple_deterministic(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The per-dof stages against a dense reference, and every check of the
-4x4 block solve and of the per-dof stages made to fire by an injected
-fault: each keeps its tolerance and its exception."""
+"""The per-dof stages against a dense reference and against the stage
+chain, and every check of the 4x4 block solve and of the per-dof stages
+made to fire by an injected fault: each keeps its tolerance and its
+exception."""
 
 from dataclasses import replace
 
@@ -8,18 +9,21 @@ import numpy as np
 import pytest
 
 from symdec import decouple4, emeq, optics
-from symdec.decouple4 import (FORM_HAMILTONIAN, FORM_NORMAL, _Pipeline,
+from symdec.decouple4 import (FORM_COMPLEX_CANONICAL, FORM_HAMILTONIAN,
+                              FORM_NORMAL, _Pipeline,
                               _solve_block, decouple, normal_form_scaling,
                               to_hamiltonian_form, to_normal_form)
 from symdec.dirac import GAMMA
 from symdec.emeq import Symplex, _transform_floats
+from symdec.emeq import (CLASS_COMPLEX_QUADRUPLE, CLASS_MIXED,
+                         CLASS_TWO_IMAGINARY_PAIRS, CLASS_TWO_REAL_PAIRS)
 from symdec.errors import (BoostDomain, ComplexEigenvalues, DegenerateB,
-                           NotASymplex, PrecisionLoss)
+                           NotASymplex, PrecisionLoss, SymdecError)
 from symdec.jacobi import random_test_symplex
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, _symplectic_inverse,
                               dof_transform, matrix_exponential, replay)
 
-from conftest import random_stable_symplex
+from conftest import random_complex_symplex, random_stable_symplex
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -39,6 +43,103 @@ def test_dof_stages_match_dense_reference(n, seed):
         np.testing.assert_array_equal(out.transform.r, r @ res.transform.r)
         assert out.transform.steps == res.transform.steps + steps
         res = out
+
+
+def _conjugated_blocks(rng, *blocks):
+    """T diag(blocks) T^-1 for a random symplectic T near the identity."""
+    D = np.zeros((4, 4))
+    D[:2, :2], D[2:, 2:] = blocks
+    T = matrix_exponential(0.3 * random_stable_symplex(rng)).matrix
+    return T @ D @ _symplectic_inverse(T)
+
+
+def _four_classes():
+    rng = np.random.default_rng(17)
+    return {
+        CLASS_TWO_IMAGINARY_PAIRS: random_stable_symplex(rng),
+        CLASS_TWO_REAL_PAIRS: _conjugated_blocks(
+            rng, [[0.0, 1.0], [0.5, 0.0]], [[0.0, 2.0], [1.5, 0.0]]),
+        CLASS_MIXED: _conjugated_blocks(
+            rng, [[0.0, 1.0], [-0.7, 0.0]], [[0.0, 1.0], [0.4, 0.0]]),
+        CLASS_COMPLEX_QUADRUPLE: random_complex_symplex(rng, "low"),
+    }
+
+
+def _outcome(run):
+    """Every output of a decoupling run, or its exception, as bytes and
+    plain values."""
+    try:
+        res = run()
+    except SymdecError as exc:
+        return type(exc), str(exc)
+    return (res.form, res.transform.r.tobytes(), res.transform.rinv.tobytes(),
+            res.final.matrix.tobytes(), res.transform.steps, res.frequencies,
+            float(res.residual).hex(), res.stats)
+
+
+def _chain(F, form):
+    res = decouple(F)
+    if res.form == FORM_COMPLEX_CANONICAL:  # reached whatever the form
+        return res
+    res = to_hamiltonian_form(res)
+    return to_normal_form(res) if form == FORM_NORMAL else res
+
+
+@pytest.mark.parametrize("form", [FORM_HAMILTONIAN, FORM_NORMAL])
+@pytest.mark.parametrize("case", [
+    *_four_classes(),
+    *[f"n={n},s={s}" for n in (1, 3, 5) for s in range(3)]])
+def test_one_pass_matches_stage_chain(case, form):
+    # decouple goes to its form in one per-dof pass; to_hamiltonian_form
+    # then to_normal_form give the same R, R^-1, final, steps,
+    # frequencies, residual and stats, bit for bit, or the same exception
+    if case.startswith("n="):
+        n, s = (int(part[2:]) for part in case.split(","))
+        F = random_test_symplex(n, s).matrix
+    else:
+        F = _four_classes()[case]
+        assert Symplex.from_matrix(F).invariants.classification == case
+    want = _outcome(lambda: _chain(F, form))
+    assert _outcome(lambda: decouple(F, form=form)) == want
+    if case == CLASS_TWO_IMAGINARY_PAIRS or case.startswith("n="):
+        assert want[0] == form  # a result, not an exception
+
+
+def test_normal_form_decouple_checks_the_final_symplex_only(monkeypatch):
+    # entry (1e-10), R F R^-1 of the 4x4 solve and the normal form (1e-8):
+    # the Hamiltonian form on the way is not checked on its own
+    F = random_stable_symplex(np.random.default_rng(3))
+    checks = []
+    is_symplex = emeq.is_symplex
+    monkeypatch.setattr(emeq, "is_symplex",
+                        lambda M, tol: checks.append(tol) or is_symplex(M, tol))
+    decouple(F, form=FORM_NORMAL)
+    assert checks == [1e-10, 1e-8, 1e-8]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_normal_form_checks_see_a_faulty_rotation(monkeypatch, n):
+    # the normal-form checks catch what the dropped Hamiltonian-form checks
+    # caught: every rotation angle off by 1e-6 leaves a diagonal the
+    # scaling keeps, a rotation inverse off by 1e-6 leaves the symplices
+    F = random_test_symplex(n, 0)
+    decouple(F, form=FORM_NORMAL)
+    dof = decouple4.dof_transform
+    with monkeypatch.context() as m:
+        m.setattr(decouple4, "dof_transform", lambda g, eps: dof(
+            g, [e + 1e-6 for e in eps] if g == DOF_ROTATION else eps))
+        with pytest.raises(PrecisionLoss, match="^normal form off by"):
+            decouple(F, form=FORM_NORMAL)
+
+    def bad_inverse(generator, eps):
+        t = dof(generator, eps)
+        if generator == DOF_ROTATION:
+            vars(t)["rinv"] = t.rinv + 1e-6 * np.triu(np.ones_like(t.rinv))
+        return t
+    with monkeypatch.context() as m:
+        m.setattr(decouple4, "dof_transform", bad_inverse)
+        with pytest.raises(NotASymplex, match="residual"):
+            decouple(F, form=FORM_NORMAL)
 
 
 @pytest.mark.parametrize("generator", [DOF_ROTATION, DOF_SCALING])
