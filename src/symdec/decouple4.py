@@ -40,9 +40,9 @@ from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
                    mass_components)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
-from .transform import (_EYE4, DOF_ROTATION, DOF_SCALING,
-                        SymplecticTransform, TransformStep, _block_positions,
-                        _half_angle, _symplectic_inverse, dof_transform)
+from .transform import (DOF_ROTATION, DOF_SCALING, SymplecticTransform,
+                        TransformStep, _block_positions, _product,
+                        _symplectic_inverse, dof_transform)
 
 if TYPE_CHECKING:
     from .jacobi import IterationStats
@@ -81,9 +81,6 @@ STEP_TOL = 1e-14
 NOISE_TOL = 2.0 ** -53
 POST_TOL = 1e-10
 
-_GENERATORS = np.array(GAMMA[:10])
-_GENERATORS.flags.writeable = False
-
 
 @dataclass(frozen=True, eq=False)
 class DecoupleResult:
@@ -112,14 +109,12 @@ class DecoupleResult:
 
 class _Pipeline:
     """One stage on a 4x4: propagated coefficients f (Python floats, by
-    default sym.coefficients), the factors (c, s, b) of R, step log tagged
-    with `block`."""
+    default sym.coefficients) and the step log, tagged with `block`."""
 
     def __init__(self, sym: Symplex, block: tuple[int, int] | None = None,
                  f: Sequence[float] | None = None):
-        self.source, self.block = sym, block
+        self.source, self.block, self.steps = sym, block, []
         self.f = sym.coefficients if f is None else f
-        self.factors, self.steps = [], []
 
     def masses(self) -> tuple[float, float, float]:
         """E.B, B.P and E.P of the propagated coefficients."""
@@ -151,14 +146,11 @@ class _Pipeline:
             self.rotate(b, 0.0 if skip else v[k], v[1], degree, sign)
 
     def step(self, b: int, epsilon: float) -> None:
-        """Apply one generator to f and record its factor c 1 + s gamma_b
-        (basic_transform's), or log a skip."""
+        """Apply one generator to f and log it, or log a skip."""
         if abs(epsilon) < STEP_TOL:
             self.steps.append(TransformStep(b, 0.0, self.block, True))
             return
-        c, s = _half_angle(b, epsilon)
         self.f = _transform_floats(self.f, b, epsilon)
-        self.factors.append((c, s, b))
         self.steps.append(TransformStep(b, epsilon, self.block))
 
     def boost(self, b: int, num: float, den: float, sign: float,
@@ -176,16 +168,8 @@ class _Pipeline:
     def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, list[float]]:
         """R, R^-1, R F R^-1 and its ten re-extracted coefficients
         (NotASymplex if it left the symplices, PrecisionLoss if the
-        propagation drifted).  R is the factors built in one array
-        operation and multiplied in order of application, F_k ... F_1."""
-        r = _EYE4.copy()
-        if self.factors:
-            c, s, b = zip(*self.factors)
-            factors = (np.array(c)[:, None, None] * _EYE4
-                       + np.array(s)[:, None, None] * _GENERATORS[list(b)])
-            r = factors[0]
-            for factor in factors[1:]:
-                r = factor @ r
+        propagation drifted).  R is the product of the logged steps."""
+        r = _product(self.steps)
         rinv = _symplectic_inverse(r)
         final = Symplex.from_matrix(r @ self.source.matrix @ rinv, tol=1e-8)
         c = _symplex_floats(final.matrix)

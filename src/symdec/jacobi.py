@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
                      PivotComplex)
-from .transform import SymplecticTransform
+from .transform import SymplecticTransform, _dof_rows
 
 __all__ = [
     "IterationStats",
@@ -113,16 +112,8 @@ def random_test_symplex(n: int, seed: int) -> Symplex:
     return Symplex(symplectic_unit(n) @ A)
 
 
-@lru_cache(maxsize=None)
-def _pair_rows(i: int, j: int) -> np.ndarray:
-    """Rows 2i, 2i + 1, 2j, 2j + 1 of the dof pair (i, j) (read-only)."""
-    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-    idx.flags.writeable = False
-    return idx
-
-
 def _extract_pair(F: np.ndarray, i: int, j: int) -> np.ndarray:
-    idx = _pair_rows(i, j)
+    idx = _dof_rows(F.shape[0] // 2, (i, j))
     return F.take(idx, 0).take(idx, 1)
 
 
@@ -176,7 +167,7 @@ def _block_stage(sym: Symplex, tol: float,
             i, j, (r4, rinv4, steps4, _) = _fallback_pivot(M, amp, (i, j), exc)
         # E M E^-1 and E R for E = r4 embedded at (i, j): four rows and
         # four columns of M, four rows of R
-        idx = _pair_rows(i, j)
+        idx = _dof_rows(n, (i, j))
         M[idx] = r4 @ M.take(idx, 0)
         M[:, idx] = M.take(idx, 1) @ rinv4
         R[idx] = r4 @ R.take(idx, 0)

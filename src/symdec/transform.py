@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -37,6 +38,8 @@ DOF_ROTATION = 0  # the per-dof generators of dof_transform
 DOF_SCALING = 3
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
+_GENERATORS = np.array(GAMMA[:10])
+_GENERATORS.flags.writeable = False
 # the 2x2 block G of gamma(g) = diag(G, G) for the two per-dof generators
 _DOF_BLOCKS = {g: GAMMA[g][:2, :2].tolist() for g in (DOF_ROTATION, DOF_SCALING)}
 
@@ -104,8 +107,7 @@ def _symplectic_inverse(r: np.ndarray) -> np.ndarray:
     return (r @ g0).T @ g0
 
 
-def basic_transform(b: int, epsilon: float,
-                    skipped: bool = False) -> SymplecticTransform:
+def basic_transform(b: int, epsilon: float) -> SymplecticTransform:
     """Elementary 4x4 transform generated by gamma(b), b in 0..9.
 
     The parameter is the full angle (rotation) or rapidity (boost); the
@@ -113,9 +115,24 @@ def basic_transform(b: int, epsilon: float,
     """
     if not 0 <= b <= 9:
         raise IndexError(f"generator index out of range: {b}")
-    c, s = _half_angle(b, epsilon)
-    step = TransformStep(generator=b, epsilon=float(epsilon), skipped=skipped)
-    return SymplecticTransform(r=c * _EYE4 + s * GAMMA[b], steps=(step,))
+    step = TransformStep(generator=b, epsilon=float(epsilon))
+    return SymplecticTransform(r=_product((step,)), steps=(step,))
+
+
+def _product(steps) -> np.ndarray:
+    """F_k ... F_1, a new 4x4, of the live steps' factors c 1 + s gamma_b,
+    built in one array operation and multiplied in log order."""
+    live = [(step.generator, *_half_angle(step.generator, step.epsilon))
+            for step in steps if not step.skipped]
+    if not live:
+        return _EYE4.copy()
+    b, c, s = zip(*live)
+    factors = (np.array(c)[:, None, None] * _EYE4
+               + np.array(s)[:, None, None] * _GENERATORS[list(b)])
+    r = factors[0]
+    for factor in factors[1:]:
+        r = factor @ r
+    return r
 
 
 def _half_angle(b: int, epsilon: float) -> tuple[float, float]:
@@ -155,44 +172,53 @@ def compose(t2: SymplecticTransform, t1: SymplecticTransform) -> SymplecticTrans
     return SymplecticTransform(r=t2.r @ t1.r, steps=t1.steps + t2.steps)
 
 
-def embed_rows(A: np.ndarray, rk, *dofs: int) -> list[int]:
-    """A <- E A in place, E the 2k x 2k matrix rk embedded at the k
-    increasing degrees of freedom `dofs` of n = len(A) / 2.
-
-    E is the identity outside rows and columns 2d, 2d + 1 of each dof d,
-    so only those 2k rows of A change, at O(n) cost per column; their
-    indices are returned.  IndexError unless 0 <= dofs[0] < ... < n.
-    """
-    n = A.shape[0] // 2
+@lru_cache(maxsize=None)
+def _dof_rows(n: int, dofs: tuple[int, ...]) -> np.ndarray:
+    """Rows 2d, 2d + 1 of each increasing dof d < n, read-only (IndexError)."""
     bounds = (-1, *dofs, n)
     if not dofs or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise IndexError(f"invalid dofs {dofs} for n={n}")
-    idx = [m for d in dofs for m in (2 * d, 2 * d + 1)]
-    A[idx] = rk @ A.take(idx, 0)
+    idx = np.array([m for d in dofs for m in (2 * d, 2 * d + 1)])
+    idx.flags.writeable = False
     return idx
 
 
-def replay(steps, dim: int = 4) -> SymplecticTransform:
-    """Rebuild the accumulated transform from a step log.
+def embed_rows(A: np.ndarray, rk, *dofs: int) -> None:
+    """A <- E A in place, E the 2k x 2k matrix rk embedded at the k
+    increasing dofs of n = len(A) / 2: only their 2k rows change, at O(n)
+    cost per column.  IndexError unless 0 <= dofs[0] < ... < n."""
+    idx = _dof_rows(A.shape[0] // 2, dofs)
+    A[idx] = rk @ A.take(idx, 0)
 
-    Steps are applied in log order (earliest first), skipped entries as
-    identity factors.  A step with no block is a 4x4 step (dim 4 only); a
-    pair (i, j) embeds its 4x4 at those dofs and a single dof (k,) the
-    2x2 block of its diag(G, G) generator at dof k (embed_rows).
-    """
+
+def replay(steps, dim: int = 4) -> SymplecticTransform:
+    """Rebuild the accumulated transform from a step log as the library
+    forms it, bit for bit: each run of steps on one block is one _product
+    (skips are identities) left-multiplying R with no block (dim 4 only) or
+    embedded at a dof pair; per-dof steps, each dof once, are one dense
+    block-diagonal factor.  DimensionMismatch for an odd dim or 3+ dofs."""
     steps = tuple(steps)
+    if dim < 2 or dim % 2:
+        raise DimensionMismatch(f"a log acts in even dimension, not {dim}")
     r = np.eye(dim)
-    for s in steps:
-        eps = 0.0 if s.skipped else s.epsilon
-        if s.block is None:
-            if dim != 4:
-                raise DimensionMismatch(
-                    "un-embedded 4x4 step in a log of dimension "
-                    f"{dim}; block indices required")
-            r = basic_transform(s.generator, eps).r @ r
+    for block, run in groupby(steps, lambda s: s.block if s.block is None
+                              or len(s.block) != 1 else "dof"):
+        if block is None and dim == 4:
+            r = _product(run) @ r
+        elif block == "dof":
+            t, done = np.eye(dim), set()
+            for s in run:
+                i = _dof_rows(dim // 2, tuple(s.block))[0]  # row 2k, dof k
+                if i in done:  # the next stage
+                    r, t, done = t @ r, np.eye(dim), set()
+                done.add(i)
+                t[i:i + 2, i:i + 2] = _dof_block(
+                    s.generator, 0.0 if s.skipped else s.epsilon)
+            r = t @ r
+        elif block is None or len(block) != 2:
+            raise DimensionMismatch(f"no step on {block} in dimension {dim}")
         else:
-            embed_rows(r, _dof_block(s.generator, eps) if len(s.block) == 1
-                       else basic_transform(s.generator, eps).r, *s.block)
+            embed_rows(r, _product(run), *block)
     return SymplecticTransform(r=r, steps=steps)
 
 
@@ -208,14 +234,12 @@ def dof_transform(generator: int, epsilons) -> SymplecticTransform:
     if generator not in _DOF_BLOCKS:
         raise DimensionMismatch(f"generator {generator} is no per-dof "
                                 "generator")
-    (p, q), (u, v) = _DOF_BLOCKS[generator]
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float)).tolist()
     steps = tuple([TransformStep(generator, e, (d,), e == 0.0)
                    for d, e in enumerate(eps)])
     blocks, inverse = [], []  # a, b, c, d of each block and of its inverse
     for e in eps:
-        x, y = _half_angle(generator, e)  # exp(G e/2) = x 1 + y G
-        a, b, c, d = x + y * p, y * q, y * u, x + y * v
+        (a, b), (c, d) = _dof_block(generator, e)
         # 0.0 - b: a zero entry is +0.0, as the dense product makes it
         blocks += (a, b, c, d)
         inverse += (d, 0.0 - b, 0.0 - c, a)

@@ -17,7 +17,7 @@ from symdec.emeq import Symplex, emeq_from_symplex
 from symdec.errors import NotASymplex
 from symdec.jacobi import jacobi_decouple, random_test_symplex
 from symdec.matrixio import (MatrixFileError, load_matrix, save_matrix_json)
-from symdec.transform import matrix_exponential
+from symdec.transform import TransformStep, matrix_exponential, replay
 
 from conftest import cyclotron_force_matrix, random_stable_symplex
 
@@ -605,6 +605,23 @@ def test_decouple_single_dof(tmp_path, capsys):
         assert doc["replay_residual"] < 1e-12
         np.testing.assert_allclose(doc["invariants_before"]["lax"],
                                    doc["invariants_after"]["lax"], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("form", ["block", "hamiltonian", "normal"])
+def test_decouple_json_log_alone_replays_r(tmp_path, capsys, n, form):
+    # the report's transform_log rebuilds the library's R bit for bit:
+    # its floats are written by repr, so each epsilon reads back exactly
+    M = random_test_symplex(n, 3).matrix
+    path = tmp_path / "f.json"
+    save_matrix_json(path, M, kind="force")
+    assert main(["decouple", str(path), "--json", "--form", form]) == 0
+    log = json.loads(capsys.readouterr().out)["transform_log"]
+    steps = [TransformStep(s["generator"], s["epsilon"],
+                           None if s["block"] is None else tuple(s["block"]),
+                           s["skipped"]) for s in log]
+    want = decouple(M, form=symdec.cli._FORMS[form]).transform.r
+    assert np.array_equal(replay(steps, 2 * n).r, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

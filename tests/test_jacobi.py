@@ -134,6 +134,16 @@ def test_transform_log_replays():
     np.testing.assert_allclose(rebuilt.r, transform.r, atol=1e-12)
     np.testing.assert_allclose(
         rebuilt.r @ sym.matrix @ rebuilt.rinv, out.matrix, atol=1e-10)
+    # replay forms R as decouple does (one product per pivot, one dense
+    # factor per per-dof stage), so every log gives R back bit for bit, in
+    # every form (at n = 10 dof-by-dof embedding can round differently)
+    for n in (1, 2, 3, 5, 8, 10):
+        for seed in range(6):
+            F = random_test_symplex(n, seed)
+            for form in ("block_diagonal", "hamiltonian", "normal"):
+                t = decouple(F, form=form).transform
+                assert np.array_equal(replay(t.steps, 2 * n).r, t.r), \
+                    (n, seed, form)
 
 
 def test_rerun_converges_immediately():
@@ -409,7 +419,7 @@ def test_replay_matches_dense_embedding():
     rebuilt = replay(transform.steps, dim=10)
     assert rebuilt.steps == transform.steps
     assert np.abs(rebuilt.r - dense).max() <= 1e-12 * np.abs(dense).max()
-    assert np.abs(rebuilt.r - transform.r).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(rebuilt.r, transform.r)
 
 
 def test_replay_checks_block_pairs():
@@ -417,6 +427,9 @@ def test_replay_checks_block_pairs():
         replay((TransformStep(0, 0.1, (1, 3)),), dim=6)
     with pytest.raises(IndexError):
         replay((TransformStep(0, 0.1, (2, 1)),), dim=6)
+    for dof in (3, -1):  # a per-dof step's block is written by slices
+        with pytest.raises(IndexError):
+            replay((TransformStep(0, 0.1, (dof,)),), dim=6)
 
 
 @pytest.mark.parametrize("n, seed, tau", [(6, 1, 0.5), (6, 5, 0.5),

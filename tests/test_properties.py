@@ -302,9 +302,9 @@ def classed_symplices(draw):
 @PROPERTY
 @given(case=classed_symplices())
 def test_block_solve_r_is_its_replayed_steps(case):
-    # R is formed once from the factors the steps recorded; it is the
-    # per-step product that replay rebuilds from the log, bit for bit, in
-    # every form reached (a real pair has no normal form)
+    # R is the one factor product of the logged steps; replay rebuilds it
+    # from the log bit for bit in every form reached (a real pair has no
+    # normal form)
     cls, F = case
     for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         try:

@@ -253,6 +253,20 @@ def test_replay_single_dof_log():
     np.testing.assert_allclose(r.r, res.transform.r, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [5, 3, 1, 0])
+def test_replay_needs_even_dimension(dim):
+    for steps in ((), (TransformStep(0, 0.3, (0,)),),
+                  (TransformStep(7, 0.4, (0, 1)),)):
+        with pytest.raises(DimensionMismatch):
+            replay(steps, dim=dim)
+
+
+@pytest.mark.parametrize("block", [(0, 1, 2), (0, 1, 2, 3), ()])
+def test_replay_needs_one_or_two_dofs(block):
+    with pytest.raises(DimensionMismatch):
+        replay((TransformStep(7, 0.4, block),), dim=8)
+
+
 @pytest.mark.parametrize("dofs", [(3,), (1, 1), (2, 1), (-1,), ()])
 def test_embed_rows_needs_increasing_dofs_below_n(dofs):
     with pytest.raises(IndexError):
