@@ -35,9 +35,9 @@ import numpy as np
 
 from . import emeq
 from .dirac import GAMMA, _frobenius, _symplex_floats
-from .emeq import (EmeqState, Frequency, SpectralInvariants, Symplex,
-                   _axpy_cross, _cross, _dot, _transform_floats, aux_vectors,
-                   mass_components)
+from .emeq import (NATURE_IMAGINARY, EmeqState, Frequency,
+                   SpectralInvariants, Symplex, _aux_b, _masses,
+                   _transform_floats, aux_vectors, mass_components)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (DOF_ROTATION, DOF_SCALING, SymplecticTransform,
@@ -116,11 +116,6 @@ class _Pipeline:
         self.source, self.block, self.steps = sym, block, []
         self.f = sym.coefficients if f is None else f
 
-    def masses(self) -> tuple[float, float, float]:
-        """E.B, B.P and E.P of the propagated coefficients."""
-        p, e, b = self.f[1:4], self.f[4:7], self.f[7:10]
-        return _dot(e, b), _dot(b, p), _dot(e, p)
-
     def noise(self, degree: int) -> float:
         """NOISE_TOL |f|^degree, the rounding of a form of that degree."""
         return NOISE_TOL * math.hypot(*self.f) ** degree
@@ -179,11 +174,6 @@ class _Pipeline:
         return r, rinv, final, c
 
 
-def _aux_b(f) -> tuple[float, float, float]:
-    """The auxiliary vector b = energy B + E x P of the floats f."""
-    return _axpy_cross(f[0], f[7:10], f[4:7], f[1:4])
-
-
 def _as_symplex(F) -> Symplex:
     if isinstance(F, Symplex):
         return F
@@ -234,7 +224,7 @@ def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
     if form == FORM_NORMAL:
         t, freqs = normal_form_scaling(Symplex(M))  # unchecked
         for k, w in enumerate(freqs):
-            if w.nature != "imaginary":
+            if w.nature != NATURE_IMAGINARY:
                 raise UnstableBlock(
                     f"block {k} has entries ({M[2 * k, 2 * k + 1]:.6e}, "
                     f"{-M[2 * k + 1, 2 * k]:.6e}): a {w.nature} eigenvalue "
@@ -292,10 +282,10 @@ def _solve_block(F, block: tuple[int, int] | None = None
             "complex quadruple")
     pipe = _Pipeline(sym, block, f)
 
-    m_r, m_g, _ = pipe.masses()
+    m_r, m_g, _ = _masses(pipe.f)
     pipe.rotate(0, m_g, m_r, 2)
     pipe.align_y(_aux_b, 2)
-    m_r, b_y = pipe.masses()[0], _aux_b(pipe.f)[1]
+    m_r, b_y = _masses(pipe.f)[0], _aux_b(pipe.f)[1]
     boost = abs(m_r) > max(STEP_TOL * abs(b_y), pipe.noise(2))
     if boost and abs(m_r) >= abs(b_y):
         raise ComplexEigenvalues(
@@ -372,7 +362,7 @@ def normal_form_scaling(H: Symplex | np.ndarray
     H = _as_symplex(H).matrix
     freqs = _block_frequencies(H)
     return dof_transform(DOF_SCALING, [
-        0.5 * math.log(a / -b) if w.nature == "imaginary" else 0.0
+        0.5 * math.log(a / -b) if w.nature == NATURE_IMAGINARY else 0.0
         for (_, a, b, _), w in zip(_diagonal_blocks(H), freqs)]), freqs
 
 
@@ -397,7 +387,8 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     unitary-symplectic matrix E0 = (1 - g0 + i g3 + i g6)/2 is
     diag(e0, e0), and e0 diagonalizes every rotation block, so the source
     has eigenvector matrix E = Rinv kron(I_n, e0) with eigenvalues
-    (i w1, -i w1, ..., i wn, -i wn).
+    (i w1, -i w1, ..., i wn, -i wn); PrecisionLoss if its residual is
+    above 1e-9 times the source's scale.
     """
     if res.form != FORM_NORMAL:
         raise ValueError(f"not a normal-form result: {res.form!r}")
@@ -406,8 +397,7 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     values = np.array([s * w.value for w in res.frequencies
                        for s in (1j, -1j)])
     resid = float(np.max(np.abs(res.source @ vecs - vecs * values)))
-    scale = max(1.0, float(np.linalg.norm(res.source)))
-    if resid > 1e-9 * scale:
+    if resid > 1e-9 * _scale(res.source):
         raise PrecisionLoss(
             f"eigen decomposition residual {resid:.3e} above tolerance")
     return vecs, values
@@ -435,8 +425,11 @@ def _complex_precondition(sym: Symplex) -> tuple[float, float, float]:
     if sym.invariants.k2 >= 0.0:
         raise BranchMismatch(f"K2 = {sym.invariants.k2:.6e} >= 0; "
                              "use decouple_block_diagonal")
-    s = sym.state
-    return s.energy**2, float(s.p @ s.p), float(s.e @ s.e)
+    f = sym.coefficients
+    # numpy's dot product: a left-to-right sum rounds differently, and
+    # e2 - p2 sets complex_intermediate's first angle
+    p, e = np.array(f[1:4]), np.array(f[4:7])
+    return f[0]**2, float(p @ p), float(e @ e)
 
 
 def complex_low_energy(F) -> DecoupleResult:
@@ -456,7 +449,7 @@ def complex_low_energy(F) -> DecoupleResult:
             "energy^2 >= max(P^2, E^2); use complex_intermediate")
     pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
 
-    m_r, m_g, _ = pipe.masses()
+    m_r, m_g, _ = _masses(pipe.f)
     pipe.rotate(0, m_g, m_r, 2)                                  # 1
     # the E alignment only serves the energy-removing boost; with no
     # energy left both rotations are skips
@@ -488,7 +481,7 @@ def complex_intermediate(F) -> DecoupleResult:
 
     # minimizes P^2 (and removes E.P): act whenever E.P survives or the
     # minimum sits a quarter turn away (P^2 > E^2)
-    pipe.rotate(0, 2.0 * pipe.masses()[2], e2 - p2, 2, 0.5, turn=True)  # 1
+    pipe.rotate(0, 2.0 * _masses(pipe.f)[2], e2 - p2, 2, 0.5, turn=True)  # 1
     pipe.align_y(lambda f: f[1:4], 1)                            # 2-3
     # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
     # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
@@ -559,5 +552,5 @@ def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:
                / (m_x * b_yz * b_norm),
         "e_z": (m.m_r * (bv[1] * e[2] - bv[2] * e[1])
                 + m.m_g * (bv[1] * p[2] - bv[2] * p[1])) / (m_x * b_yz),
-        "b_y": (e0 * float(b @ b) - float(p @ _cross(e, b))) / b_norm,
+        "b_y": (e0 * float(b @ b) - float(p @ np.cross(e, b))) / b_norm,
     }

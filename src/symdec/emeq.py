@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dirac import (GAMMA, from_coefficients, gamma_signature, is_symplex,
-                    rdm_coefficients, symplex_residual)
+from .dirac import (GAMMA, _symplex_floats, from_coefficients,
+                    gamma_signature, is_symplex, symplex_residual)
 from .errors import NotASymplex, PrecisionLoss
 
 __all__ = [
@@ -85,7 +85,8 @@ class EmeqState:
     @property
     def coefficients(self) -> np.ndarray:
         """The ten symplex coefficients (energy, P, E, B) as one vector."""
-        return np.concatenate(([self.energy], self.p, self.e, self.b))
+        return np.concatenate(([self.energy], self.p, self.e, self.b),
+                              dtype=float)
 
     def matrix(self) -> np.ndarray:
         """Reassemble the 4x4 symplex carrying this state."""
@@ -111,6 +112,11 @@ class AuxVectors:
     b: np.ndarray  # energy*B + E x P
 
 
+NATURE_IMAGINARY = "imaginary"
+NATURE_REAL = "real"
+NATURE_ZERO = "zero"
+
+
 @dataclass(frozen=True)
 class Frequency:
     """Eigenfrequency with the nature of its eigenvalue pair.
@@ -128,10 +134,10 @@ class Frequency:
                     sense: float = 1.0) -> Frequency:
         """The pair +-sqrt(-d), zero within +-band; sense signs w = sqrt(d)."""
         if d > band:
-            return cls(math.copysign(math.sqrt(d), sense), "imaginary")
+            return cls(math.copysign(math.sqrt(d), sense), NATURE_IMAGINARY)
         if d < -band:
-            return cls(math.sqrt(-d), "real")
-        return cls(0.0, "zero")
+            return cls(math.sqrt(-d), NATURE_REAL)
+        return cls(0.0, NATURE_ZERO)
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,9 @@ class Symplex:
     def coefficients(self) -> tuple[float, ...]:
         """The ten Dirac coefficients (energy, P, E, B) as Python floats,
         read once (ValueError unless 4x4)."""
-        return tuple(rdm_coefficients(self.matrix)[:10].tolist())
+        if self.n != 2:
+            raise ValueError(f"expected a 4x4 matrix, got {self.matrix.shape}")
+        return tuple(_symplex_floats(self.matrix))
 
     @cached_property
     def state(self) -> EmeqState:
@@ -198,50 +206,42 @@ def emeq_from_symplex(F: np.ndarray, tol: float = 1e-10) -> EmeqState:
     return Symplex.from_matrix(F, tol).state
 
 
-_FLOAT = np.dtype(float)
-
-
-def _floats(v) -> list[float]:
-    """A coefficient vector as Python floats: the primitives below run on
-    3- and 10-vectors, where numpy's per-call overhead is most of the cost."""
-    if type(v) is not np.ndarray or v.dtype is not _FLOAT:
-        v = np.asarray(v, dtype=float)
-    return v.tolist()
-
-
+# The formulas on the ten coefficients f = (energy, P, E, B), as Python
+# floats: numpy's per-call overhead is most of the cost on 3-vectors.
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cross_floats(u, v) -> tuple[float, float, float]:
-    (u0, u1, u2), (v0, v1, v2) = u, v
-    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-
-
-def _cross(u, v) -> np.ndarray:
-    """u x v for two 3-vectors."""
-    return np.array(_cross_floats(_floats(u), _floats(v)))
-
-
 def _axpy_cross(a: float, x, u, v) -> tuple[float, float, float]:
     """a x + u x v on Python floats."""
-    w0, w1, w2 = _cross_floats(u, v)
-    return (a * x[0] + w0, a * x[1] + w1, a * x[2] + w2)
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (a * x[0] + (u1 * v2 - u2 * v1), a * x[1] + (u2 * v0 - u0 * v2),
+            a * x[2] + (u0 * v1 - u1 * v0))
+
+
+def _masses(f: Sequence[float]) -> tuple[float, float, float]:
+    """E.B, B.P and E.P of the ten coefficients f."""
+    p, e, b = f[1:4], f[4:7], f[7:10]
+    return _dot(e, b), _dot(b, p), _dot(e, p)
+
+
+def _aux_b(f: Sequence[float]) -> tuple[float, float, float]:
+    """The auxiliary vector b = energy B + E x P of the ten coefficients f."""
+    return _axpy_cross(f[0], f[7:10], f[4:7], f[1:4])
 
 
 def mass_components(s: EmeqState) -> MassComponents:
     """Scalar products E.B, B.P, E.P of the state vectors."""
-    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
-    return MassComponents(m_r=_dot(e, b), m_g=_dot(b, p), m_b=_dot(e, p))
+    return MassComponents(*_masses(s.coefficients.tolist()))
 
 
 def aux_vectors(s: EmeqState) -> AuxVectors:
     """The auxiliary vectors r, g, b built from energy and cross products."""
-    e0 = float(s.energy)
-    p, e, b = _floats(s.p), _floats(s.e), _floats(s.b)
+    f = s.coefficients.tolist()
+    e0, p, e, b = f[0], f[1:4], f[4:7], f[7:10]
     return AuxVectors(r=np.array(_axpy_cross(e0, p, b, e)),
                       g=np.array(_axpy_cross(e0, e, p, b)),
-                      b=np.array(_axpy_cross(e0, b, e, p)))
+                      b=np.array(_aux_b(f)))
 
 
 def _transform_floats(f: Sequence[float], b: int,
@@ -277,12 +277,12 @@ def spectral_invariants(s: EmeqState | Sequence[float]) -> SpectralInvariants:
     overflows above about 1e77; PrecisionLoss is raised when K1, K2 or
     the determinant is not finite.
     """
-    f = _floats(s.coefficients) if isinstance(s, EmeqState) else s
+    f = s.coefficients.tolist() if isinstance(s, EmeqState) else s
     e0, p, e, b = f[0], f[1:4], f[4:7], f[7:10]
     k1 = e0 * e0 + _dot(b, b) - _dot(e, e) - _dot(p, p)
-    bvec = _axpy_cross(e0, b, e, p)
-    eb, pb = _dot(e, b), _dot(p, b)
-    k2 = _dot(bvec, bvec) - eb * eb - pb * pb
+    bvec = _aux_b(f)
+    eb, bp, _ = _masses(f)
+    k2 = _dot(bvec, bvec) - eb * eb - bp * bp
     det = k1 * k1 - 4.0 * k2
     if not (math.isfinite(k1) and math.isfinite(k2) and math.isfinite(det)):
         raise PrecisionLoss(
@@ -301,9 +301,10 @@ def spectral_invariants(s: EmeqState | Sequence[float]) -> SpectralInvariants:
     w2 = Frequency.from_square(k1 - 2.0 * root, band)
     natures = (w1.nature, w2.nature)
     classification = {
-        ("imaginary", "imaginary"): CLASS_TWO_IMAGINARY_PAIRS,
-        ("real", "real"): CLASS_TWO_REAL_PAIRS}.get(natures, CLASS_MIXED)
-    stable = bool(k2 > 0.0 and natures == ("imaginary", "imaginary"))
+        (NATURE_IMAGINARY, NATURE_IMAGINARY): CLASS_TWO_IMAGINARY_PAIRS,
+        (NATURE_REAL, NATURE_REAL): CLASS_TWO_REAL_PAIRS,
+    }.get(natures, CLASS_MIXED)
+    stable = bool(k2 > 0.0 and natures == (NATURE_IMAGINARY, NATURE_IMAGINARY))
     return SpectralInvariants(
         k1=k1, k2=k2, det=det, omega1=w1, omega2=w2,
         classification=classification, stable=stable, degenerate=degenerate)

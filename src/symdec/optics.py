@@ -18,7 +18,8 @@ import numpy as np
 
 from .decouple4 import normal_form_scaling, off_block_max
 from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
-from .emeq import EmeqState
+from .emeq import (NATURE_IMAGINARY, NATURE_REAL, NATURE_ZERO, EmeqState,
+                   aux_vectors, mass_components)
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import jacobi_decouple
 from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
@@ -38,10 +39,6 @@ __all__ = [
     "cosymplex_observable_forms",
     "cosymplex_observable_rates",
 ]
-
-NATURE_IMAGINARY = "imaginary"
-NATURE_REAL = "real"
-NATURE_ZERO = "zero"
 
 # relative bounds on the symplectic residual of M and on M sigma M^T - sigma
 SYMPLECTIC_TOL = FIXED_POINT_TOL = 1e-8
@@ -329,7 +326,6 @@ def cosymplex_observable_rates(state: EmeqState, f: np.ndarray) -> np.ndarray:
     auxiliary vector b, and the spinor expectations; the last observable
     is itself an invariant.
     """
-    from .emeq import aux_vectors, mass_components
     m = mass_components(state)
     bv = aux_vectors(state).b
     f = np.asarray(f, dtype=float)

@@ -439,14 +439,19 @@ def test_decouple_deterministic(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
-def test_decouple_complex_routes_to_canonical(tmp_path, capsys):
-    F = 0.4 * GAMMA[4] + 0.9 * GAMMA[7]
+@pytest.mark.parametrize("F", [
+    0.4 * GAMMA[4] + 0.9 * GAMMA[7],  # complex_low_energy
+    # energy^2 > P^2 = E^2: complex_intermediate, radius sqrt(0.75)
+    2.0 * GAMMA[0] + 1.5 * GAMMA[1] + 1.5 * GAMMA[4] + 0.5 * GAMMA[7],
+], ids=["low", "intermediate"])
+def test_decouple_complex_routes_to_canonical(tmp_path, capsys, F):
     path = tmp_path / "cplx.json"
     save_matrix_json(path, F, kind="force")
     assert main(["decouple", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["form_reached"] == "complex_canonical"
-    assert doc["complex_radius"] == pytest.approx(np.hypot(0.4, 0.9))
+    assert doc["complex_radius"] == pytest.approx(
+        np.max(np.abs(np.linalg.eigvals(F))))
 
 
 def test_decouple_rejects_non_symplex(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Property tests of the coefficient-space primitives behind the 4x4
 pipeline: the closed-form coefficient action, the projection form of the
-coefficient extraction and the 3-vector cross product."""
+coefficient extraction and the float formulas on the ten coefficients."""
 
 import math
 
@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdec import decouple4
+from symdec import decouple4, emeq
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, from_coefficients, rdm_coefficients
-from symdec.emeq import (_cross, _transform_floats, aux_vectors,
+from symdec.emeq import (Symplex, _transform_floats, aux_vectors,
                          lax_invariants, mass_components, spectral_invariants,
                          state_from_coefficients)
 from symdec.errors import PrecisionLoss
+from symdec.jacobi import jacobi_decouple, random_test_symplex
 from symdec.transform import apply_similarity, basic_transform
 
 from conftest import random_complex_symplex, random_stable_symplex
@@ -59,14 +60,9 @@ def test_coefficient_extraction_checks_shapes():
         rdm_coefficients(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         from_coefficients(np.zeros(10))
-
-
-@PROPERTY
-@given(u=st.lists(entries, min_size=3, max_size=3).map(np.array),
-       v=st.lists(entries, min_size=3, max_size=3).map(np.array))
-def test_cross_matches_numpy(u, v):
-    np.testing.assert_allclose(_cross(u, v), np.cross(u, v), rtol=0,
-                               atol=1e-15)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="expected a 4x4"):
+            Symplex(np.eye(2 * n)).coefficients
 
 
 # +-1e6 with exact zeros, the float primitives' widest ordinary range
@@ -96,6 +92,7 @@ def test_float_primitives_match_numpy(c):
     k1 = -i2 / 4.0
     k2 = (i4 / 4.0 - k1 * k1) / 4.0
     inv = spectral_invariants(state)
+    assert inv == spectral_invariants(c.tolist())
     assert abs(inv.k1 - k1) <= 1e-14 * c2
     assert abs(inv.k2 - k2) <= 1e-13 * c2 * c2
     assert inv.det == inv.k1 * inv.k1 - 4.0 * inv.k2
@@ -117,3 +114,22 @@ def test_corrupted_propagation_raises_precision_loss(monkeypatch, kind):
     monkeypatch.setattr(decouple4, "_transform_floats", drifting)
     with pytest.raises(PrecisionLoss, match="drifted"):
         decouple(F, form="normal")
+
+
+@pytest.mark.parametrize("case", ["low", "intermediate", "stable", "jacobi"])
+def test_decoupling_builds_no_emeq_state(monkeypatch, case):
+    # the library runs on the ten coefficients as floats; an EmeqState is
+    # a view that only the public EMEQ functions build
+    monkeypatch.setattr(emeq, "state_from_coefficients",
+                        lambda c: pytest.fail("an EmeqState was built"))
+    if case == "jacobi":
+        jacobi_decouple(random_test_symplex(3, 0))
+        return
+    F = {"low": 0.4 * GAMMA[4] + 0.9 * GAMMA[7],
+         # energy^2 > P^2 = E^2: complex_intermediate
+         "intermediate": (2.0 * GAMMA[0] + 1.5 * GAMMA[1] + 1.5 * GAMMA[4]
+                          + 0.5 * GAMMA[7]),
+         "stable": random_stable_symplex(np.random.default_rng(3))}[case]
+    for form in ("block_diagonal", "hamiltonian", "normal"):
+        res = decouple(F, form=form)
+        assert res.form == (form if case == "stable" else "complex_canonical")
