@@ -5,14 +5,15 @@ vectors P, E, B.  Coupling lives in the misalignment of these vectors:
 the matrix is block-diagonal exactly when B and the auxiliary vector
 b = energy*B + E x P point along the y-axis and the scalar products
 E.B and B.P vanish.  Four elementary transforms arrange exactly that.
+Each later form adds one step per degree of freedom to the same log.
 """
 
 import numpy as np
 
-from symdec import (aux_vectors, decouple_block_diagonal, diagonalize,
-                    emeq_from_symplex, mass_components, spectral_invariants,
-                    to_hamiltonian_form, to_normal_form)
+from symdec import (aux_vectors, decouple, diagonalize, emeq_from_symplex,
+                    mass_components, spectral_invariants)
 from symdec.dirac import symplectic_unit
+from symdec.transform import DOF_ROTATION, DOF_SCALING
 
 np.set_printoptions(precision=5, suppress=True)
 rng = np.random.default_rng(42)
@@ -35,33 +36,31 @@ inv = spectral_invariants(state)
 print("\nInvariants: K1 =", inv.k1, " K2 =", inv.k2)
 print("Eigenfrequencies:", inv.omega1, inv.omega2)
 
-# --- stage 1: block-diagonal ------------------------------------------------
-res = decouple_block_diagonal(F)
-print("\nTransform sequence (generator, angle):")
-for s in res.transform.steps:
-    tag = "skip" if s.skipped else f"{s.epsilon:+.5f}"
-    print(f"  gamma({s.generator}): {tag}")
-print("Block-diagonal matrix (off-block residual %.1e):" % res.residual)
-print(res.final.matrix)
-a = aux_vectors(res.final.state)
-print("auxiliary b now along y:", a.b)
+# --- the stages: one decouple(F, form=...) per form --------------------------
+# each form's step log starts with the log of the form before it, so the
+# steps a form adds are the tail of its log
+NAMES = {DOF_ROTATION: "phase rotation", DOF_SCALING: "scaling"}
+seen = 0
+for form in ("block_diagonal", "hamiltonian", "normal"):
+    res = decouple(F, form=form)
+    print(f"\n{form} form; the steps it adds (generator, angle/rapidity):")
+    for s in res.transform.steps[seen:]:
+        tag = "skip" if s.skipped else f"{s.epsilon:+.5f}"
+        where = ("" if s.block is None
+                 else f" {NAMES[s.generator]} of dof {s.block[0]}")
+        print(f"  gamma({s.generator}){where}: {tag}")
+    seen = len(res.transform.steps)
+    print(res.final.matrix)
+    if form == "block_diagonal":
+        print("off-block residual %.1e; auxiliary b now along y:"
+              % res.residual, aux_vectors(res.final.state).b)
 
-# --- stage 2: Hamiltonian form (zero block diagonals) ------------------------
-res = to_hamiltonian_form(res)
-print("\nHamiltonian form:")
-print(res.final.matrix)
-
-# --- stage 3: normal form (pure rotation blocks) ------------------------------
-res = to_normal_form(res)
-print("\nNormal form with frequencies",
-      [round(w.value, 6) for w in res.frequencies], ":")
-print(res.final.matrix)
-
+print("normal-form frequencies", [round(w.value, 6) for w in res.frequencies])
 # the frequencies agree with the invariant formulas on the original matrix
 print("vs invariant formulas:",
       [round(inv.omega1.value, 6), round(inv.omega2.value, 6)])
 
-# --- stage 4: full diagonalization -------------------------------------------
+# --- full diagonalization, from the normal form ------------------------------
 vecs, vals = diagonalize(res)
 print("\nEigenvalues from the constant unitary basis:", np.round(vals, 6))
 print("Eigen-equation residual:",

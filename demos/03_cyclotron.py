@@ -5,14 +5,15 @@ horizontal and longitudinal planes.  Its constant force matrix is the
 standard worked example for decoupling methods that must handle
 indefinite Hamiltonians: one plane oscillates while the other carries a
 real (unfocused) eigenvalue pair.  The geometry is so simple here that
-two of the four standard steps are skips.
+two of the four standard steps are skips, and the real pair leaves the
+Hamiltonian form as the last one reached.
 """
 
 import numpy as np
 
-from symdec import (analyze_one_turn, aux_vectors, decouple_block_diagonal,
-                    emeq_from_symplex, mass_components, matrix_exponential,
-                    spectral_invariants, to_hamiltonian_form)
+from symdec import (analyze_one_turn, aux_vectors, decouple, emeq_from_symplex,
+                    mass_components, matrix_exponential, spectral_invariants)
+from symdec.errors import UnstableBlock
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -45,7 +46,7 @@ inv = spectral_invariants(state)
 print("\nK1 = %.6f, K2 = %.3e -> %s" % (inv.k1, inv.k2, inv.classification))
 print("frequencies:", inv.omega1, inv.omega2)
 
-res = decouple_block_diagonal(F)
+res = decouple(F, form="block_diagonal")
 print("\nDecoupling steps:")
 for s in res.transform.steps:
     tag = "skip" if s.skipped else f"eps = {s.epsilon:+.6f}"
@@ -53,10 +54,23 @@ for s in res.transform.steps:
 print("\nBlock-diagonal form (residual %.1e):" % res.residual)
 print(res.final.matrix)
 
-res = to_hamiltonian_form(res)
+# the Hamiltonian form adds one phase rotation (DOF_ROTATION) per dof
+seen = len(res.transform.steps)
+res = decouple(F, form="hamiltonian")
+print("\nHamiltonian form adds:")
+for s in res.transform.steps[seen:]:
+    tag = "skip" if s.skipped else f"eps = {s.epsilon:+.6f}"
+    print(f"  gamma({s.generator}) on dof {s.block[0]}: {tag}")
+print(res.final.matrix)
 mh = mass_components(res.final.state)
-print("\nAfter the Hamiltonian-form rotations all scalar products stay zero:")
+print("All scalar products stay zero:")
 print("  E.B =", mh.m_r, "  B.P =", mh.m_g, "  E.P =", mh.m_b)
+
+# a real pair has no rotation normal form: no per-dof scaling is added
+try:
+    decouple(F, form="normal")
+except UnstableBlock as exc:
+    print("\nNormal form: UnstableBlock for block", exc.block)
 
 # one-turn view: the oscillating plane gives a tune, the other is hyperbolic
 tau = 1.0

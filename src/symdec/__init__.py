@@ -17,11 +17,9 @@ from .transform import (SymplecticTransform, TransferMatrix, TransformStep,
                         apply_similarity, basic_transform, compose,
                         dof_transform, is_symplectic, matrix_exponential,
                         replay, symplectic_residual)
-from .decouple4 import (DecoupleResult, closed_form_block_coefficients,
-                        complex_intermediate, complex_low_energy, decouple,
-                        decouple_block_diagonal, diagonalize,
-                        normal_form_scaling, off_block_max,
-                        to_hamiltonian_form, to_normal_form)
+from .decouple4 import (DecoupleResult, complex_intermediate,
+                        complex_low_energy, decouple, decouple_block_diagonal,
+                        diagonalize, off_block_max)
 from .jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                      random_test_symplex)
 from .optics import (BlockTune, EffectiveForce, OpticsReport, SigmaMatrix,

@@ -35,9 +35,8 @@ import numpy as np
 
 from . import emeq
 from .dirac import GAMMA, _frobenius, _symplex_floats
-from .emeq import (NATURE_IMAGINARY, EmeqState, Frequency,
-                   SpectralInvariants, Symplex, _aux_b, _masses,
-                   _transform_floats, aux_vectors, mass_components)
+from .emeq import (NATURE_IMAGINARY, Frequency, SpectralInvariants, Symplex,
+                   _aux_b, _masses, _transform_floats)
 from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
                      DegenerateB, PrecisionLoss, UnstableBlock)
 from .transform import (DOF_ROTATION, DOF_SCALING, SymplecticTransform,
@@ -57,15 +56,11 @@ __all__ = [
     "POST_TOL",
     "DecoupleResult",
     "decouple_block_diagonal",
-    "to_hamiltonian_form",
-    "to_normal_form",
     "diagonalize",
     "complex_low_energy",
     "complex_intermediate",
     "decouple",
-    "closed_form_block_coefficients",
     "off_block_max",
-    "normal_form_scaling",
 ]
 
 FORM_BLOCK_DIAGONAL = "block_diagonal"
@@ -143,7 +138,7 @@ class _Pipeline:
     def step(self, b: int, epsilon: float) -> None:
         """Apply one generator to f and log it, or log a skip."""
         if abs(epsilon) < STEP_TOL:
-            self.steps.append(TransformStep(b, 0.0, self.block, True))
+            self.steps.append(TransformStep(b, 0.0, self.block))
             return
         self.f = _transform_floats(self.f, b, epsilon)
         self.steps.append(TransformStep(b, epsilon, self.block))
@@ -209,11 +204,13 @@ def _diagonal_blocks(M: np.ndarray) -> list[tuple[float, float, float, float]]:
 def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
     """A block_diagonal or hamiltonian result continued to `form`: the
     per-dof rotation to H = R M R^-1 (unless res is in Hamiltonian form),
-    then for normal form the per-dof scaling to S H S^-1, all products
-    dense, R = S (R R_res) too.  Only the final matrix is checked: a
-    symplex at 1e-8, its diagonal blocks on `form` within POST_TOL times
-    the scale of the last stage's input (PrecisionLoss); a scaling keeps
-    every diagonal, so this also sees a Hamiltonian defect."""
+    which keeps every off-block norm and continues Jacobi's counters
+    (IterationStats.after_hamiltonian), then for normal form the per-dof
+    scaling to S H S^-1 (UnstableBlock for a block with no rotation
+    form), all products dense, R = S (R R_res) too.  Only the final matrix
+    is checked: a symplex at 1e-8, its diagonal blocks on `form` within
+    POST_TOL times the scale of the last stage's input (PrecisionLoss); a
+    scaling keeps every diagonal, so this also sees a Hamiltonian defect."""
     M, freqs, stats = res.final.matrix, res.frequencies, res.stats
     r, steps, last = res.transform.r, res.transform.steps, M
     if res.form == FORM_BLOCK_DIAGONAL:
@@ -222,7 +219,7 @@ def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
         if stats is not None:
             stats = stats.after_hamiltonian(t, Symplex(M))
     if form == FORM_NORMAL:
-        t, freqs = normal_form_scaling(Symplex(M))  # unchecked
+        t, freqs = _normal_form_scaling(Symplex(M))  # unchecked
         for k, w in enumerate(freqs):
             if w.nature != NATURE_IMAGINARY:
                 raise UnstableBlock(
@@ -320,19 +317,6 @@ def decouple_block_diagonal(F) -> DecoupleResult:
         frequencies=_block_frequencies(final.matrix))
 
 
-def to_hamiltonian_form(res: DecoupleResult) -> DecoupleResult:
-    """Continue a block-diagonal 2n x 2n result to Hamiltonian form.
-
-    One phase rotation per dof zeroes the diagonal of its 2x2 block,
-    keeping every off-block norm, as it is orthogonal and symplectic per
-    block; PrecisionLoss if one survives.  A result carrying Jacobi's
-    counters gets them continued (IterationStats.after_hamiltonian).
-    """
-    if res.form != FORM_BLOCK_DIAGONAL:
-        raise ValueError(f"not a block_diagonal result: {res.form!r}")
-    return _dof_stages(res, FORM_HAMILTONIAN)
-
-
 def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
     """The eigenvalue pair of each diagonal 2x2 block of a 2n x 2n matrix.
 
@@ -347,37 +331,21 @@ def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
                   for p, q, r, s in _diagonal_blocks(M)])
 
 
-def normal_form_scaling(H: Symplex | np.ndarray
-                        ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
+def _normal_form_scaling(H: Symplex
+                         ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
     """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
 
-    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n symplex H (a Symplex,
-    or a matrix that Symplex.from_matrix accepts) is classified by
-    _block_frequencies.  An imaginary pair, +-i w with
+    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n symplex H is
+    classified by _block_frequencies.  An imaginary pair, +-i w with
     w = sign(a) sqrt(a b), takes the DOF_SCALING rapidity log|a/b|/2,
     the scaling diag(|b/a|^(1/4), |a/b|^(1/4)), which turns the block
     into [[0, w], [-w, 0]]; real and zero blocks keep rapidity 0.
     Returns the scaling and one Frequency per block.
     """
-    H = _as_symplex(H).matrix
-    freqs = _block_frequencies(H)
+    freqs = _block_frequencies(H.matrix)
     return dof_transform(DOF_SCALING, [
         0.5 * math.log(a / -b) if w.nature == NATURE_IMAGINARY else 0.0
-        for (_, a, b, _), w in zip(_diagonal_blocks(H), freqs)]), freqs
-
-
-def to_normal_form(res: DecoupleResult) -> DecoupleResult:
-    """Scale a Hamiltonian-form 2n x 2n result to antisymmetric normal form.
-
-    normal_form_scaling turns each block [[0, a], [-b, 0]] with an
-    imaginary eigenvalue pair into [[0, w], [-w, 0]].  A block with a
-    real (or vanishing) pair has no rotation normal form: UnstableBlock
-    is raised and the Hamiltonian form stands.  PrecisionLoss is raised
-    when a scaled block is still no rotation.
-    """
-    if res.form != FORM_HAMILTONIAN:
-        raise ValueError(f"expected a hamiltonian result, got {res.form!r}")
-    return _dof_stages(res, FORM_NORMAL)
+        for (_, a, b, _), w in zip(_diagonal_blocks(H.matrix), freqs)]), freqs
 
 
 def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
@@ -502,8 +470,12 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     if energy^2 < max(P^2, E^2), intermediate otherwise) regardless of
     the requested form.  Any other n takes Jacobi's block stage
     (threshold jacobi_tol, pivot budget max_steps) and carries its
-    IterationStats.  Both continue in one per-dof pass (_dof_stages), as
-    to_hamiltonian_form and then to_normal_form would.
+    IterationStats.  Both continue in one per-dof pass (_dof_stages): a
+    phase rotation per dof for Hamiltonian form, then a scaling per dof
+    for normal form, each logged as one step per dof after the block
+    stage's steps, so the log of each form extends the one before.  A
+    block with a real or vanishing eigenvalue pair has no normal form
+    (UnstableBlock).
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
@@ -522,35 +494,3 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
         res = decouple_block_diagonal(sym)
     return res if form == FORM_BLOCK_DIAGONAL else _dof_stages(res, form)
 
-
-def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:
-    """Closed-form coefficients of the block-diagonal force matrix.
-
-    Evaluated directly on the input state (pre-alignment); the pipeline
-    output is authoritative and these serve as a cross-check where the
-    intermediate denominators M_x = |(E.B, B.P)|, b_yz and |b| are away
-    from zero.
-    """
-    e0, p, e, b = state.energy, state.p, state.e, state.b
-    m = mass_components(state)
-    bv = aux_vectors(state).b
-    m_x = math.hypot(m.m_r, m.m_g)
-    b2 = float(bv @ bv)
-    b_norm = math.sqrt(b2)
-    b_yz = math.hypot(bv[1], bv[2])
-    root = math.sqrt(max(b2 - m_x**2, 0.0))
-    return {
-        "energy": e0 * root / b_norm,
-        "p_x": (p[0] * m.m_r - e[0] * m.m_g) / m_x * root / b_yz,
-        # |b|, not b^2, in the denominator: the only choice that is
-        # dimensionally consistent with the other coefficients, and the
-        # one the pipeline reproduces to machine precision.
-        "p_z": root / (b_norm * m_x * b_yz)
-               * (m.m_g * (bv[2] * e[1] - bv[1] * e[2])
-                  + m.m_r * (bv[1] * p[2] - bv[2] * p[1])),
-        "e_x": (b2 * (m.m_r * e[0] + m.m_g * p[0]) - e0 * bv[0] * m_x**2)
-               / (m_x * b_yz * b_norm),
-        "e_z": (m.m_r * (bv[1] * e[2] - bv[2] * e[1])
-                + m.m_g * (bv[1] * p[2] - bv[2] * p[1])) / (m_x * b_yz),
-        "b_y": (e0 * float(b @ b) - float(p @ np.cross(e, b))) / b_norm,
-    }

@@ -10,7 +10,8 @@ steps; a pair whose 4x4 has complex eigenvalues gives way to the next
 pair in falling amplitude order.  Convergence is declared when
 the summed Frobenius norms of all off-diagonal blocks fall below a
 relative threshold.  This is decouple's block stage for n != 2, and
-jacobi_decouple continues it by decouple4.to_hamiltonian_form.  The same
+jacobi_decouple continues it to Hamiltonian form by decouple4's per-dof
+pass, as decouple(F, form="hamiltonian") does for n != 2.  The same
 iteration serves every n, n = 1 and 2 included.
 """
 
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decouple4 import (FORM_BLOCK_DIAGONAL, DecoupleResult, _as_symplex,
-                        _block_frequencies, _check_iteration, _solve_block,
-                        off_block_max, to_hamiltonian_form)
+from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, DecoupleResult,
+                        _as_symplex, _block_frequencies, _check_iteration,
+                        _dof_stages, _solve_block, off_block_max)
 from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
@@ -188,7 +189,8 @@ def _block_stage(sym: Symplex, tol: float,
 def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
                     ) -> tuple[SymplecticTransform, Symplex, IterationStats]:
     """(transform, decoupled symplex, IterationStats) of the Jacobi block
-    stage on the 2n x 2n symplex F, continued by to_hamiltonian_form.
+    stage on the 2n x 2n symplex F, continued to Hamiltonian form by one
+    phase rotation per dof.
 
     tol, finite and positive, bounds the summed off-diagonal block norms
     relative to the Frobenius norm; max_steps, non-negative, is the pivot
@@ -196,5 +198,6 @@ def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
     PivotComplex is raised only when no pair decouples.
     """
     _check_iteration(tol, max_steps)
-    res = to_hamiltonian_form(_block_stage(_as_symplex(F), tol, max_steps))
+    res = _dof_stages(_block_stage(_as_symplex(F), tol, max_steps),
+                      FORM_HAMILTONIAN)
     return res.transform, res.final, res.stats

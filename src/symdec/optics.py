@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decouple4 import normal_form_scaling, off_block_max
+from .decouple4 import _normal_form_scaling, off_block_max
 from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
 from .emeq import (NATURE_IMAGINARY, NATURE_REAL, NATURE_ZERO, EmeqState,
                    aux_vectors, mass_components)
@@ -142,7 +142,7 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
                             f"tolerance {SYMPLECTIC_TOL:.1e}")
     Ms, Mc = symplex_cosymplex_split(matrix)
     transform, out, _ = jacobi_decouple(Ms)
-    scaling, freqs = normal_form_scaling(out)
+    scaling, freqs = _normal_form_scaling(out)
     transform = compose(scaling, transform)
     Mt, Ms_t, Mc_t = (apply_similarity(transform, X)
                       for X in (matrix, Ms, Mc))

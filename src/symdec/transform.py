@@ -26,7 +26,6 @@ __all__ = [
     "basic_transform",
     "apply_similarity",
     "compose",
-    "embed_rows",
     "replay",
     "dof_transform",
     "symplectic_residual",
@@ -54,7 +53,11 @@ class TransformStep:
     generator: int
     epsilon: float
     block: tuple[int, ...] | None = None
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        """A skip is a step of parameter 0, the identity."""
+        return self.epsilon == 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +126,7 @@ def _product(steps) -> np.ndarray:
     """F_k ... F_1, a new 4x4, of the live steps' factors c 1 + s gamma_b,
     built in one array operation and multiplied in log order."""
     live = [(step.generator, *_half_angle(step.generator, step.epsilon))
-            for step in steps if not step.skipped]
+            for step in steps if step.epsilon]
     if not live:
         return _EYE4.copy()
     b, c, s = zip(*live)
@@ -183,20 +186,13 @@ def _dof_rows(n: int, dofs: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
-def embed_rows(A: np.ndarray, rk, *dofs: int) -> None:
-    """A <- E A in place, E the 2k x 2k matrix rk embedded at the k
-    increasing dofs of n = len(A) / 2: only their 2k rows change, at O(n)
-    cost per column.  IndexError unless 0 <= dofs[0] < ... < n."""
-    idx = _dof_rows(A.shape[0] // 2, dofs)
-    A[idx] = rk @ A.take(idx, 0)
-
-
 def replay(steps, dim: int = 4) -> SymplecticTransform:
     """Rebuild the accumulated transform from a step log as the library
-    forms it, bit for bit: each run of steps on one block is one _product
-    (skips are identities) left-multiplying R with no block (dim 4 only) or
-    embedded at a dof pair; per-dof steps, each dof once, are one dense
-    block-diagonal factor.  DimensionMismatch for an odd dim or 3+ dofs."""
+    forms it, bit for bit: each run of steps with no block (dim 4 only) is
+    one _product left-multiplying R, and each four steps on one dof pair
+    (a Jacobi pivot) one _product updating the pair's rows of R; per-dof
+    steps, each dof once, are one dense block-diagonal factor.
+    DimensionMismatch for an odd dim or 3+ dofs."""
     steps = tuple(steps)
     if dim < 2 or dim % 2:
         raise DimensionMismatch(f"a log acts in even dimension, not {dim}")
@@ -212,13 +208,14 @@ def replay(steps, dim: int = 4) -> SymplecticTransform:
                 if i in done:  # the next stage
                     r, t, done = t @ r, np.eye(dim), set()
                 done.add(i)
-                t[i:i + 2, i:i + 2] = _dof_block(
-                    s.generator, 0.0 if s.skipped else s.epsilon)
+                t[i:i + 2, i:i + 2] = _dof_block(s.generator, s.epsilon)
             r = t @ r
         elif block is None or len(block) != 2:
             raise DimensionMismatch(f"no step on {block} in dimension {dim}")
         else:
-            embed_rows(r, _product(run), *block)
+            idx, run = _dof_rows(dim // 2, tuple(block)), list(run)
+            for k in range(0, len(run), 4):  # _solve_block logs four steps
+                r[idx] = _product(run[k:k + 4]) @ r.take(idx, 0)
     return SymplecticTransform(r=r, steps=steps)
 
 
@@ -235,7 +232,7 @@ def dof_transform(generator: int, epsilons) -> SymplecticTransform:
         raise DimensionMismatch(f"generator {generator} is no per-dof "
                                 "generator")
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float)).tolist()
-    steps = tuple([TransformStep(generator, e, (d,), e == 0.0)
+    steps = tuple([TransformStep(generator, e, (d,))
                    for d, e in enumerate(eps)])
     blocks, inverse = [], []  # a, b, c, d of each block and of its inverse
     for e in eps:

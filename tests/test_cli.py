@@ -623,8 +623,9 @@ def test_decouple_json_log_alone_replays_r(tmp_path, capsys, n, form):
     assert main(["decouple", str(path), "--json", "--form", form]) == 0
     log = json.loads(capsys.readouterr().out)["transform_log"]
     steps = [TransformStep(s["generator"], s["epsilon"],
-                           None if s["block"] is None else tuple(s["block"]),
-                           s["skipped"]) for s in log]
+                           None if s["block"] is None else tuple(s["block"]))
+             for s in log]
+    assert [s["skipped"] for s in log] == [s.skipped for s in steps]
     want = decouple(M, form=symdec.cli._FORMS[form]).transform.r
     assert np.array_equal(replay(steps, 2 * n).r, want)
 

@@ -6,14 +6,12 @@ import pytest
 from symdec import emeq, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               FORM_HAMILTONIAN, FORM_NORMAL, _Pipeline,
-                              _block_frequencies,
-                              closed_form_block_coefficients,
+                              _block_frequencies, _normal_form_scaling,
                               complex_intermediate, complex_low_energy,
                               decouple, decouple_block_diagonal, diagonalize,
-                              normal_form_scaling, off_block_max,
-                              to_hamiltonian_form, to_normal_form)
+                              off_block_max)
 from symdec.dirac import GAMMA
-from symdec.emeq import (Symplex, aux_vectors, emeq_from_symplex,
+from symdec.emeq import (EmeqState, Symplex, aux_vectors, emeq_from_symplex,
                          mass_components, spectral_invariants,
                          state_from_coefficients)
 from symdec.errors import (BranchMismatch, ComplexEigenvalues, DegenerateB,
@@ -204,6 +202,39 @@ def test_complex_eigenvalues_rejected():
         decouple_block_diagonal(F)
 
 
+def closed_form_block_coefficients(state: EmeqState) -> dict[str, float]:
+    """Closed-form coefficients of the block-diagonal force matrix.
+
+    Evaluated directly on the input state (pre-alignment); the pipeline
+    output is authoritative and these serve as a cross-check where the
+    intermediate denominators M_x = |(E.B, B.P)|, b_yz and |b| are away
+    from zero.
+    """
+    e0, p, e, b = state.energy, state.p, state.e, state.b
+    m = mass_components(state)
+    bv = aux_vectors(state).b
+    m_x = math.hypot(m.m_r, m.m_g)
+    b2 = float(bv @ bv)
+    b_norm = math.sqrt(b2)
+    b_yz = math.hypot(bv[1], bv[2])
+    root = math.sqrt(max(b2 - m_x**2, 0.0))
+    return {
+        "energy": e0 * root / b_norm,
+        "p_x": (p[0] * m.m_r - e[0] * m.m_g) / m_x * root / b_yz,
+        # |b|, not b^2, in the denominator: the only choice that is
+        # dimensionally consistent with the other coefficients, and the
+        # one the pipeline reproduces to machine precision.
+        "p_z": root / (b_norm * m_x * b_yz)
+               * (m.m_g * (bv[2] * e[1] - bv[1] * e[2])
+                  + m.m_r * (bv[1] * p[2] - bv[2] * p[1])),
+        "e_x": (b2 * (m.m_r * e[0] + m.m_g * p[0]) - e0 * bv[0] * m_x**2)
+               / (m_x * b_yz * b_norm),
+        "e_z": (m.m_r * (bv[1] * e[2] - bv[2] * e[1])
+                + m.m_g * (bv[1] * p[2] - bv[2] * p[1])) / (m_x * b_yz),
+        "b_y": (e0 * float(b @ b) - float(p @ np.cross(e, b))) / b_norm,
+    }
+
+
 def test_closed_form_cross_check():
     rng = np.random.default_rng(107)
     checked = 0
@@ -231,7 +262,7 @@ def test_cyclotron_two_step_decoupling():
     live = [s.generator for s in res.transform.steps if not s.skipped]
     assert live == [7, 2]
     assert res.residual < 1e-14
-    res = to_hamiltonian_form(res)
+    res = decouple(F, form=FORM_HAMILTONIAN)
     m = mass_components(res.final.state)
     assert abs(m.m_r) < 1e-14
     assert abs(m.m_g) < 1e-14
@@ -242,7 +273,7 @@ def test_hamiltonian_form_pattern():
     rng = np.random.default_rng(109)
     for _ in range(100):
         F = random_stable_symplex(rng)
-        res = to_hamiltonian_form(decouple_block_diagonal(F))
+        res = decouple(F, form=FORM_HAMILTONIAN)
         assert res.form == FORM_HAMILTONIAN
         M = res.final.matrix
         mask = np.ones((4, 4), dtype=bool)
@@ -255,17 +286,8 @@ def test_hamiltonian_form_pattern():
 def test_hamiltonian_trivial_when_masses_vanish():
     c = np.zeros(10)
     c[0], c[1], c[6], c[8] = 2.0, 0.3, 0.0, 0.8   # M_b = 0, P_z = 0
-    res = decouple_block_diagonal(state_from_coefficients(c).matrix())
-    res = to_hamiltonian_form(res)
+    res = decouple(state_from_coefficients(c).matrix(), form=FORM_HAMILTONIAN)
     assert all(s.skipped for s in res.transform.steps)
-
-
-def test_hamiltonian_requires_block_diagonal():
-    F = random_stable_symplex(np.random.default_rng(1))
-    res = decouple_block_diagonal(F)
-    res = to_hamiltonian_form(res)
-    with pytest.raises(ValueError):
-        to_hamiltonian_form(res)
 
 
 def test_normal_form_scaling_by_hand():
@@ -273,9 +295,7 @@ def test_normal_form_scaling_by_hand():
     M = np.zeros((4, 4))
     M[0, 1], M[1, 0] = 4.0, -1.0
     M[2, 3], M[3, 2] = 1.0, -1.0
-    res = decouple_block_diagonal(M)
-    res = to_hamiltonian_form(res)
-    res = to_normal_form(res)
+    res = decouple(M, form=FORM_NORMAL)
     np.testing.assert_allclose(
         res.final.matrix,
         [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
@@ -288,7 +308,7 @@ def test_normal_form_identity_when_balanced():
     M = np.zeros((4, 4))
     M[0, 1], M[1, 0] = 2.0, -2.0
     M[2, 3], M[3, 2] = 0.5, -0.5
-    res = to_normal_form(to_hamiltonian_form(decouple_block_diagonal(M)))
+    res = decouple(M, form=FORM_NORMAL)
     assert all(s.skipped for s in res.transform.steps)
 
 
@@ -296,7 +316,7 @@ def test_normal_form_random_stable():
     rng = np.random.default_rng(113)
     for _ in range(100):
         F = random_stable_symplex(rng)
-        res = to_normal_form(to_hamiltonian_form(decouple_block_diagonal(F)))
+        res = decouple(F, form=FORM_NORMAL)
         assert res.form == FORM_NORMAL
         M = res.final.matrix
         # antisymmetric blocks
@@ -331,9 +351,9 @@ def test_normal_form_unstable_block_rejected():
     M = np.zeros((4, 4))
     M[0, 1], M[1, 0] = 1.0, -1.0
     M[2, 3], M[3, 2] = 1.0, 1.0
-    res = to_hamiltonian_form(decouple_block_diagonal(M))
+    assert decouple(M, form=FORM_HAMILTONIAN).form == FORM_HAMILTONIAN
     with pytest.raises(UnstableBlock) as err:
-        to_normal_form(res)
+        decouple(M, form=FORM_NORMAL)
     assert err.value.block == 1
 
 
@@ -343,7 +363,7 @@ def test_diagonalize_constant_basis():
     M = np.zeros((4, 4))
     M[0, 1], M[1, 0] = w1, -w1
     M[2, 3], M[3, 2] = w2, -w2
-    res = to_normal_form(to_hamiltonian_form(decouple_block_diagonal(M)))
+    res = decouple(M, form=FORM_NORMAL)
     vecs, vals = diagonalize(res)
     np.testing.assert_allclose(vals, [1j * w1, -1j * w1, 1j * w2, -1j * w2])
     np.testing.assert_allclose(M @ vecs, vecs * vals, atol=1e-12)
@@ -357,7 +377,7 @@ def test_diagonalize_random_reconstruction():
     rng = np.random.default_rng(127)
     for _ in range(50):
         F = random_stable_symplex(rng)
-        res = to_normal_form(to_hamiltonian_form(decouple_block_diagonal(F)))
+        res = decouple(F, form=FORM_NORMAL)
         vecs, vals = diagonalize(res)
         np.testing.assert_allclose(F @ vecs, vecs * vals, atol=1e-9)
         recon = (vecs * vals) @ np.linalg.inv(vecs)
@@ -499,7 +519,7 @@ def test_decouple_2n_is_jacobi(n, form):
     # Hamiltonian pass carries them; the normal form reads its own
     final, freqs = out.matrix, _block_frequencies(block.final.matrix)
     if form == FORM_NORMAL:
-        scaling, freqs = normal_form_scaling(final)
+        scaling, freqs = _normal_form_scaling(out)
         final = scaling.r @ final @ scaling.rinv
         transform = compose(scaling, transform)
     assert res.form == form
@@ -518,7 +538,8 @@ def test_decouple_2n_is_jacobi(n, form):
     np.testing.assert_array_equal(res.source, F)
     # the later stages serve every n
     if form == FORM_BLOCK_DIAGONAL:
-        ham = to_hamiltonian_form(res)
+        ham = decouple(F, form=FORM_HAMILTONIAN, jacobi_tol=1e-11,
+                       max_steps=500)
         t, out, _ = jacobi_decouple(F, tol=1e-11, max_steps=500)
         np.testing.assert_array_equal(ham.transform.r, t.r)
         assert ham.transform.steps == t.steps

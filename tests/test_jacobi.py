@@ -9,14 +9,15 @@ from symdec.decouple4 import decouple, decouple_block_diagonal
 from symdec.dirac import (GAMMA, is_symplex, symplectic_unit,
                           symplex_cosymplex_split)
 from symdec.emeq import Symplex, _transform_floats
-from symdec.errors import (ComplexEigenvalues, NotASymplex, PivotComplex,
-                           PrecisionLoss)
+from symdec.errors import (ComplexEigenvalues, MaxStepsExceeded, NotASymplex,
+                           PivotComplex, PrecisionLoss)
 from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
-from symdec.transform import (DOF_ROTATION, TransformStep, basic_transform,
-                              dof_transform, matrix_exponential,
-                              replay, symplectic_residual)
+from symdec.transform import (DOF_ROTATION, SymplecticTransform,
+                              TransformStep, apply_similarity,
+                              basic_transform, compose, dof_transform,
+                              matrix_exponential, replay, symplectic_residual)
 
 from conftest import random_stable_symplex
 
@@ -144,6 +145,35 @@ def test_transform_log_replays():
                 t = decouple(F, form=form).transform
                 assert np.array_equal(replay(t.steps, 2 * n).r, t.r), \
                     (n, seed, form)
+
+
+def test_replay_of_a_pair_pivoted_twice():
+    # every pivot of a 4x4 run is on (0, 1), so two pivots are one run of
+    # eight steps on one pair; replay multiplies it four steps (one pivot)
+    # at a time, as the pivot loop does, and gives R back bit for bit.
+    # Normal forms with nearly equal frequencies, conjugated by six
+    # random elementary transforms, now and then take two pivots.
+    rng = np.random.default_rng(5)
+    repeated = 0
+    for _ in range(3000):
+        delta = 10.0 ** rng.uniform(-12, -2)
+        N = np.zeros((4, 4))
+        N[0, 1], N[1, 0] = 1.0, -1.0
+        N[2, 3], N[3, 2] = 1.0 + delta, -1.0 - delta
+        t = SymplecticTransform(np.eye(4))
+        for _ in range(6):
+            t = compose(basic_transform(int(rng.integers(0, 10)),
+                                        rng.normal(0.0, 0.7)), t)
+        try:
+            transform, _, stats = jacobi_decouple(apply_similarity(t, N),
+                                                  max_steps=4)
+        except (MaxStepsExceeded, PivotComplex):
+            continue
+        if stats.pivot_steps >= 2:
+            repeated += 1
+            assert len(transform.steps) == 4 * stats.pivot_steps + 2
+            assert np.array_equal(replay(transform.steps, 4).r, transform.r)
+    assert repeated >= 20
 
 
 def test_rerun_converges_immediately():
@@ -410,8 +440,8 @@ def test_replay_matches_dense_embedding():
     for s in transform.steps:
         # the step's 4x4, or for a single dof the 2x2 block G of its
         # gamma = diag(G, G), written densely at the rows and columns of
-        # its dofs, independently of embed_rows
-        t = basic_transform(s.generator, 0.0 if s.skipped else s.epsilon)
+        # its dofs, independently of replay's row update
+        t = basic_transform(s.generator, s.epsilon)
         idx = [m for d in s.block for m in (2 * d, 2 * d + 1)]
         e = np.eye(10)
         e[np.ix_(idx, idx)] = t.r[:len(idx), :len(idx)]

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                              FORM_NORMAL, _block_frequencies, decouple,
-                              normal_form_scaling, off_block_max,
-                              to_hamiltonian_form)
+                              FORM_NORMAL, _block_frequencies, _dof_stages,
+                              _normal_form_scaling, decouple, off_block_max)
 from symdec.dirac import (GAMMA, from_coefficients, symplectic_unit,
                           symplex_residual)
 from symdec.emeq import Symplex
@@ -111,7 +110,7 @@ def test_normal_form_scaling_matches_eigenvalues(entries):
     H = np.zeros((2 * n, 2 * n))
     for k, (a, b) in enumerate(entries):
         H[2 * k, 2 * k + 1], H[2 * k + 1, 2 * k] = a, -b
-    scaling, freqs = normal_form_scaling(H)
+    scaling, freqs = _normal_form_scaling(Symplex.from_matrix(H))
     got = []
     for w in freqs:
         assert w.nature in ("imaginary", "real")
@@ -178,8 +177,8 @@ def test_hamiltonian_rotation_ignores_units(B, exponent):
     # the skip test of each block's rotation is relative to the block, so
     # c B takes the same steps as B and lands on c times its final
     c = 10.0 ** exponent
-    ref = to_hamiltonian_form(decouple(B, form="block_diagonal"))
-    got = to_hamiltonian_form(decouple(c * B, form="block_diagonal"))
+    ref = decouple(B, form=FORM_HAMILTONIAN)
+    got = decouple(c * B, form=FORM_HAMILTONIAN)
     assert [s.skipped for s in got.transform.steps] == \
         [s.skipped for s in ref.transform.steps]
     want = c * ref.final.matrix
@@ -241,7 +240,7 @@ def test_block_frequencies_read_each_block(case):
             assert abs(w.value) == pytest.approx(ev.imag.max(), rel=1e-11)
         else:
             assert w.value == pytest.approx(ev.real.max(), rel=1e-11)
-    ham = to_hamiltonian_form(res)
+    ham = _dof_stages(res, FORM_HAMILTONIAN)
     assert ham.frequencies == res.frequencies
     assert natures_and_senses(_block_frequencies(ham.final.matrix)) == \
         natures_and_senses(res.frequencies)

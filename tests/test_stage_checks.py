@@ -1,7 +1,7 @@
-"""The per-dof stages against a dense reference and against the stage
-chain, and every check of the 4x4 block solve and of the per-dof stages
-made to fire by an injected fault: each keeps its tolerance and its
-exception."""
+"""The per-dof stages against a dense reference, against the stage chain
+and as prefixes of one another, and every check of the 4x4 block solve
+and of the per-dof stages made to fire by an injected fault: each keeps
+its tolerance and its exception."""
 
 from dataclasses import replace
 
@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from symdec import decouple4, emeq, optics
-from symdec.decouple4 import (FORM_COMPLEX_CANONICAL, FORM_HAMILTONIAN,
-                              FORM_NORMAL, _Pipeline,
-                              _solve_block, decouple, normal_form_scaling,
-                              to_hamiltonian_form, to_normal_form)
+from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
+                              FORM_HAMILTONIAN, FORM_NORMAL, _dof_stages,
+                              _normal_form_scaling, _Pipeline, _solve_block,
+                              decouple, diagonalize)
 from symdec.dirac import GAMMA
 from symdec.emeq import Symplex, _transform_floats
 from symdec.emeq import (CLASS_COMPLEX_QUADRUPLE, CLASS_MIXED,
                          CLASS_TWO_IMAGINARY_PAIRS, CLASS_TWO_REAL_PAIRS)
 from symdec.errors import (BoostDomain, ComplexEigenvalues, DegenerateB,
-                           NotASymplex, PrecisionLoss, SymdecError)
+                           NotASymplex, PrecisionLoss, SymdecError,
+                           UnstableBlock)
 from symdec.jacobi import random_test_symplex
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, _symplectic_inverse,
                               dof_transform, matrix_exponential, replay)
@@ -31,9 +32,10 @@ from conftest import random_complex_symplex, random_stable_symplex
 def test_dof_stages_match_dense_reference(n, seed):
     # each stage is its logged steps replayed densely: R M R^-1 with the
     # inverse from R, and R times the transform so far, bit for bit
-    res = decouple(random_test_symplex(n, seed))
-    for stage in (to_hamiltonian_form, to_normal_form):
-        out = stage(res)
+    F = random_test_symplex(n, seed)
+    res = decouple(F)
+    for form in (FORM_HAMILTONIAN, FORM_NORMAL):
+        out = decouple(F, form=form)
         steps = out.transform.steps[len(res.transform.steps):]
         assert len(steps) == n
         r = replay(steps, 2 * n).r
@@ -81,8 +83,8 @@ def _chain(F, form):
     res = decouple(F)
     if res.form == FORM_COMPLEX_CANONICAL:  # reached whatever the form
         return res
-    res = to_hamiltonian_form(res)
-    return to_normal_form(res) if form == FORM_NORMAL else res
+    res = _dof_stages(res, FORM_HAMILTONIAN)
+    return _dof_stages(res, FORM_NORMAL) if form == FORM_NORMAL else res
 
 
 @pytest.mark.parametrize("form", [FORM_HAMILTONIAN, FORM_NORMAL])
@@ -90,9 +92,10 @@ def _chain(F, form):
     *_four_classes(),
     *[f"n={n},s={s}" for n in (1, 3, 5) for s in range(3)]])
 def test_one_pass_matches_stage_chain(case, form):
-    # decouple goes to its form in one per-dof pass; to_hamiltonian_form
-    # then to_normal_form give the same R, R^-1, final, steps,
-    # frequencies, residual and stats, bit for bit, or the same exception
+    # decouple goes to its form in one per-dof pass; the per-dof stage to
+    # Hamiltonian form, then continued to normal form, gives the same R,
+    # R^-1, final, steps, frequencies, residual and stats, bit for bit, or
+    # the same exception
     if case.startswith("n="):
         n, s = (int(part[2:]) for part in case.split(","))
         F = random_test_symplex(n, s).matrix
@@ -177,8 +180,8 @@ def test_corrupted_dof_block_raises_precision_loss(monkeypatch, form, n):
 def test_stage_symplex_check_fires(monkeypatch, n):
     # an inverse off by 1e-6 makes R M R^-1 leave the symplices, which
     # the stage's 1e-8 check of its final sees
-    res = decouple(random_test_symplex(n, 1))
-    to_hamiltonian_form(res)
+    F = random_test_symplex(n, 1)
+    decouple(F, form=FORM_HAMILTONIAN)
     dof = decouple4.dof_transform
 
     def bad_inverse(generator, eps):
@@ -187,7 +190,7 @@ def test_stage_symplex_check_fires(monkeypatch, n):
         return t
     monkeypatch.setattr(decouple4, "dof_transform", bad_inverse)
     with pytest.raises(NotASymplex, match="residual"):
-        to_hamiltonian_form(res)
+        decouple(F, form=FORM_HAMILTONIAN)
 
 
 def test_block_solve_checks_fire(monkeypatch):
@@ -236,33 +239,67 @@ def test_block_solve_checks_fire(monkeypatch):
             _solve_block(F)
 
 
-@pytest.mark.parametrize("H", [
-    np.full((4, 4), np.nan),
-    np.kron(np.diag([1.0, 0.0]), [[2.0, 1.0], [1.0, 2.0]])
-    + np.kron(np.diag([0.0, 1.0]), [[0.0, 1.0], [-1.0, 0.0]]),
-], ids=["nan", "not-a-symplex"])
-def test_normal_form_scaling_rejects_non_symplices(H):
-    # once the identity with two "zero" frequencies, or a math domain error
-    with pytest.raises(NotASymplex):
-        normal_form_scaling(H)
-
-
 def test_symplex_passes_normal_form_scaling_unchecked(monkeypatch):
-    # a Symplex is checked once, where it was made: to_normal_form checks
-    # only its own final, and analyze_one_turn hands over the Symplex
+    # a Symplex is checked once, where it was made: the normal-form stage
+    # checks only its own final, and analyze_one_turn hands over the Symplex
     h = decouple(random_test_symplex(3, 2), form=FORM_HAMILTONIAN)
     checks = []
     is_symplex = emeq.is_symplex
     monkeypatch.setattr(emeq, "is_symplex",
                         lambda M, tol: checks.append(tol) or is_symplex(M, tol))
-    normal_form_scaling(h.final)
+    _normal_form_scaling(h.final)
     assert checks == []
-    to_normal_form(h)
+    _dof_stages(h, FORM_NORMAL)
     assert checks == [1e-8]
     seen = []
-    scaling = optics.normal_form_scaling
-    monkeypatch.setattr(optics, "normal_form_scaling",
+    scaling = optics._normal_form_scaling
+    monkeypatch.setattr(optics, "_normal_form_scaling",
                         lambda H: seen.append(type(H)) or scaling(H))
     optics.analyze_one_turn(
         matrix_exponential(random_test_symplex(2, 0).matrix, 0.3).matrix)
     assert seen == [Symplex]
+
+
+def _focusing(seed):
+    """gamma0 A with A = B B^T + 4 I, B standard normal: two imaginary
+    pairs."""
+    B = np.random.default_rng(seed).standard_normal((4, 4))
+    return GAMMA[0] @ (B @ B.T + 4.0 * np.eye(4))
+
+
+@pytest.mark.parametrize("case", [
+    CLASS_TWO_IMAGINARY_PAIRS, CLASS_TWO_REAL_PAIRS, CLASS_MIXED, "focusing",
+    *[f"n={n},s={s}" for n in (1, 2, 3, 5, 8) for s in range(3)]])
+def test_each_form_log_extends_the_one_before(case):
+    # the stages are prefixes of one another: the block_diagonal log starts
+    # the hamiltonian log, which starts the normal log; each log replays
+    # to its form's R bit for bit, and the normal form diagonalizes
+    if case.startswith("n="):
+        n, s = (int(part[2:]) for part in case.split(","))
+        F = random_test_symplex(n, s).matrix
+    else:
+        F = _focusing(0) if case == "focusing" else _four_classes()[case]
+    dim = F.shape[0]
+    logs = []
+    for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
+        if form == FORM_NORMAL and case in (CLASS_TWO_REAL_PAIRS, CLASS_MIXED):
+            with pytest.raises(UnstableBlock):
+                decouple(F, form=form)
+            break
+        res = decouple(F, form=form)
+        assert res.form == form
+        steps = res.transform.steps
+        assert np.array_equal(replay(steps, dim).r, res.transform.r)
+        if logs:
+            added = steps[len(logs[-1]):]
+            assert steps[:len(logs[-1])] == logs[-1]
+            assert [(s.generator, s.block) for s in added] == [
+                (DOF_ROTATION if form == FORM_HAMILTONIAN else DOF_SCALING,
+                 (k,)) for k in range(dim // 2)]
+        logs.append(steps)
+    if case in (CLASS_TWO_REAL_PAIRS, CLASS_MIXED):
+        assert len(logs) == 2
+    else:
+        assert len(logs) == 3
+        vecs, values = diagonalize(res)
+        assert vecs.shape == (dim, dim) and values.shape == (dim,)

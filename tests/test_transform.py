@@ -12,10 +12,10 @@ from symdec.matrixio import MatrixFile
 from symdec.optics import analyze_one_turn, effective_force, matched_sigma
 from symdec.jacobi import random_test_symplex
 from symdec.transform import (DOF_SCALING, SymplecticTransform,
-                              TransformStep, apply_similarity,
+                              TransformStep, _dof_rows, apply_similarity,
                               basic_transform, compose, dof_transform,
-                              embed_rows, is_symplectic, matrix_exponential,
-                              replay, symplectic_residual)
+                              is_symplectic, matrix_exponential, replay,
+                              symplectic_residual)
 
 from conftest import random_stable_symplex, random_symplex
 
@@ -236,7 +236,7 @@ def test_replay_mixes_pipeline_and_single_dof_steps():
     np.testing.assert_allclose(r.r, res.transform.r, rtol=0, atol=1e-13)
     # a hand-made mix against its dense product
     steps = (TransformStep(7, 0.4), TransformStep(0, -0.6, (1,)),
-             TransformStep(3, 0.5, (0,)), TransformStep(2, 0.2, skipped=True))
+             TransformStep(3, 0.5, (0,)), TransformStep(2, 0.0))
     b1 = np.eye(4)
     b1[2:, 2:] = basic_transform(0, -0.6).r[:2, :2]
     b0 = np.eye(4)
@@ -269,8 +269,21 @@ def test_replay_needs_one_or_two_dofs(block):
 
 @pytest.mark.parametrize("dofs", [(3,), (1, 1), (2, 1), (-1,), ()])
 def test_embed_rows_needs_increasing_dofs_below_n(dofs):
+    # the rows a pivot or a replayed step is embedded at come from
+    # _dof_rows, which checks 0 <= dofs[0] < ... < n
     with pytest.raises(IndexError):
-        embed_rows(np.eye(6), np.eye(2 * len(dofs)), *dofs)
+        _dof_rows(3, dofs)
+    if dofs:
+        with pytest.raises(IndexError):
+            replay((TransformStep(DOF_SCALING, 0.4, dofs),), dim=6)
+
+
+def test_a_skip_is_a_step_of_parameter_zero():
+    assert basic_transform(4, 0.0).steps[0].skipped
+    assert TransformStep(2, -0.0, (0, 1)).skipped
+    assert not TransformStep(2, 5e-324).skipped
+    assert [s.skipped for s in dof_transform(DOF_SCALING, [0.3, 0.0]).steps] \
+        == [False, True]
 
 
 def test_block_scaling_diagonal():
