@@ -20,8 +20,8 @@ import time
 
 import numpy as np
 
-from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                        FORM_NORMAL, POST_TOL, STEP_TOL, decouple)
+from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL,
+                        JACOBI_TOL, POST_TOL, STEP_TOL, decouple)
 from .dirac import (is_symplex, rdm_coefficients, symplectic_unit,
                     symplex_residual, symplex_cosymplex_split)
 from .emeq import Symplex, lax_invariants
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--form", choices=("block", "hamiltonian", "normal"),
                    default="block", help="target canonical form")
-    p.add_argument("--jacobi-tol", type=float, default=1e-12,
+    p.add_argument("--jacobi-tol", type=float, default=JACOBI_TOL,
                    help="2n convergence threshold")
     p.add_argument("--max-steps", type=int, default=None,
                    help="pivot budget for the 2n iteration")
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--jacobi-tol", type=float, default=1e-12)
+    p.add_argument("--jacobi-tol", type=float, default=JACOBI_TOL)
     p.add_argument("--csv", default=None, help="write CSV here instead "
                    "of stdout")
     return parser

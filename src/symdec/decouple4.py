@@ -54,6 +54,7 @@ __all__ = [
     "STEP_TOL",
     "NOISE_TOL",
     "POST_TOL",
+    "JACOBI_TOL",
     "DecoupleResult",
     "decouple_block_diagonal",
     "diagonalize",
@@ -71,10 +72,12 @@ FORM_COMPLEX_CANONICAL = "complex_canonical"
 
 # Angles, and rotation targets below STEP_TOL times their reference or
 # NOISE_TOL |c|^d (the unit roundoff of a degree-d form in the coefficients
-# c), are skips; POST_TOL bounds the postconditions (pattern, drift).
+# c), are skips; POST_TOL bounds the postconditions (pattern, drift);
+# JACOBI_TOL is the default threshold of the Jacobi block stage.
 STEP_TOL = 1e-14
 NOISE_TOL = 2.0 ** -53
 POST_TOL = 1e-10
+JACOBI_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,37 +205,36 @@ def _diagonal_blocks(M: np.ndarray) -> list[tuple[float, float, float, float]]:
 
 
 def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
-    """A block_diagonal or hamiltonian result continued to `form`: the
-    per-dof rotation to H = R M R^-1 (unless res is in Hamiltonian form),
-    which keeps every off-block norm and continues Jacobi's counters
-    (IterationStats.after_hamiltonian), then for normal form the per-dof
-    scaling to S H S^-1 (UnstableBlock for a block with no rotation
-    form), all products dense, R = S (R R_res) too.  Only the final matrix
-    is checked: a symplex at 1e-8, its diagonal blocks on `form` within
+    """A block_diagonal result continued to `form` in one per-dof pass: the
+    per-dof rotation to H = R M R^-1, which keeps every off-block norm and
+    continues Jacobi's counters (IterationStats.after_hamiltonian), then
+    for normal form the per-dof scaling to S H S^-1 by the DOF_SCALING
+    rapidity log|a/b|/2 of each imaginary block [[0, a], [-b, 0]] (a real
+    or zero block keeps rapidity 0 and its entries), all products dense,
+    R = S (R R_res) too.  Only the final matrix is checked: a symplex at
+    1e-8, its diagonal blocks on `form` (rotations where imaginary) within
     POST_TOL times the scale of the last stage's input (PrecisionLoss); a
     scaling keeps every diagonal, so this also sees a Hamiltonian defect."""
     M, freqs, stats = res.final.matrix, res.frequencies, res.stats
-    r, steps, last = res.transform.r, res.transform.steps, M
-    if res.form == FORM_BLOCK_DIAGONAL:
-        t = _hamiltonian_rotation(M)
-        M, r, steps = t.r @ M @ t.rinv, t.r @ r, steps + t.steps
-        if stats is not None:
-            stats = stats.after_hamiltonian(t, Symplex(M))
+    t = _hamiltonian_rotation(M)
+    last, M = M, t.r @ M @ t.rinv
+    r, steps = t.r @ res.transform.r, res.transform.steps + t.steps
+    if stats is not None:
+        stats = stats.after_hamiltonian(t, Symplex(M))
     if form == FORM_NORMAL:
-        t, freqs = _normal_form_scaling(Symplex(M))  # unchecked
-        for k, w in enumerate(freqs):
-            if w.nature != NATURE_IMAGINARY:
-                raise UnstableBlock(
-                    f"block {k} has entries ({M[2 * k, 2 * k + 1]:.6e}, "
-                    f"{-M[2 * k + 1, 2 * k]:.6e}): a {w.nature} eigenvalue "
-                    "pair has no rotation normal form", block=k)
+        freqs = _block_frequencies(M)
+        t = dof_transform(DOF_SCALING, [
+            0.5 * math.log(a / -b) if w.nature == NATURE_IMAGINARY else 0.0
+            for (_, a, b, _), w in zip(_diagonal_blocks(M), freqs)])
         last, M, r, steps = M, t.r @ M @ t.rinv, t.r @ r, steps + t.steps
     final = Symplex.from_matrix(M, tol=1e-8)
-    # the diagonals, and in normal form (a - b)/2 of each [[0, a], [-b, 0]]
+    # the diagonals, and (a - b)/2 of each imaginary [[0, a], [-b, 0]]
     blocks = _diagonal_blocks(M)
     defect = max([max(abs(a), abs(d)) for a, _, _, d in blocks])
     if form == FORM_NORMAL:
-        defect = max(defect, 0.5 * max([abs(b + c) for _, b, c, _ in blocks]))
+        defect = max([defect] + [
+            0.5 * abs(b + c) for (_, b, c, _), w in zip(blocks, freqs)
+            if w.nature == NATURE_IMAGINARY])
     if defect > POST_TOL * _scale(last):
         raise PrecisionLoss(f"{form} form off by {defect:.3e}")
     return DecoupleResult(
@@ -329,23 +331,6 @@ def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
     band = (STEP_TOL * max(1.0, _frobenius(M))) ** 2
     return tuple([Frequency.from_square(p * s - q * r, band, q)
                   for p, q, r, s in _diagonal_blocks(M)])
-
-
-def _normal_form_scaling(H: Symplex
-                         ) -> tuple[SymplecticTransform, tuple[Frequency, ...]]:
-    """Per-dof scaling of a Hamiltonian-form symplex to rotation form.
-
-    Each 2x2 block [[0, a], [-b, 0]] of the 2n x 2n symplex H is
-    classified by _block_frequencies.  An imaginary pair, +-i w with
-    w = sign(a) sqrt(a b), takes the DOF_SCALING rapidity log|a/b|/2,
-    the scaling diag(|b/a|^(1/4), |a/b|^(1/4)), which turns the block
-    into [[0, w], [-w, 0]]; real and zero blocks keep rapidity 0.
-    Returns the scaling and one Frequency per block.
-    """
-    freqs = _block_frequencies(H.matrix)
-    return dof_transform(DOF_SCALING, [
-        0.5 * math.log(a / -b) if w.nature == NATURE_IMAGINARY else 0.0
-        for (_, a, b, _), w in zip(_diagonal_blocks(H.matrix), freqs)]), freqs
 
 
 def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +445,8 @@ def complex_intermediate(F) -> DecoupleResult:
     return _complex_canonical_result(pipe)
 
 
-def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
+def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
+             jacobi_tol: float = JACOBI_TOL,
              max_steps: int | None = None) -> DecoupleResult:
     """Decouple a 2n x 2n symplex to the form "block_diagonal",
     "hamiltonian" or "normal", checking F, jacobi_tol and max_steps first.
@@ -475,7 +461,7 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
     for normal form, each logged as one step per dof after the block
     stage's steps, so the log of each form extends the one before.  A
     block with a real or vanishing eigenvalue pair has no normal form
-    (UnstableBlock).
+    (UnstableBlock, checked on the pass's frequencies).
     """
     if form not in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
         raise ValueError(f"unknown target form: {form!r}")
@@ -492,5 +478,16 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL, jacobi_tol: float = 1e-12,
                 return complex_low_energy(sym)
             return complex_intermediate(sym)
         res = decouple_block_diagonal(sym)
-    return res if form == FORM_BLOCK_DIAGONAL else _dof_stages(res, form)
+    if form == FORM_BLOCK_DIAGONAL:
+        return res
+    res = _dof_stages(res, form)
+    if form == FORM_NORMAL:
+        M = res.final.matrix  # a real or zero block keeps H's entries
+        for k, w in enumerate(res.frequencies):
+            if w.nature != NATURE_IMAGINARY:
+                raise UnstableBlock(
+                    f"block {k} has entries ({M[2 * k, 2 * k + 1]:.6e}, "
+                    f"{-M[2 * k + 1, 2 * k]:.6e}): a {w.nature} eigenvalue "
+                    "pair has no rotation normal form", block=k)
+    return res
 

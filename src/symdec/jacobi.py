@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, DecoupleResult,
-                        _as_symplex, _block_frequencies, _check_iteration,
-                        _dof_stages, _solve_block, off_block_max)
+from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, JACOBI_TOL,
+                        DecoupleResult, _as_symplex, _block_frequencies,
+                        _check_iteration, _dof_stages, _solve_block,
+                        off_block_max)
 from .dirac import _frobenius, symplectic_unit
 from .emeq import Symplex
 from .errors import (ComplexEigenvalues, DegenerateB, MaxStepsExceeded,
@@ -103,16 +104,11 @@ def random_test_symplex(n: int, seed: int) -> Symplex:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
     dim = 2 * n
+    i, j = np.triu_indices(dim)
+    x = np.random.default_rng(seed).random(i.size)
     A = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            x = rng.random()
-            if i == j:
-                A[i, i] = n + x
-            else:
-                A[i, j] = A[j, i] = x - 0.5
+    A[i, j] = A[j, i] = np.where(i == j, n + x, x - 0.5)
     return Symplex(symplectic_unit(n) @ A)
 
 
@@ -186,7 +182,7 @@ def _block_stage(sym: Symplex, tol: float,
         stats=stats)
 
 
-def jacobi_decouple(F, tol: float = 1e-12, max_steps: int | None = None,
+def jacobi_decouple(F, tol: float = JACOBI_TOL, max_steps: int | None = None,
                     ) -> tuple[SymplecticTransform, Symplex, IterationStats]:
     """(transform, decoupled symplex, IterationStats) of the Jacobi block
     stage on the 2n x 2n symplex F, continued to Hamiltonian form by one

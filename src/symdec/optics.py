@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decouple4 import _normal_form_scaling, off_block_max
+from .decouple4 import FORM_NORMAL, JACOBI_TOL, _dof_stages, off_block_max
 from .dirac import GAMMA, symplectic_unit, symplex_cosymplex_split
 from .emeq import (NATURE_IMAGINARY, NATURE_REAL, NATURE_ZERO, EmeqState,
-                   aux_vectors, mass_components)
+                   Symplex, aux_vectors, mass_components)
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
-from .jacobi import jacobi_decouple
+from .jacobi import _block_stage
 from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
-                        compose, is_symplectic, symplectic_residual)
+                        is_symplectic, symplectic_residual)
 
 __all__ = [
     "SigmaMatrix",
@@ -109,10 +109,12 @@ class EffectiveForce:
 
 
 def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
-    """The checked matrix and period of a TransferMatrix or an array."""
+    """The checked matrix and period of a TransferMatrix, a MatrixFile or
+    an array; the period is tau, else M.tau, else 1.0."""
     if not np.isfinite(getattr(M, "matrix", M)).all():
         raise NotSymplectic("matrix has non-finite entries")
-    tau = float(getattr(M, "tau", 1.0) if tau is None else tau)
+    tau = getattr(M, "tau", None) if tau is None else tau
+    tau = 1.0 if tau is None else float(tau)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
     M = np.asarray(getattr(M, "matrix", M), dtype=float)
@@ -124,9 +126,10 @@ def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
 def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
     """Tunes and decoupling transform of a symplectic one-turn matrix.
 
-    The symplex part (M - g0 M^T g0)/2 ... (M + g0 M^T g0)/2 is decoupled
-    and normalized; the same transform block-diagonalizes the cosymplex
-    part.  Per block, the rotation sine comes from the normalized
+    The symplex part (M - g0 M^T g0)/2 ... (M + g0 M^T g0)/2 takes the
+    Jacobi block stage and decouple's per-dof pass to normal form (a real
+    or zero block unscaled); the same transform block-diagonalizes the
+    cosymplex part.  Per block, the rotation sine comes from the normalized
     symplex part and the cosine from half the block trace of the
     transformed M; tunes are reported in [0, 1/2] with direction and
     branch flags.
@@ -141,11 +144,10 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
         raise NotSymplectic(f"symplectic residual {resid:.3e} above "
                             f"tolerance {SYMPLECTIC_TOL:.1e}")
     Ms, Mc = symplex_cosymplex_split(matrix)
-    transform, out, _ = jacobi_decouple(Ms)
-    scaling, freqs = _normal_form_scaling(out)
-    transform = compose(scaling, transform)
-    Mt, Ms_t, Mc_t = (apply_similarity(transform, X)
-                      for X in (matrix, Ms, Mc))
+    res = _dof_stages(_block_stage(Symplex.from_matrix(Ms), JACOBI_TOL, None),
+                      FORM_NORMAL)
+    transform, freqs = res.transform, res.frequencies
+    Mt, Mc_t = (apply_similarity(transform, X) for X in (matrix, Mc))
 
     n = matrix.shape[0] // 2
     blocks = []
@@ -169,7 +171,7 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
     return OpticsReport(
         tau=tau, transform=transform, blocks=tuple(blocks),
         symplectic_residual=resid,
-        symplex_offblock_residual=off_block_max(Ms_t),
+        symplex_offblock_residual=off_block_max(res.final.matrix),
         cosymplex_offblock_residual=off_block_max(Mc_t),
         stable=stable)
 

@@ -6,9 +6,9 @@ import pytest
 from symdec import emeq, jacobi
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               FORM_HAMILTONIAN, FORM_NORMAL, _Pipeline,
-                              _block_frequencies, _normal_form_scaling,
-                              complex_intermediate, complex_low_energy,
-                              decouple, decouple_block_diagonal, diagonalize,
+                              _block_frequencies, complex_intermediate,
+                              complex_low_energy, decouple,
+                              decouple_block_diagonal, diagonalize,
                               off_block_max)
 from symdec.dirac import GAMMA
 from symdec.emeq import (EmeqState, Symplex, aux_vectors, emeq_from_symplex,
@@ -20,8 +20,9 @@ from symdec.errors import (BranchMismatch, ComplexEigenvalues, DegenerateB,
 from symdec.jacobi import (_off_residual, jacobi_decouple, off_block_norms,
                            random_test_symplex)
 from symdec.optics import analyze_one_turn
-from symdec.transform import (apply_similarity, basic_transform, compose,
-                              matrix_exponential, symplectic_residual)
+from symdec.transform import (DOF_SCALING, apply_similarity, basic_transform,
+                              compose, dof_transform, matrix_exponential,
+                              symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
                       random_stable_symplex, random_symplex)
@@ -506,8 +507,9 @@ def test_decouple_routes_high_energy_quadruple_to_intermediate(form):
                                   FORM_NORMAL])
 def test_decouple_2n_is_jacobi(n, form):
     # every n != 2 is the Jacobi iteration (its block stage, then
-    # jacobi_decouple's Hamiltonian pass and the normal-form scaling), bit
-    # for bit, and the result carries its iteration counters
+    # jacobi_decouple's Hamiltonian pass and, built here, the scaling of
+    # each block [[0, a], [-b, 0]] by the rapidity log(a/b)/2), bit for
+    # bit, and the result carries its iteration counters
     F = random_test_symplex(n, 5).matrix
     res = decouple(F, form=form, jacobi_tol=1e-11, max_steps=500)
     block = jacobi._block_stage(Symplex(F), 1e-11, 500)
@@ -519,7 +521,10 @@ def test_decouple_2n_is_jacobi(n, form):
     # Hamiltonian pass carries them; the normal form reads its own
     final, freqs = out.matrix, _block_frequencies(block.final.matrix)
     if form == FORM_NORMAL:
-        scaling, freqs = _normal_form_scaling(out)
+        freqs = _block_frequencies(final)
+        scaling = dof_transform(DOF_SCALING, [
+            0.5 * math.log(final[2 * k, 2 * k + 1] / -final[2 * k + 1, 2 * k])
+            for k in range(n)])
         final = scaling.r @ final @ scaling.rinv
         transform = compose(scaling, transform)
     assert res.form == form

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from symdec.decouple4 import FORM_NORMAL, decouple, off_block_max
 from symdec.dirac import symplectic_unit, symplex_cosymplex_split
 from symdec.emeq import emeq_from_symplex, lax_invariants, spectral_invariants
-from symdec.errors import NotSymplectic, UnstableSystem
+from symdec.errors import NotSymplectic, UnstableBlock, UnstableSystem
+from symdec.matrixio import MatrixFile
 from symdec.optics import (SigmaMatrix, analyze_one_turn,
                            cosymplex_observable_forms,
                            cosymplex_observable_rates, effective_force,
@@ -20,6 +24,76 @@ def normal_form(w1, w2):
     F[0, 1], F[1, 0] = w1, -w1
     F[2, 3], F[3, 2] = w2, -w2
     return F
+
+
+def coupled_ring(phases, rapidity=None, seed=0):
+    """S D S^-1: D rotates dof k by phases[k], then, with a rapidity, has
+    one hyperbolic block [[cosh, sinh], [sinh, cosh]]; S = exp(g0 A), A
+    symmetric with entries in [-0.6, 0.6], couples every dof."""
+    blocks = [[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]]
+              for p in phases]
+    if rapidity is not None:
+        ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+        blocks.append([[ch, sh], [sh, ch]])
+    n = len(blocks)
+    D = np.zeros((2 * n, 2 * n))
+    for k, blk in enumerate(blocks):
+        D[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk
+    A = np.random.default_rng(seed).uniform(-0.3, 0.3, (2 * n, 2 * n))
+    g0 = symplectic_unit(n)
+    S = matrix_exponential(g0 @ (A + A.T)).matrix
+    return S @ D @ (-g0 @ S.T @ g0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_ring_path_is_decouple_normal_form(n):
+    # the ring path is decouple's route for n != 2: the Jacobi block stage
+    # and the per-dof pass to normal form of the symplex part, with the
+    # same R, bit for bit, the same steps and the same frequencies
+    M = coupled_ring([0.4 + 0.55 * k for k in range(n)], seed=n)
+    report = analyze_one_turn(M)
+    Ms, _ = symplex_cosymplex_split(M)
+    res = decouple(Ms, form=FORM_NORMAL)
+    assert report.stable
+    assert report.transform.r.tobytes() == res.transform.r.tobytes()
+    assert report.transform.steps == res.transform.steps
+    assert [b.sine for b in report.blocks] == [w.value
+                                               for w in res.frequencies]
+    assert report.symplex_offblock_residual == off_block_max(res.final.matrix)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hyperbolic_ring_reported_where_decouple_raises(n):
+    # one hyperbolic block beside stable blocks of distinct tunes: the ring
+    # path reports it as real and the ring unstable, while the normal form
+    # of the symplex part stops at that block
+    M = coupled_ring([0.7, 1.9][:n - 1], rapidity=0.5, seed=n)
+    report = analyze_one_turn(M)
+    natures = [b.nature for b in report.blocks]
+    assert not report.stable and natures.count("real") == 1
+    assert natures.count("imaginary") == n - 1
+    k = natures.index("real")
+    Ms, _ = symplex_cosymplex_split(M)
+    num = r"-?\d\.\d{6}e[+-]\d\d"
+    with pytest.raises(UnstableBlock, match=(
+            rf"^block {k} has entries \({num}, {num}\): a real eigenvalue "
+            "pair has no rotation normal form$")) as info:
+        decouple(Ms, form=FORM_NORMAL)
+    assert info.value.block == k
+
+
+def test_transfer_without_tau_has_period_one():
+    # a MatrixFile read from a file without "tau" has tau None: each entry
+    # point then takes the period 1.0, as for the bare matrix
+    M = matrix_exponential(normal_form(0.3, 0.7), 1.0).matrix
+    mf = MatrixFile(matrix=M, kind="transfer")
+    report = analyze_one_turn(mf)
+    assert report.tau == 1.0 and report.tunes == analyze_one_turn(M).tunes
+    np.testing.assert_array_equal(matched_sigma(mf, (1.0, 2.0)).matrix,
+                                  matched_sigma(M, (1.0, 2.0)).matrix)
+    eff = effective_force(mf)
+    assert eff.tau == 1.0
+    np.testing.assert_array_equal(eff.matrix, effective_force(M).matrix)
 
 
 def test_identity_matrix_tunes_zero():

@@ -3,6 +3,7 @@ and as prefixes of one another, and every check of the 4x4 block solve
 and of the per-dof stages made to fire by an injected fault: each keeps
 its tolerance and its exception."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 
 from symdec import decouple4, emeq, optics
 from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
-                              FORM_HAMILTONIAN, FORM_NORMAL, _dof_stages,
-                              _normal_form_scaling, _Pipeline, _solve_block,
-                              decouple, diagonalize)
+                              FORM_HAMILTONIAN, FORM_NORMAL,
+                              _block_frequencies, _dof_stages, _Pipeline,
+                              _solve_block, decouple, diagonalize,
+                              off_block_max)
 from symdec.dirac import GAMMA
 from symdec.emeq import Symplex, _transform_floats
 from symdec.emeq import (CLASS_COMPLEX_QUADRUPLE, CLASS_MIXED,
@@ -21,8 +23,9 @@ from symdec.errors import (BoostDomain, ComplexEigenvalues, DegenerateB,
                            NotASymplex, PrecisionLoss, SymdecError,
                            UnstableBlock)
 from symdec.jacobi import random_test_symplex
-from symdec.transform import (DOF_ROTATION, DOF_SCALING, _symplectic_inverse,
-                              dof_transform, matrix_exponential, replay)
+from symdec.transform import (DOF_ROTATION, DOF_SCALING, SymplecticTransform,
+                              _symplectic_inverse, dof_transform,
+                              matrix_exponential, replay)
 
 from conftest import random_complex_symplex, random_stable_symplex
 
@@ -80,11 +83,36 @@ def _outcome(run):
 
 
 def _chain(F, form):
+    """decouple's block_diagonal result to Hamiltonian form by the per-dof
+    pass, then to normal form by a scaling built here: each block
+    [[0, a], [-b, 0]] of H takes the rapidity log(a/b)/2, and the first
+    block with no imaginary pair raises UnstableBlock."""
     res = decouple(F)
     if res.form == FORM_COMPLEX_CANONICAL:  # reached whatever the form
         return res
     res = _dof_stages(res, FORM_HAMILTONIAN)
-    return _dof_stages(res, FORM_NORMAL) if form == FORM_NORMAL else res
+    if form != FORM_NORMAL:
+        return res
+    H, n = res.final.matrix, res.final.n
+    freqs = _block_frequencies(H)
+    for k, w in enumerate(freqs):
+        if w.nature != emeq.NATURE_IMAGINARY:
+            raise UnstableBlock(
+                f"block {k} has entries ({H[2 * k, 2 * k + 1]:.6e}, "
+                f"{-H[2 * k + 1, 2 * k]:.6e}): a {w.nature} eigenvalue "
+                "pair has no rotation normal form", block=k)
+    s = dof_transform(DOF_SCALING, [
+        0.5 * math.log(H[2 * k, 2 * k + 1] / -H[2 * k + 1, 2 * k])
+        for k in range(n)])
+    M = s.r @ H @ s.rinv
+    # off the blocks, on their diagonals, and (a - b)/2 of [[0, a], [-b, 0]]
+    defect = max([max(abs(M[i, i]), abs(M[i + 1, i + 1]),
+                      0.5 * abs(M[i, i + 1] + M[i + 1, i]))
+                  for i in range(0, 2 * n, 2)])
+    return replace(res, transform=SymplecticTransform(
+        s.r @ res.transform.r, res.transform.steps + s.steps),
+        final=Symplex(M), form=FORM_NORMAL, frequencies=freqs,
+        residual=max(off_block_max(M), defect))
 
 
 @pytest.mark.parametrize("form", [FORM_HAMILTONIAN, FORM_NORMAL])
@@ -93,9 +121,9 @@ def _chain(F, form):
     *[f"n={n},s={s}" for n in (1, 3, 5) for s in range(3)]])
 def test_one_pass_matches_stage_chain(case, form):
     # decouple goes to its form in one per-dof pass; the per-dof stage to
-    # Hamiltonian form, then continued to normal form, gives the same R,
-    # R^-1, final, steps, frequencies, residual and stats, bit for bit, or
-    # the same exception
+    # Hamiltonian form, then scaled to normal form by hand, gives the same
+    # R, R^-1, final, steps, frequencies, residual and stats, bit for bit,
+    # or the same exception and message
     if case.startswith("n="):
         n, s = (int(part[2:]) for part in case.split(","))
         F = random_test_symplex(n, s).matrix
@@ -240,24 +268,32 @@ def test_block_solve_checks_fire(monkeypatch):
 
 
 def test_symplex_passes_normal_form_scaling_unchecked(monkeypatch):
-    # a Symplex is checked once, where it was made: the normal-form stage
-    # checks only its own final, and analyze_one_turn hands over the Symplex
-    h = decouple(random_test_symplex(3, 2), form=FORM_HAMILTONIAN)
+    # a Symplex is checked once, where it was made: the per-dof pass to
+    # normal form checks only its own final; the ring path checks the
+    # symplex part on entry, hands the Symplex to the block stage, whose
+    # 4x4 solves check their own, and checks the pass's final once
+    block = decouple(random_test_symplex(3, 2))
     checks = []
     is_symplex = emeq.is_symplex
     monkeypatch.setattr(emeq, "is_symplex",
                         lambda M, tol: checks.append(tol) or is_symplex(M, tol))
-    _normal_form_scaling(h.final)
-    assert checks == []
-    _dof_stages(h, FORM_NORMAL)
+    _dof_stages(block, FORM_NORMAL)
     assert checks == [1e-8]
-    seen = []
-    scaling = optics._normal_form_scaling
-    monkeypatch.setattr(optics, "_normal_form_scaling",
-                        lambda H: seen.append(type(H)) or scaling(H))
+    checks.clear()
+    stage, seen, marks = optics._block_stage, [], []
+
+    def block_stage(sym, tol, max_steps):
+        seen.append(type(sym))
+        marks.append(len(checks))
+        res = stage(sym, tol, max_steps)
+        marks.append(len(checks))
+        return res
+    monkeypatch.setattr(optics, "_block_stage", block_stage)
     optics.analyze_one_turn(
         matrix_exponential(random_test_symplex(2, 0).matrix, 0.3).matrix)
-    assert seen == [Symplex]
+    start, end = marks
+    assert seen == [Symplex] and end > start
+    assert checks[:start] == [1e-10] and checks[end:] == [1e-8]
 
 
 def _focusing(seed):
