@@ -5,8 +5,8 @@ summary), ``decouple`` (run the decoupling pipeline and emit a full
 report), ``tunes`` (analyze a one-turn matrix, optionally with a matched
 beam), and ``bench`` (iteration-count study on random symplices).
 
-Exit codes: 0 success, 2 validation failure, 3 pipeline infeasibility,
-4 I/O or parse error.
+Exit codes: 0 success, 2 validation failure, 3 any other library error
+(infeasible), 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL,
 from .dirac import (is_symplex, rdm_coefficients, symplectic_unit,
                     symplex_residual, symplex_cosymplex_split)
 from .emeq import Symplex, lax_invariants
-from .errors import (BoostDomain, BranchMismatch, ComplexEigenvalues,
-                     DegenerateB, DimensionMismatch, MaxStepsExceeded,
-                     NotASymplex, NotSymplectic, PivotComplex,
-                     PrecisionLoss, UnstableBlock, UnstableSystem)
+from .errors import (DimensionMismatch, NotASymplex, NotSymplectic,
+                     PrecisionLoss, SymdecError)
 from .jacobi import jacobi_decouple, random_test_symplex
 from .matrixio import MatrixFileError, load_matrix
 from .optics import analyze_one_turn, matched_sigma
@@ -41,10 +39,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
-
-_INFEASIBLE = (ComplexEigenvalues, DegenerateB, BoostDomain, BranchMismatch,
-               UnstableBlock, PivotComplex, MaxStepsExceeded, UnstableSystem,
-               PrecisionLoss)
 
 
 class _Failure(Exception):
@@ -383,10 +377,10 @@ def main(argv=None) -> int:
     except _Failure as exc:
         print(f"symdec: error: {exc}", file=sys.stderr)
         return exc.code
-    except (NotASymplex, NotSymplectic) as exc:
+    except (NotASymplex, NotSymplectic, DimensionMismatch) as exc:
         print(f"symdec: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _INFEASIBLE as exc:
+    except SymdecError as exc:
         print(f"symdec: infeasible: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -207,20 +207,21 @@ def _diagonal_blocks(M: np.ndarray) -> list[tuple[float, float, float, float]]:
 def _dof_stages(res: DecoupleResult, form: str) -> DecoupleResult:
     """A block_diagonal result continued to `form` in one per-dof pass: the
     per-dof rotation to H = R M R^-1, which keeps every off-block norm and
-    continues Jacobi's counters (IterationStats.after_hamiltonian), then
-    for normal form the per-dof scaling to S H S^-1 by the DOF_SCALING
-    rapidity log|a/b|/2 of each imaginary block [[0, a], [-b, 0]] (a real
-    or zero block keeps rapidity 0 and its entries), all products dense,
-    R = S (R R_res) too.  Only the final matrix is checked: a symplex at
-    1e-8, its diagonal blocks on `form` (rotations where imaginary) within
-    POST_TOL times the scale of the last stage's input (PrecisionLoss); a
-    scaling keeps every diagonal, so this also sees a Hamiltonian defect."""
+    adds its dof pairs to Jacobi's hamiltonian_steps, then for normal form
+    the per-dof scaling to S H S^-1 by the DOF_SCALING rapidity log|a/b|/2
+    of each imaginary block [[0, a], [-b, 0]] (a real or zero block keeps
+    rapidity 0 and its entries), all products dense, R = S (R R_res) too.
+    Only the final matrix is checked: a symplex at 1e-8, its diagonal
+    blocks on `form` (rotations where imaginary) within POST_TOL times the
+    scale of the last stage's input (PrecisionLoss); a scaling keeps every
+    diagonal, so this also sees a Hamiltonian defect."""
     M, freqs, stats = res.final.matrix, res.frequencies, res.stats
     t = _hamiltonian_rotation(M)
     last, M = M, t.r @ M @ t.rinv
     r, steps = t.r @ res.transform.r, res.transform.steps + t.steps
     if stats is not None:
-        stats = stats.after_hamiltonian(t, Symplex(M))
+        stats = replace(stats, hamiltonian_steps=len(
+            {s.block[0] // 2 for s in t.steps if not s.skipped}))
     if form == FORM_NORMAL:
         freqs = _block_frequencies(M)
         t = dof_transform(DOF_SCALING, [

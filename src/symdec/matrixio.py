@@ -69,7 +69,7 @@ def _load_json(text: str, where: str) -> MatrixFile:
         raise MatrixFileError(
             f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict) or "matrix" not in doc:
+    if "matrix" not in doc:  # text opening with "{" parses to an object
         raise MatrixFileError(f"{where}: expected an object with a "
                               "'matrix' field")
     try:

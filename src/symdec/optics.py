@@ -22,7 +22,7 @@ from .emeq import (NATURE_IMAGINARY, NATURE_REAL, NATURE_ZERO, EmeqState,
                    Symplex, aux_vectors, mass_components)
 from .errors import DimensionMismatch, NotSymplectic, UnstableSystem
 from .jacobi import _block_stage
-from .transform import (SymplecticTransform, TransferMatrix, apply_similarity,
+from .transform import (SymplecticTransform, _square_even, apply_similarity,
                         is_symplectic, symplectic_residual)
 
 __all__ = [
@@ -52,7 +52,7 @@ class SigmaMatrix:
 
     @classmethod
     def from_matrix(cls, sigma: np.ndarray, tol: float = 1e-9) -> "SigmaMatrix":
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _finite_square_even(sigma, "sigma matrix")
         asym = np.linalg.norm(sigma - sigma.T)
         if asym > tol * max(1.0, np.linalg.norm(sigma)):
             raise ValueError(f"sigma matrix not symmetric (residual {asym:.3e})")
@@ -108,6 +108,15 @@ class EffectiveForce:
     reconstruction_residual: float
 
 
+def _finite_square_even(M, what: str) -> np.ndarray:
+    """M (or M.matrix) as a square even float array (DimensionMismatch)
+    with finite entries (ValueError)."""
+    M = _square_even(getattr(M, "matrix", M))
+    if not np.isfinite(M).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return M
+
+
 def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
     """The checked matrix and period of a TransferMatrix, a MatrixFile or
     an array; the period is tau, else M.tau, else 1.0."""
@@ -117,10 +126,7 @@ def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
     tau = 1.0 if tau is None else float(tau)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    M = np.asarray(getattr(M, "matrix", M), dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        raise DimensionMismatch(f"expected a square even matrix, got {M.shape}")
-    return M, tau
+    return _square_even(getattr(M, "matrix", M)), tau
 
 
 def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
@@ -134,12 +140,11 @@ def analyze_one_turn(M, tau: float | None = None) -> OpticsReport:
     transformed M; tunes are reported in [0, 1/2] with direction and
     branch flags.
 
-    Raises NotSymplectic when M has a non-finite entry or violates the
-    symplectic condition by more than SYMPLECTIC_TOL (relative).
+    Raises NotSymplectic when M has a non-finite entry or its measured
+    symplectic residual (never a stored one) exceeds SYMPLECTIC_TOL, relative.
     """
     matrix, tau = _as_transfer(M, tau)
-    resid = (M.symplectic_residual if isinstance(M, TransferMatrix)
-             else symplectic_residual(matrix))
+    resid = symplectic_residual(matrix)
     if not is_symplectic(matrix, SYMPLECTIC_TOL, resid):
         raise NotSymplectic(f"symplectic residual {resid:.3e} above "
                             f"tolerance {SYMPLECTIC_TOL:.1e}")
@@ -259,12 +264,11 @@ def propagate_sigma(sigma, M) -> SigmaMatrix:
     """Transport second moments along the line: sigma -> M sigma M^T.
 
     Preserves the traces of all powers of sigma g0 (the Lax first
-    integrals) when M is symplectic.
+    integrals) when M is symplectic.  Both must be finite, square and of
+    even size (ValueError, DimensionMismatch) and of one shape.
     """
-    s = sigma.matrix if isinstance(sigma, SigmaMatrix) else np.asarray(
-        sigma, dtype=float)
-    m = M.matrix if isinstance(M, TransferMatrix) else np.asarray(
-        M, dtype=float)
+    s = _finite_square_even(sigma, "sigma matrix")
+    m = _finite_square_even(M, "transfer matrix")
     if s.shape != m.shape:
         raise DimensionMismatch(
             f"sigma has shape {s.shape}, matrix has shape {m.shape}")

@@ -259,20 +259,25 @@ def _block_positions(n: int) -> np.ndarray:
     return positions
 
 
+def _square_even(M) -> np.ndarray:
+    """M as a float array, square and of even size (DimensionMismatch)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+        raise DimensionMismatch(f"expected a square even matrix, got {M.shape}")
+    return M
+
+
 def matrix_exponential(F: np.ndarray, s: float = 1.0) -> TransferMatrix:
     """Transfer matrix exp(F s) by scaling-and-squaring of a Taylor series.
 
     The symplecticity residual of the result is computed and reported on
     the returned TransferMatrix; it is never silently repaired.
     """
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] % 2:
-        raise DimensionMismatch(f"expected a square even matrix, got {F.shape}")
-    A = F * s
+    A = _square_even(F) * s
     norm = float(np.linalg.norm(A, ord=1))
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     A = A / (2.0 ** squarings)
-    dim = F.shape[0]
+    dim = A.shape[0]
     result = np.eye(dim)
     term = np.eye(dim)
     for k in range(1, 40):

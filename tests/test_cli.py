@@ -14,7 +14,7 @@ from symdec.decouple4 import POST_TOL, STEP_TOL
 from symdec.decouple4 import decouple
 from symdec.dirac import GAMMA, rdm_coefficients
 from symdec.emeq import Symplex, emeq_from_symplex
-from symdec.errors import NotASymplex
+from symdec.errors import DimensionMismatch, NotASymplex, SymdecError
 from symdec.jacobi import jacobi_decouple, random_test_symplex
 from symdec.matrixio import (MatrixFileError, load_matrix, save_matrix_json)
 from symdec.transform import TransformStep, matrix_exponential, replay
@@ -74,6 +74,37 @@ def test_parse_errors_carry_location(tmp_path):
     path.write_text('{"matrix": [[1, 2, 0], [3, 4, 0], [0, 0, 1]]}')
     with pytest.raises(MatrixFileError, match="even"):
         load_matrix(path)
+
+
+_MALFORMED = [
+    ("nonsquare.json", '{"matrix": [[1, 2, 3], [4, 5, 6]]}', "square"),
+    ("nan.json", '{"matrix": [[NaN, 1], [-1, 0]]}', "non-finite"),
+    ("nan.txt", "2\nnan 1\n-1 0\n", "non-finite"),
+    ("broken.json", '{"matrix": [[0, 1], [-1, 0]]', "line 1, column"),
+    ("nomatrix.json", '{"kind": "force"}', "'matrix' field"),
+    ("kind.json", '{"kind": "sigma", "matrix": [[0, 1], [-1, 0]]}',
+     "kind must be one of"),
+    ("dim.txt", "two\n0 1\n-1 0\n", "line 1: expected the dimension"),
+    ("entry.txt", "2\n0 x\n-1 0\n", "line 2:"),
+    ("empty.txt", "", "empty file"),
+    ("comments.txt", "# no matrix\n\n", "empty file"),
+    ("short.txt", "2\n0 1\n", "expected 2 rows, got 1"),
+    ("shortrow.txt", "2\n0 1\n-1\n", "line 3: expected 2 entries")]
+
+
+@pytest.mark.parametrize("name, text, match", _MALFORMED,
+                         ids=[name for name, _, _ in _MALFORMED])
+def test_malformed_files_exit4(tmp_path, capsys, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MatrixFileError, match=match):
+        load_matrix(path)
+    for command in ("check", "decouple"):
+        assert main([command, str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("symdec: error:")
+        assert match in captured.err
 
 
 def test_missing_file_exit_code(capsys):
@@ -538,6 +569,27 @@ def test_decouple_unstable_normal_form_exit3(tmp_path, capsys):
     path = tmp_path / "f.json"
     save_matrix_json(path, F, kind="force")
     assert main(["decouple", str(path), "--form", "normal"]) == 3
+
+
+class _Unlisted(SymdecError):
+    """A library error that no list in the CLI names."""
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (DimensionMismatch, 2, "symdec: validation error:"),
+    (_Unlisted, 3, "symdec: infeasible: _Unlisted:")],
+    ids=["DimensionMismatch", "unlisted"])
+def test_library_errors_exit_by_class(tmp_path, capsys, monkeypatch, error,
+                                      code, prefix):
+    # a shape error is a validation failure; every other library error,
+    # named anywhere or not, is infeasible
+    def raising(*args, **kwargs):
+        raise error("raised inside the command")
+    monkeypatch.setattr(symdec.cli, "decouple", raising)
+    assert main(["decouple", _force_file(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
 
 
 def test_decouple_large_includes_stats(tmp_path, capsys):

@@ -11,8 +11,8 @@ from symdec.dirac import (GAMMA, is_symplex, symplectic_unit,
 from symdec.emeq import Symplex, _transform_floats
 from symdec.errors import (ComplexEigenvalues, MaxStepsExceeded, NotASymplex,
                            PivotComplex, PrecisionLoss)
-from symdec.jacobi import (IterationStats, jacobi_decouple, off_block_norms,
-                           random_test_symplex)
+from symdec.jacobi import (IterationStats, _off_residual, jacobi_decouple,
+                           off_block_norms, random_test_symplex)
 from symdec.optics import analyze_one_turn
 from symdec.transform import (DOF_ROTATION, SymplecticTransform,
                               TransformStep, apply_similarity,
@@ -110,9 +110,26 @@ def test_jacobi_decouples_and_preserves_spectrum():
 def test_hamiltonian_pass_keeps_residual_below_tol():
     # the residual converges to 9.98e-13 on this input; the per-dof
     # rotations of the Hamiltonian pass must not lift it above tol
-    _, _, stats = jacobi_decouple(random_test_symplex(11, 12))
+    _, out, stats = jacobi_decouple(random_test_symplex(11, 12))
     assert stats.residuals[-1] <= 1e-12
-    assert stats.final_residual <= 1e-12
+    assert _off_residual(out.matrix, off_block_norms(out.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("form", ["block_diagonal", "hamiltonian", "normal"])
+def test_final_residual_is_the_residual_the_loop_reached(form, seed):
+    # one number in every form: the per-dof rotation keeps each off-block
+    # Frobenius norm, so re-measuring the Hamiltonian-form matrix finds it
+    # again up to rounding; the normal-form scaling is not orthogonal, and
+    # the number stays that of the Hamiltonian-form matrix
+    F = random_test_symplex(8, seed)
+    res = decouple(F, form=form)
+    assert res.stats.final_residual == res.stats.residuals[-1]
+    M = (res if form != "normal" else
+         decouple(F, form="hamiltonian")).final.matrix
+    again = _off_residual(M, off_block_norms(M))
+    assert abs(again - res.stats.final_residual) <= \
+        1e-15 * res.stats.final_residual
 
 
 def test_block_diagonal_only_mode():
@@ -488,10 +505,19 @@ def test_stable_ring_complex_pivot_falls_back(n, seed, tau, monkeypatch):
                                            ((0.3, -0.2, 0.0), 1),
                                            ((0.0, 0.0, 0.0), 0)])
 def test_hamiltonian_steps_count_rotated_dof_pairs(angles, count):
-    # dofs (0, 1) form one pair, the odd last dof 2 another
-    t = dof_transform(DOF_ROTATION, angles)
-    stats = IterationStats().after_hamiltonian(t, random_test_symplex(3, 0))
-    assert stats.hamiltonian_steps == count
+    # dofs (0, 1) form one pair, the odd last dof 2 another: blocks
+    # [[0, a], [-b, 0]] with a != b, turned by `angles`, gain a diagonal
+    # exactly where the angle is nonzero, and the Hamiltonian pass rotates
+    # those dofs back; a block-diagonal input takes no pivot
+    H = np.zeros((6, 6))
+    for k in range(3):
+        H[2 * k, 2 * k + 1], H[2 * k + 1, 2 * k] = 1.0 + k, -2.0 - 2.0 * k
+    F = apply_similarity(dof_transform(DOF_ROTATION, angles), H)
+    assert [k for k in range(3) if abs(F[2 * k, 2 * k]) > 1e-3] == \
+        [k for k, a in enumerate(angles) if a]
+    res = decouple(F, form="hamiltonian")
+    assert res.stats.pivot_steps == 0
+    assert res.stats.hamiltonian_steps == res.stats.total_steps == count
 
 
 @pytest.mark.parametrize("seed, pivots", [(0, 60), (1, 57), (2, 56), (3, 57),

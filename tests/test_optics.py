@@ -108,6 +108,25 @@ def test_not_symplectic_rejected():
         analyze_one_turn(np.diag([2.0, 1.0, 1.0, 1.0]))
 
 
+def test_stored_residual_is_not_trusted():
+    # a TransferMatrix carrying a wrong residual is measured like an array
+    M = np.array([[2.0, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, 1.0, 0.5],
+                  [0, 0, 0, 1.0]])
+    for ring in (M, TransferMatrix(M, 1.0, 0.0)):
+        with pytest.raises(NotSymplectic, match="residual 4.243e"):
+            analyze_one_turn(ring)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exponential_report_measures_the_matrix(n):
+    tm = matrix_exponential(random_stable_symplex(np.random.default_rng(n),
+                                                  n), 0.4)
+    report = analyze_one_turn(tm)
+    assert report.tau == 0.4
+    assert report.symplectic_residual == \
+        analyze_one_turn(tm.matrix).symplectic_residual
+
+
 def test_overflowing_ring_not_symplectic():
     # residual inf against tol * ||M||_F = 2e192: once "unstable", cosine 1e200
     with pytest.raises(NotSymplectic, match="residual inf"):
