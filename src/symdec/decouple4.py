@@ -18,10 +18,9 @@ and B_y coefficients surviving.
 Each geometric step moves the ten coefficients (energy, P, E, B), kept
 as Python floats, in closed form (emeq._transform_floats); R F R^-1
 is built once per stage and every pattern check reads its re-extracted
-coefficients.  A rotation whose target is below STEP_TOL times its
-reference, or within the rounding noise of the coefficients, is a skip
-(free of the units of F), so inputs in canonical position pass through
-with the identity.
+coefficients.  Every rotation and boost is a skip, a logged step of
+parameter 0, by one rule free of the units of F (_Pipeline.skip), so
+inputs in canonical position pass through with the identity.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ FORM_NORMAL = "normal"
 FORM_COMPLEX_CANONICAL = "complex_canonical"
 
 
-# Angles, and rotation targets below STEP_TOL times their reference or
-# NOISE_TOL |c|^d (the unit roundoff of a degree-d form in the coefficients
-# c), are skips; POST_TOL bounds the postconditions (pattern, drift);
+# Step targets within STEP_TOL times their reference or NOISE_TOL |c|^d
+# (the unit roundoff of a degree-d form in the coefficients c) are skips
+# (_Pipeline.skip); POST_TOL bounds the postconditions (pattern, drift);
 # JACOBI_TOL is the default threshold of the Jacobi block stage.
 STEP_TOL = 1e-14
 NOISE_TOL = 2.0 ** -53
@@ -118,15 +117,18 @@ class _Pipeline:
         """NOISE_TOL |f|^degree, the rounding of a form of that degree."""
         return NOISE_TOL * math.hypot(*self.f) ** degree
 
+    def skip(self, num: float, den: float, degree: int) -> bool:
+        """Whether a step removing `num` against `den`, both of `degree` in
+        f, is a skip: |num| within STEP_TOL |den| or the noise."""
+        return abs(num) <= max(STEP_TOL * abs(den), self.noise(degree))
+
     def rotate(self, b: int, num: float, den: float, degree: int,
                sign: float = 1.0, turn: bool = False) -> None:
-        """Rotate by sign * atan2(num, den) to remove `num`, num and den of
-        `degree` in the coefficients.  A skip when |num| is within STEP_TOL
-        |den| or the noise: atan2 would turn by pi for den < 0, or by the
-        sign of a rounding error.  With `turn`, a den < -noise turns."""
-        noise = self.noise(degree)
-        if (abs(num) <= max(STEP_TOL * abs(den), noise)
-                and not (turn and den < -noise)):
+        """Rotate by sign * atan2(num, den) to remove `num`, or skip: atan2
+        would turn by pi for den < 0, or by the sign of a rounding error.
+        With `turn`, a den < -noise turns."""
+        if self.skip(num, den, degree) and not (
+                turn and den < -self.noise(degree)):
             self.step(b, 0.0)
         else:
             self.step(b, sign * math.atan2(num, den))
@@ -139,23 +141,21 @@ class _Pipeline:
             self.rotate(b, 0.0 if skip else v[k], v[1], degree, sign)
 
     def step(self, b: int, epsilon: float) -> None:
-        """Apply one generator to f and log it, or log a skip."""
-        if abs(epsilon) < STEP_TOL:
-            self.steps.append(TransformStep(b, 0.0, self.block))
-            return
-        self.f = _transform_floats(self.f, b, epsilon)
+        """Apply one generator to f and log it; epsilon 0.0 is a skip."""
+        if epsilon:
+            self.f = _transform_floats(self.f, b, epsilon)
         self.steps.append(TransformStep(b, epsilon, self.block))
 
     def boost(self, b: int, num: float, den: float, sign: float,
-              step_index: int) -> None:
-        """Boost with rapidity sign*arctanh(num/den), guarding the domain."""
-        if abs(num) < STEP_TOL:
+              degree: int) -> None:
+        """Boost by sign*arctanh(num/den) to remove `num`, or skip."""
+        if self.skip(num, den, degree):
             self.step(b, 0.0)
             return
         if abs(den) <= abs(num):
-            raise BoostDomain(
-                f"step {step_index}: arctanh argument {num:.3e}/{den:.3e} "
-                "has modulus >= 1", step=step_index)
+            k = len(self.steps) + 1
+            raise BoostDomain(f"step {k}: arctanh argument {num:.3e}/"
+                              f"{den:.3e} has modulus >= 1", step=k)
         self.step(b, sign * math.atanh(num / den))
 
     def finish(self) -> tuple[np.ndarray, np.ndarray, Symplex, list[float]]:
@@ -251,8 +251,9 @@ def _hamiltonian_rotation(M: np.ndarray) -> SymplecticTransform:
     A 2x2 symplex [[a, b], [c, -a]] conjugated by the phase rotation of
     angle theta has diagonal a cos(2 theta) + (b + c)/2 sin(2 theta);
     the full angle 2 theta = atan2(-2a, b + c) removes it.  A block with
-    |2a| below STEP_TOL times its Frobenius norm keeps angle 0, so the
-    skips do not depend on the units of M.
+    |2a| below STEP_TOL times its Frobenius norm keeps angle 0, free of
+    the units of M.  Not b + c, as in _Pipeline.skip: it vanishes both on
+    [[0, w], [-w, 0]], kept, and on [[a, w], [-w, -a]], which must turn.
     """
     blocks = _diagonal_blocks(M)
     skip = [abs(2.0 * a) < STEP_TOL * math.sqrt(a * a + b * b + c * c + d * d)
@@ -286,12 +287,12 @@ def _solve_block(F, block: tuple[int, int] | None = None
     pipe.rotate(0, m_g, m_r, 2)
     pipe.align_y(_aux_b, 2)
     m_r, b_y = _masses(pipe.f)[0], _aux_b(pipe.f)[1]
-    boost = abs(m_r) > max(STEP_TOL * abs(b_y), pipe.noise(2))
-    if boost and abs(m_r) >= abs(b_y):
+    try:
+        pipe.boost(2, m_r, b_y, 1.0, 2)
+    except BoostDomain:  # Jacobi's fallback pivot catches the K2 class
         raise ComplexEigenvalues(
             f"boost infeasible: |E.B| = {abs(m_r):.6e} >= "
-            f"|b_y| = {abs(b_y):.6e}")
-    pipe.step(2, math.atanh(m_r / b_y) if boost else 0.0)
+            f"|b_y| = {abs(b_y):.6e}") from None
 
     r, rinv, final, c = pipe.finish()
     pattern = max(abs(c[7]), abs(c[9]), abs(c[5]), abs(c[2]))  # Bx, Bz, Ey, Py
@@ -405,13 +406,12 @@ def complex_low_energy(F) -> DecoupleResult:
 
     m_r, m_g, _ = _masses(pipe.f)
     pipe.rotate(0, m_g, m_r, 2)                                  # 1
-    # the E alignment only serves the energy-removing boost; with no
-    # energy left both rotations are skips
+    # the E alignment serves only the energy boost: skips when it would
     pipe.align_y(lambda f: f[4:7], 1,                            # 2-3
-                 skip=abs(pipe.f[0]) < STEP_TOL)
-    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, step_index=4)      # 4 energy
-    pipe.boost(3, pipe.f[1], pipe.f[8], -1.0, step_index=5)      # 5 P_x
-    pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, step_index=6)      # 6 P_z
+                 skip=pipe.skip(pipe.f[0], math.hypot(*pipe.f[4:7]), 1))
+    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)                 # 4 energy
+    pipe.boost(3, pipe.f[1], pipe.f[8], -1.0, 1)                 # 5 P_x
+    pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, 1)                 # 6 P_z
     pipe.align_y(lambda f: f[7:10], 1)                           # 7-8
     pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 9 E_x
     return _complex_canonical_result(pipe)
@@ -439,9 +439,9 @@ def complex_intermediate(F) -> DecoupleResult:
     pipe.align_y(lambda f: f[1:4], 1)                            # 2-3
     # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
     # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
-    pipe.boost(5, pipe.f[2], pipe.f[0], -1.0, step_index=4)      # 4 P_y
+    pipe.boost(5, pipe.f[2], pipe.f[0], -1.0, 1)                 # 4 P_y
     pipe.align_y(lambda f: f[7:10], 1)                           # 5-6
-    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, step_index=7)      # 7 energy
+    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)                 # 7 energy
     pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 8 E_x
     return _complex_canonical_result(pipe)
 

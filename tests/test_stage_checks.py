@@ -238,8 +238,12 @@ def test_block_solve_checks_fire(monkeypatch):
     vars(sym)["invariants"] = replace(sym.invariants, k2=-sym.invariants.k2)
     with pytest.raises(ComplexEigenvalues, match="boost infeasible"):
         _solve_block(sym)
+    # a boost names its step, read from the log: three steps, then step 4
+    pipe = _Pipeline(sym)
+    for b in (0, 7, 9):
+        pipe.step(b, 0.0)
     with pytest.raises(BoostDomain, match="step 4"):
-        _Pipeline(sym).boost(2, 2.0, 1.0, 1.0, step_index=4)
+        pipe.boost(2, 2.0, 1.0, 1.0, 1)
 
     with monkeypatch.context() as m:
         # the 1e-8 check of R F R^-1: an inverse off by 1e-6
