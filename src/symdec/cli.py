@@ -243,8 +243,7 @@ def cmd_tunes(args) -> int:
             EXIT_VALIDATION)
     t0 = time.perf_counter()
     try:
-        report = analyze_one_turn(
-            mf.matrix, tau=mf.tau if args.tau is None else args.tau)
+        report = analyze_one_turn(mf, tau=args.tau)
     except (NotSymplectic, ValueError) as exc:
         raise _Failure(f"{args.path}: {exc}", EXIT_VALIDATION) from exc
     doc = {"schema": SCHEMA, "command": "tunes",
@@ -266,8 +265,7 @@ def cmd_tunes(args) -> int:
     if args.emittances is not None:
         try:
             emit = [float(tok) for tok in args.emittances.split(",")]
-            sigma = matched_sigma(mf.matrix, emit, tau=report.tau,
-                                  report=report)
+            sigma = matched_sigma(mf.matrix, emit, report=report)
         except (ValueError, DimensionMismatch) as exc:
             raise _Failure(f"--emittances {args.emittances}: {exc}",
                            EXIT_VALIDATION) from exc

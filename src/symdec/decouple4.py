@@ -173,9 +173,7 @@ class _Pipeline:
 
 
 def _as_symplex(F) -> Symplex:
-    if isinstance(F, Symplex):
-        return F
-    return Symplex.from_matrix(F)
+    return F if isinstance(F, Symplex) else Symplex.from_matrix(F)
 
 
 def _check_iteration(tol: float, max_steps: int | None) -> None:
@@ -185,8 +183,8 @@ def _check_iteration(tol: float, max_steps: int | None) -> None:
 
 
 def _scale(M: np.ndarray) -> float:
-    """max(1, ||M||_F / 2): for a 4x4 symplex, max(1, ||coefficients||)."""
-    return max(1.0, 0.5 * _frobenius(M))
+    """||M||_F / 2 (a 4x4 symplex's ||coefficients||), with no floor."""
+    return 0.5 * _frobenius(M)
 
 
 def off_block_max(M: np.ndarray) -> float:

@@ -44,9 +44,9 @@ CLASS_TWO_REAL_PAIRS = "two_real_pairs"
 CLASS_MIXED = "mixed_real_imaginary"
 CLASS_COMPLEX_QUADRUPLE = "complex_quadruple"
 
-# |K2| below this (relative to max(1, K1^2)) marks a degenerate boundary
-# where the classification branches meet; a frequency radicand below
-# ZERO_FREQUENCY_BAND (relative to max(1, |K1|)) is a zero pair.
+# |K2| at most this times K1^2 + 4|K2| (rho^4, rho the eigenvalue modulus
+# of a complex quadruple) is degenerate, where the classification branches
+# meet; a frequency radicand below ZERO_FREQUENCY_BAND * max(1, |K1|) is zero.
 DEGENERATE_K2_BAND = 1e-12
 ZERO_FREQUENCY_BAND = 1e-12
 
@@ -288,8 +288,7 @@ def spectral_invariants(s: EmeqState | Sequence[float]) -> SpectralInvariants:
         raise PrecisionLoss(
             f"spectral invariants overflow: K1 = {k1:.3e}, K2 = {k2:.3e}, "
             f"det = {det:.3e}")
-    scale = max(1.0, k1 * k1)
-    degenerate = abs(k2) < DEGENERATE_K2_BAND * scale
+    degenerate = abs(k2) <= DEGENERATE_K2_BAND * (k1 * k1 + 4.0 * abs(k2))
     if k2 < 0.0 and not degenerate:
         return SpectralInvariants(
             k1=k1, k2=k2, det=det, omega1=None,

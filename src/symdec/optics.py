@@ -117,15 +117,19 @@ def _finite_square_even(M, what: str) -> np.ndarray:
     return M
 
 
-def _as_transfer(M, tau: float | None) -> tuple[np.ndarray, float]:
-    """The checked matrix and period of a TransferMatrix, a MatrixFile or
-    an array; the period is tau, else M.tau, else 1.0."""
+def _as_transfer(M, tau: float | None,
+                 report: OpticsReport | None = None) -> tuple[np.ndarray, float]:
+    """Finite matrix and period of a TransferMatrix, MatrixFile or array:
+    tau, else M.tau, else report.tau, else 1.0, equal to a report's."""
     if not np.isfinite(getattr(M, "matrix", M)).all():
         raise NotSymplectic("matrix has non-finite entries")
-    tau = getattr(M, "tau", None) if tau is None else tau
-    tau = 1.0 if tau is None else float(tau)
+    tau = next(float(t) for t in (tau, getattr(M, "tau", None),
+                                  getattr(report, "tau", None), 1.0)
+               if t is not None)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if tau != getattr(report, "tau", tau):
+        raise ValueError(f"tau {tau!r} is not the report's {report.tau!r}")
     return _square_even(getattr(M, "matrix", M)), tau
 
 
@@ -192,7 +196,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
     and a stable system (UnstableSystem); the fixed-point residual
     M sigma M^T - sigma is verified against FIXED_POINT_TOL.
     """
-    M, tau = _as_transfer(M, tau)
+    M, tau = _as_transfer(M, tau, report)
     n = M.shape[0] // 2
     emit = np.atleast_1d(np.asarray(emittances, dtype=float))
     if emit.shape != (n,):
@@ -234,7 +238,7 @@ def effective_force(M, tau: float | None = None,
     reconstruction residual compares M with exp(Fbar tau) in closed form,
     R^-1 blockdiag([[cos mu_k, sin mu_k], [-sin mu_k, cos mu_k]]) R.
     """
-    M, tau = _as_transfer(M, tau)
+    M, tau = _as_transfer(M, tau, report)
     if report is None:
         report = analyze_one_turn(M, tau)
     n = M.shape[0] // 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from symdec.errors import (BranchMismatch, ComplexEigenvalues, DegenerateB,
                            UnstableBlock)
 from symdec.jacobi import jacobi_decouple, random_test_symplex
 from symdec.optics import analyze_one_turn
-from symdec.transform import (DOF_SCALING, apply_similarity, basic_transform,
-                              compose, dof_transform, matrix_exponential,
+from symdec.transform import (DOF_SCALING, SymplecticTransform,
+                              apply_similarity, basic_transform, compose,
+                              dof_transform, matrix_exponential,
                               symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
@@ -383,6 +385,19 @@ def test_diagonalize_random_reconstruction():
         recon = (vecs * vals) @ np.linalg.inv(vecs)
         np.testing.assert_allclose(recon.imag, 0.0, atol=1e-9)
         np.testing.assert_allclose(recon.real, F, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonalize_rejects_a_perturbed_transform(n):
+    # the eigen decomposition is checked: one entry of R off by 1e-6
+    # relative leaves a residual far above 1e-9 times the source's scale
+    res = decouple(random_test_symplex(n, 0), form=FORM_NORMAL)
+    diagonalize(res)
+    r = res.transform.r.copy()
+    r[0, 0] *= 1.0 + 1e-6
+    bad = replace(res, transform=SymplecticTransform(r, res.transform.steps))
+    with pytest.raises(PrecisionLoss, match="eigen decomposition"):
+        diagonalize(bad)
 
 
 def canonical_pattern_residual(res):

@@ -239,6 +239,26 @@ def test_fallback_pivot_order(c02, c12, pair):
     assert (i, j) == pair
 
 
+def test_fallback_passes_over_a_second_complex_pair():
+    # pairs (0, 1) and (0, 2) are both complex quadruples and (1, 2), the
+    # smallest pair, is real: the fallback from (0, 1) passes over (0, 2)
+    C = 0.4 * GAMMA[4] + 0.9 * GAMMA[7]
+    F = np.zeros((6, 6))
+    F[:4, :4] = C
+    F[0:2, 4:6], F[4:6, 0:2] = 0.9 * C[0:2, 2:4], 0.9 * C[2:4, 0:2]
+    F[4:6, 4:6] = np.diag([0.7, -0.7])
+    F[2:4, 4:6] = F[4:6, 2:4] = [[0.0, 0.05], [0.05, 0.0]]
+    assert is_symplex(F)
+    for pair in ((0, 1), (0, 2)):
+        with pytest.raises(ComplexEigenvalues):
+            decouple4._solve_block(jacobi._extract_pair(F, *pair))
+    amp = off_block_norms(F)
+    assert amp[0, 1] > amp[0, 2] > amp[1, 2] > 0.0
+    i, j, _ = jacobi._fallback_pivot(F, amp, (0, 1),
+                                     ComplexEigenvalues("pivot (0, 1)"))
+    assert (i, j) == (1, 2)
+
+
 def test_iteration_scaling_trend():
     # mean pivot counts grow roughly like the block count; spot check n=6
     counts = []

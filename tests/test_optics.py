@@ -7,6 +7,7 @@ from symdec.decouple4 import FORM_NORMAL, decouple, off_block_max
 from symdec.dirac import symplectic_unit, symplex_cosymplex_split
 from symdec.emeq import emeq_from_symplex, lax_invariants, spectral_invariants
 from symdec.errors import NotSymplectic, UnstableBlock, UnstableSystem
+from symdec.jacobi import random_test_symplex
 from symdec.matrixio import MatrixFile
 from symdec.optics import (SigmaMatrix, analyze_one_turn,
                            cosymplex_observable_forms,
@@ -94,6 +95,35 @@ def test_transfer_without_tau_has_period_one():
     eff = effective_force(mf)
     assert eff.tau == 1.0
     np.testing.assert_array_equal(eff.matrix, effective_force(M).matrix)
+
+
+def test_report_sets_the_period():
+    # with a report and no tau, the period is the report's, as if passed
+    F = random_test_symplex(2, 0).matrix
+    M = matrix_exponential(F, 0.3).matrix
+    report = analyze_one_turn(M, tau=0.3)
+    eff = effective_force(M, report=report)
+    assert eff.tau == 0.3
+    np.testing.assert_array_equal(
+        eff.matrix, effective_force(M, tau=0.3, report=report).matrix)
+    assert np.max(np.abs(eff.matrix - F)) < 1e-12
+    np.testing.assert_array_equal(
+        matched_sigma(M, (1.0, 2.0), report=report).matrix,
+        matched_sigma(M, (1.0, 2.0), tau=0.3, report=report).matrix)
+
+
+def test_period_other_than_the_reports_rejected():
+    tm = matrix_exponential(random_test_symplex(2, 0).matrix, 0.3)
+    report = analyze_one_turn(tm.matrix, tau=0.3)
+    carried = TransferMatrix(matrix=tm.matrix, tau=0.5,
+                             symplectic_residual=tm.symplectic_residual)
+    for call in (lambda: effective_force(tm.matrix, tau=0.5, report=report),
+                 lambda: effective_force(carried, report=report),
+                 lambda: matched_sigma(tm.matrix, (1.0, 1.0), tau=0.5,
+                                       report=report),
+                 lambda: matched_sigma(carried, (1.0, 1.0), report=report)):
+        with pytest.raises(ValueError, match="report"):
+            call()
 
 
 def test_identity_matrix_tunes_zero():

@@ -9,17 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN,
-                              FORM_NORMAL, _block_frequencies, _dof_stages,
-                              decouple, off_block_max)
+from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
+                              FORM_HAMILTONIAN, FORM_NORMAL,
+                              _block_frequencies, _dof_stages, decouple,
+                              off_block_max)
 from symdec.dirac import (GAMMA, from_coefficients, symplectic_unit,
                           symplex_residual)
 from symdec.emeq import Symplex
-from symdec.errors import PrecisionLoss, UnstableBlock
+from symdec.errors import PrecisionLoss, SymdecError, UnstableBlock
 from symdec.jacobi import _block_stage, off_block_norms, random_test_symplex
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, apply_similarity,
                               basic_transform, compose, dof_transform,
                               replay, symplectic_residual)
+
+from conftest import random_complex_symplex
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -335,3 +338,62 @@ def test_zero_energy_quadruple_reaches_canonical_form():
                                  basic_transform(1, 0.7)), N)
     assert Symplex.from_matrix(F).coefficients[0] == 0.0
     assert decouple(F).residual < 1e-12
+
+
+def check_power_of_two_scaling(F, k, **options):
+    """decouple(2^k F) raises what decouple(F) raises, or takes F's steps
+    and R bit for bit in every form, reaching 2^k times F's final matrix,
+    frequencies and complex radius."""
+    c = 2.0 ** k
+    for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN, FORM_NORMAL):
+        try:
+            ref = decouple(F, form=form, **options)
+        except SymdecError as exc:
+            with pytest.raises(SymdecError) as err:
+                decouple(c * F, form=form, **options)
+            assert type(err.value) is type(exc)
+            continue
+        got = decouple(c * F, form=form, **options)
+        assert got.form == ref.form
+        assert got.transform.steps == ref.transform.steps
+        assert np.array_equal(got.transform.r, ref.transform.r)
+        assert np.array_equal(got.final.matrix, c * ref.final.matrix)
+        if ref.frequencies is None:
+            assert got.frequencies is None
+        else:
+            assert [(w.value, w.nature) for w in got.frequencies] == \
+                [(c * w.value, w.nature) for w in ref.frequencies]
+        if ref.complex_radius is None:
+            assert got.complex_radius is None
+        else:
+            assert got.complex_radius == c * ref.complex_radius
+
+
+@PROPERTY
+@given(case=classed_symplices(), k=st.integers(min_value=-30, max_value=30))
+def test_power_of_two_scaling_keeps_every_bit(case, k):
+    # every skip and every check is relative, and 2^k scales each
+    # coefficient, each skip target and each check exactly
+    check_power_of_two_scaling(case[1], k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((1, 3, 5)), seed=seeds,
+       k=st.integers(min_value=-20, max_value=20))
+def test_power_of_two_scaling_keeps_every_jacobi_bit(n, seed, k):
+    check_power_of_two_scaling(random_test_symplex(n, seed).matrix, k)
+
+
+@PROPERTY
+@given(seed=seeds, branch=st.sampled_from(("low", "intermediate")),
+       exponent=st.floats(min_value=-6.0, max_value=6.0))
+def test_scaled_quadruple_radius_is_its_eigenvalue_modulus(seed, branch,
+                                                           exponent):
+    # the K2 band is relative, so a complex quadruple in any units reaches
+    # the complex canonical form with the modulus of its four eigenvalues
+    F = 10.0 ** exponent * random_complex_symplex(
+        np.random.default_rng(seed), branch)
+    res = decouple(F)
+    assert res.form == FORM_COMPLEX_CANONICAL
+    np.testing.assert_allclose(np.abs(np.linalg.eigvals(F)),
+                               res.complex_radius, rtol=1e-12)
