@@ -324,11 +324,11 @@ def _block_frequencies(M: np.ndarray) -> tuple[Frequency, ...]:
 
     A block [[p, q], [r, s]] has the pair +-sqrt(-d), d = p s - q r,
     classified by Frequency.from_square against the zero band
-    (STEP_TOL * max(1, ||M||_F))^2; an imaginary pair +-i w has
+    (STEP_TOL ||M||_F)^2, free of the units of M; an imaginary pair +-i w has
     w = copysign(sqrt(d), q), the sign giving the block's sense of
     rotation.
     """
-    band = (STEP_TOL * max(1.0, _frobenius(M))) ** 2
+    band = (STEP_TOL * _frobenius(M)) ** 2
     return tuple([Frequency.from_square(p * s - q * r, band, q)
                   for p, q, r, s in _diagonal_blocks(M)])
 
@@ -356,22 +356,6 @@ def diagonalize(res: DecoupleResult) -> tuple[np.ndarray, np.ndarray]:
     return vecs, values
 
 
-def _complex_canonical_result(pipe: _Pipeline) -> DecoupleResult:
-    r, _, final, c = pipe.finish()
-    # surviving pattern: E_y, E_z, B_y; everything else must vanish
-    resid = max(map(abs, c[:5] + [c[7], c[9]]))
-    if resid > POST_TOL * _scale(final.matrix):
-        raise PrecisionLoss(
-            f"complex canonical coefficients off by {resid:.3e}")
-    inv = pipe.source.invariants
-    rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
-    return DecoupleResult(
-        source=pipe.source.matrix,
-        transform=SymplecticTransform(r, tuple(pipe.steps)), final=final,
-        form=FORM_COMPLEX_CANONICAL, residual=resid, invariants=inv,
-        frequencies=None, complex_radius=float(rho))
-
-
 def _complex_precondition(sym: Symplex) -> tuple[float, float, float]:
     """energy^2, P^2 and E^2 of a 4x4 symplex, whose comparison picks the
     complex procedure; BranchMismatch unless K2 < 0."""
@@ -396,23 +380,11 @@ def complex_low_energy(F) -> DecoupleResult:
     (K1^2 + 4 |K2|)^(1/4).
     """
     sym = _as_symplex(F)
-    energy2, p2, e2 = _complex_precondition(sym)
+    energy2, p2, e2 = pre = _complex_precondition(sym)
     if energy2 >= max(p2, e2):
         raise BranchMismatch(
             "energy^2 >= max(P^2, E^2); use complex_intermediate")
-    pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
-
-    m_r, m_g, _ = _masses(pipe.f)
-    pipe.rotate(0, m_g, m_r, 2)                                  # 1
-    # the E alignment serves only the energy boost: skips when it would
-    pipe.align_y(lambda f: f[4:7], 1,                            # 2-3
-                 skip=pipe.skip(pipe.f[0], math.hypot(*pipe.f[4:7]), 1))
-    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)                 # 4 energy
-    pipe.boost(3, pipe.f[1], pipe.f[8], -1.0, 1)                 # 5 P_x
-    pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, 1)                 # 6 P_z
-    pipe.align_y(lambda f: f[7:10], 1)                           # 7-8
-    pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 9 E_x
-    return _complex_canonical_result(pipe)
+    return _complex_procedure(sym, pre, low=True)
 
 
 def complex_intermediate(F) -> DecoupleResult:
@@ -425,23 +397,54 @@ def complex_intermediate(F) -> DecoupleResult:
     low-energy case.
     """
     sym = _as_symplex(F)
-    energy2, p2, e2 = _complex_precondition(sym)
+    energy2, p2, e2 = pre = _complex_precondition(sym)
     if energy2 < min(p2, e2):
         raise BranchMismatch(
             "energy^2 < min(P^2, E^2); use complex_low_energy")
-    pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
+    return _complex_procedure(sym, pre, low=False)
 
-    # minimizes P^2 (and removes E.P): act whenever E.P survives or the
-    # minimum sits a quarter turn away (P^2 > E^2)
-    pipe.rotate(0, 2.0 * _masses(pipe.f)[2], e2 - p2, 2, 0.5, turn=True)  # 1
-    pipe.align_y(lambda f: f[1:4], 1)                            # 2-3
-    # Lorentz boosts mix (energy, P_i) with the opposite relative sign of
-    # the phase-boost (energy, E_i) doublet; the rapidity needs a minus.
-    pipe.boost(5, pipe.f[2], pipe.f[0], -1.0, 1)                 # 4 P_y
-    pipe.align_y(lambda f: f[7:10], 1)                           # 5-6
-    pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)                 # 7 energy
-    pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                      # 8 E_x
-    return _complex_canonical_result(pipe)
+
+def _complex_procedure(sym: Symplex, pre: tuple[float, float, float],
+                       low: bool) -> DecoupleResult:
+    """complex_low_energy's steps (low) or complex_intermediate's on sym,
+    whose _complex_precondition is pre, to the complex canonical form."""
+    pipe = _Pipeline(sym)  # f: energy, P, E, B at 0, 1-3, 4-6, 7-9
+    if low:
+        m_r, m_g, _ = _masses(pipe.f)
+        pipe.rotate(0, m_g, m_r, 2)                              # 1
+        # the E alignment serves only the energy boost: skips when it would
+        pipe.align_y(lambda f: f[4:7], 1,                        # 2-3
+                     skip=pipe.skip(pipe.f[0], math.hypot(*pipe.f[4:7]), 1))
+        pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)             # 4 energy
+        pipe.boost(3, pipe.f[1], pipe.f[8], -1.0, 1)             # 5 P_x
+        pipe.boost(1, pipe.f[3], pipe.f[8], +1.0, 1)             # 6 P_z
+        pipe.align_y(lambda f: f[7:10], 1)                       # 7-8
+        pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                  # 9 E_x
+    else:
+        _, p2, e2 = pre
+        # minimizes P^2 (and removes E.P): act whenever E.P survives or
+        # the minimum sits a quarter turn away (P^2 > E^2)
+        pipe.rotate(0, 2.0 * _masses(pipe.f)[2], e2 - p2, 2, 0.5,  # 1
+                    turn=True)
+        pipe.align_y(lambda f: f[1:4], 1)                        # 2-3
+        # Lorentz boosts mix (energy, P_i) with the opposite relative sign
+        # of the phase-boost (energy, E_i) doublet: a minus on the rapidity
+        pipe.boost(5, pipe.f[2], pipe.f[0], -1.0, 1)             # 4 P_y
+        pipe.align_y(lambda f: f[7:10], 1)                       # 5-6
+        pipe.boost(2, pipe.f[0], pipe.f[5], +1.0, 1)             # 7 energy
+        pipe.rotate(8, pipe.f[4], pipe.f[6], 1)                  # 8 E_x
+    r, _, final, c = pipe.finish()
+    # surviving pattern: E_y, E_z, B_y; everything else must vanish
+    resid = max(map(abs, c[:5] + [c[7], c[9]]))
+    if resid > POST_TOL * _scale(final.matrix):
+        raise PrecisionLoss(
+            f"complex canonical coefficients off by {resid:.3e}")
+    inv = sym.invariants
+    rho = (inv.k1**2 + 4.0 * abs(inv.k2)) ** 0.25
+    return DecoupleResult(
+        source=sym.matrix, transform=SymplecticTransform(r, tuple(pipe.steps)),
+        final=final, form=FORM_COMPLEX_CANONICAL, residual=resid,
+        invariants=inv, frequencies=None, complex_radius=float(rho))
 
 
 def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
@@ -472,10 +475,8 @@ def decouple(F, form: str = FORM_BLOCK_DIAGONAL,
     else:
         inv = sym.invariants
         if inv.k2 < 0.0 and not inv.degenerate:
-            energy2, p2, e2 = _complex_precondition(sym)
-            if energy2 < max(p2, e2):
-                return complex_low_energy(sym)
-            return complex_intermediate(sym)
+            pre = _complex_precondition(sym)
+            return _complex_procedure(sym, pre, pre[0] < max(pre[1:]))
         res = decouple_block_diagonal(sym)
     if form == FORM_BLOCK_DIAGONAL:
         return res

@@ -168,18 +168,17 @@ def symplex_residual(M: np.ndarray) -> float:
 
 
 def _relative_test(M: np.ndarray, tol: float, sign: int) -> bool:
-    M, k, norm = _rescaled(np.asarray(M, dtype=float))
-    return (math.isfinite(norm) and _split_norm(M, sign)
-            <= tol * max(math.ldexp(1.0, -k), norm))
+    M, _, norm = _rescaled(np.asarray(M, dtype=float))
+    return math.isfinite(norm) and _split_norm(M, sign) <= tol * norm
 
 
 def is_symplex(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff M is finite with symplex_residual(M) <= tol max(1, ||M||_F)."""
+    """True iff M is finite with symplex_residual(M) <= tol ||M||_F."""
     return _relative_test(M, tol, -1)
 
 
 def is_cosymplex(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff M is finite with ||M^T + g0 M g0||_F <= tol max(1, ||M||_F)."""
+    """True iff M is finite with ||M^T + g0 M g0||_F <= tol ||M||_F."""
     return _relative_test(M, tol, +1)
 
 

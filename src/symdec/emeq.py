@@ -46,7 +46,7 @@ CLASS_COMPLEX_QUADRUPLE = "complex_quadruple"
 
 # |K2| at most this times K1^2 + 4|K2| (rho^4, rho the eigenvalue modulus
 # of a complex quadruple) is degenerate, where the classification branches
-# meet; a frequency radicand below ZERO_FREQUENCY_BAND * max(1, |K1|) is zero.
+# meet; a frequency radicand within ZERO_FREQUENCY_BAND * rho^2 of 0 is zero.
 DEGENERATE_K2_BAND = 1e-12
 ZERO_FREQUENCY_BAND = 1e-12
 
@@ -171,9 +171,9 @@ class Symplex:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray, tol: float = 1e-10) -> "Symplex":
-        """The one validity check: a square even matrix passing is_symplex."""
+        """The one check: a nonempty square even matrix passing is_symplex."""
         M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+        if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1] or M.shape[0] % 2:
             raise ValueError(f"expected a square even matrix, got {M.shape}")
         if not is_symplex(M, tol):
             raise NotASymplex(f"symplex residual {symplex_residual(M):.3e}"
@@ -295,7 +295,7 @@ def spectral_invariants(s: EmeqState | Sequence[float]) -> SpectralInvariants:
             omega2=None, classification=CLASS_COMPLEX_QUADRUPLE,
             stable=False, degenerate=False)
     root = math.sqrt(max(k2, 0.0))
-    band = ZERO_FREQUENCY_BAND * max(1.0, abs(k1))
+    band = ZERO_FREQUENCY_BAND * math.sqrt(k1 * k1 + 4.0 * abs(k2))  # rho^2
     w1 = Frequency.from_square(k1 + 2.0 * root, band)
     w2 = Frequency.from_square(k1 - 2.0 * root, band)
     natures = (w1.nature, w2.nature)

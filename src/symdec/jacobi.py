@@ -83,10 +83,10 @@ def off_block_norms(F: np.ndarray) -> np.ndarray:
 
 
 def _off_residual(M: np.ndarray, amp: np.ndarray) -> float:
-    """Sum of off-diagonal block Frobenius norms relative to ||M||_F,
-    from the off_block_norms amplitudes of M."""
-    return (float(np.sqrt(4.0 * amp).sum())
-            / max(_frobenius(M), 1e-300))
+    """Sum of off-diagonal block Frobenius norms (amplitudes amp) over
+    ||M||_F; 0 for ||M||_F = 0, where every square, amp's too, is 0."""
+    norm = _frobenius(M)
+    return float(np.sqrt(4.0 * amp).sum()) / norm if norm else 0.0
 
 
 def random_test_symplex(n: int, seed: int) -> Symplex:

@@ -52,9 +52,10 @@ class SigmaMatrix:
 
     @classmethod
     def from_matrix(cls, sigma: np.ndarray, tol: float = 1e-9) -> "SigmaMatrix":
+        """sigma if finite, square, even and symmetric to tol ||sigma||_F."""
         sigma = _finite_square_even(sigma, "sigma matrix")
         asym = np.linalg.norm(sigma - sigma.T)
-        if asym > tol * max(1.0, np.linalg.norm(sigma)):
+        if asym > tol * np.linalg.norm(sigma):
             raise ValueError(f"sigma matrix not symmetric (residual {asym:.3e})")
         return cls(matrix=sigma)
 
@@ -194,7 +195,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
     and sigma = -S g0 gives the matched sigma in the laboratory frame.
     Requires n finite positive emittances, checked first (ValueError),
     and a stable system (UnstableSystem); the fixed-point residual
-    M sigma M^T - sigma is verified against FIXED_POINT_TOL.
+    M sigma M^T - sigma is verified against FIXED_POINT_TOL max |sigma|.
     """
     M, tau = _as_transfer(M, tau, report)
     n = M.shape[0] // 2
@@ -220,7 +221,7 @@ def matched_sigma(M, emittances, tau: float | None = None,
     sigma = -s_lab @ g0
     sigma = (sigma + sigma.T) / 2.0
     resid = float(np.max(np.abs(M @ sigma @ M.T - sigma)))
-    if resid > FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(sigma)))):
+    if resid > FIXED_POINT_TOL * float(np.max(np.abs(sigma))):
         raise UnstableSystem(
             f"matched fixed point violated with residual {resid:.3e}")
     return SigmaMatrix(matrix=sigma)

@@ -97,11 +97,10 @@ def symplectic_residual(R: np.ndarray) -> float:
 
 def is_symplectic(M: np.ndarray, tol=1e-10, residual=None) -> bool:
     """True iff symplectic_residual(M), or the residual given, is finite and
-    <= tol max(1, ||M||_F); ||M||_F = norm 2^k is compared at scale 2^-k."""
+    <= tol ||M||_F, with no floor: a symplectic M has ||M||_F >= sqrt(2n)."""
     resid = symplectic_residual(M) if residual is None else residual
     _, k, norm = _rescaled(np.asarray(M, dtype=float))
-    return (math.isfinite(resid)
-            and math.ldexp(resid, -k) <= tol * max(math.ldexp(1.0, -k), norm))
+    return math.isfinite(resid) and math.ldexp(resid, -k) <= tol * norm
 
 
 def _symplectic_inverse(r: np.ndarray) -> np.ndarray:
@@ -260,9 +259,9 @@ def _block_positions(n: int) -> np.ndarray:
 
 
 def _square_even(M) -> np.ndarray:
-    """M as a float array, square and of even size (DimensionMismatch)."""
+    """M as a float array, square and of even size > 0 (DimensionMismatch)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+    if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1] or M.shape[0] % 2:
         raise DimensionMismatch(f"expected a square even matrix, got {M.shape}")
     return M
 

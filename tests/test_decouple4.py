@@ -26,7 +26,8 @@ from symdec.transform import (DOF_SCALING, SymplecticTransform,
                               symplectic_residual)
 
 from conftest import (cyclotron_force_matrix, random_complex_symplex,
-                      random_stable_symplex, random_symplex)
+                      random_complex_symplex_loop, random_stable_symplex,
+                      random_symplex)
 
 
 def off_pattern_max(M, form):
@@ -196,6 +197,21 @@ def test_step_lists(procedure, draw, generators):
     for _ in range(200):
         res = procedure(draw(rng))
         assert tuple(s.generator for s in res.transform.steps) == generators
+
+
+@pytest.mark.parametrize("branch, samples", [
+    ("low", 200), ("intermediate", 200), ("high", 20)])
+def test_chunked_complex_sampler_matches_its_loop(branch, samples):
+    # the chunked sampler reads the loop's stream and takes the loop's
+    # decisions: the same samples, and the generator left in the same
+    # state.  The loop rejects about 770 candidates per "high" sample
+    # (about 24 ms), so 20 of them already decide some 15,000 candidates
+    # both ways; 200 would put back the time the chunks save
+    chunked, loop = np.random.default_rng(109), np.random.default_rng(109)
+    for _ in range(samples):
+        assert np.array_equal(random_complex_symplex(chunked, branch),
+                              random_complex_symplex_loop(loop, branch))
+    assert chunked.bit_generator.state == loop.bit_generator.state
 
 
 def test_complex_eigenvalues_rejected():

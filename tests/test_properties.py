@@ -13,16 +13,18 @@ from symdec.decouple4 import (FORM_BLOCK_DIAGONAL, FORM_COMPLEX_CANONICAL,
                               FORM_HAMILTONIAN, FORM_NORMAL,
                               _block_frequencies, _dof_stages, decouple,
                               off_block_max)
-from symdec.dirac import (GAMMA, from_coefficients, symplectic_unit,
+from symdec.dirac import (GAMMA, from_coefficients, is_cosymplex, is_symplex,
+                          symplectic_unit, symplex_cosymplex_split,
                           symplex_residual)
-from symdec.emeq import Symplex
+from symdec.emeq import Symplex, spectral_invariants
 from symdec.errors import PrecisionLoss, SymdecError, UnstableBlock
 from symdec.jacobi import _block_stage, off_block_norms, random_test_symplex
+from symdec.optics import SigmaMatrix, analyze_one_turn, matched_sigma
 from symdec.transform import (DOF_ROTATION, DOF_SCALING, apply_similarity,
                               basic_transform, compose, dof_transform,
                               replay, symplectic_residual)
 
-from conftest import random_complex_symplex
+from conftest import conjugated_ring, random_complex_symplex
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -278,19 +280,38 @@ def test_block_stage_ignores_units(n, seed, exponent):
 EIGENVALUE_CLASSES = ("two_imaginary_pairs", "two_real_pairs",
                       "mixed_real_imaginary", "complex_quadruple")
 
+# The smallest nonzero angle, rapidity or E_z that classed_symplices draws
+# for the power-of-two property: an entry of N times twelve half-angle
+# sines of it is above 1e-248, so no entry of F or of 2^k F, |k| <= 60, is
+# subnormal, nor is any product the stages form from them, and 2^k scales
+# each exactly.  It is far below STEP_TOL, so steps at the skip threshold
+# are still drawn.  Below 2^-1022 a float has a fixed grain of 2^-1074,
+# and 2 (x y) and (2 x) y can round apart
+# (test_power_of_two_scaling_in_gradual_underflow).
+SMALLEST_PARAMETER = 1e-20
+
+
+def normal_range(elements, smallest=SMALLEST_PARAMETER):
+    """elements, with each nonzero draw below `smallest` made 0."""
+    return elements.map(lambda x: x if abs(x) >= smallest else 0.0)
+
 
 @st.composite
-def classed_symplices(draw):
+def classed_symplices(draw, smallest=0.0):
     """(class, F): a 4x4 symplex of the given eigenvalue class, its
     canonical form (two 2x2 blocks with frequencies 0.2 <= w1 < w2 - 0.2,
     or E_y, E_z and B_y for a complex quadruple) conjugated by one to six
-    basic transforms of angle or rapidity in [-1, 1]."""
+    basic transforms of angle or rapidity in [-1, 1]; with `smallest`,
+    each angle, rapidity and E_z is 0 or of modulus at least that."""
+    def parameter(elements):
+        return draw(normal_range(elements, smallest) if smallest else elements)
+
     cls = draw(st.sampled_from(EIGENVALUE_CLASSES))
     w1 = draw(st.floats(min_value=0.2, max_value=2.0))
     w2 = w1 + draw(st.floats(min_value=0.2, max_value=2.0))
     if cls == "complex_quadruple":
         ey, by = draw(magnitudes), draw(magnitudes)
-        N = ey * GAMMA[5] + draw(params) * GAMMA[6] + by * GAMMA[8]
+        N = ey * GAMMA[5] + parameter(params) * GAMMA[6] + by * GAMMA[8]
     else:
         imaginary = {"two_imaginary_pairs": (True, True),
                      "two_real_pairs": (False, False),
@@ -303,7 +324,7 @@ def classed_symplices(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         t = compose(basic_transform(
             draw(st.integers(min_value=0, max_value=9)),
-            draw(st.floats(min_value=-1.0, max_value=1.0))), t)
+            parameter(st.floats(min_value=-1.0, max_value=1.0))), t)
     return cls, apply_similarity(t, N)
 
 
@@ -370,11 +391,32 @@ def check_power_of_two_scaling(F, k, **options):
 
 
 @PROPERTY
-@given(case=classed_symplices(), k=st.integers(min_value=-30, max_value=30))
+@given(case=classed_symplices(SMALLEST_PARAMETER),
+       k=st.integers(min_value=-60, max_value=60))
 def test_power_of_two_scaling_keeps_every_bit(case, k):
-    # every skip and every check is relative, and 2^k scales each
-    # coefficient, each skip target and each check exactly
+    # every skip, check and zero band is relative, and 2^k scales each
+    # coefficient, each skip target, each check and each band exactly
     check_power_of_two_scaling(case[1], k)
+
+
+def test_power_of_two_scaling_in_gradual_underflow():
+    # outside classed_symplices' domain: F's off-block entries are
+    # -1.5 * 2^-1022, and the Hamiltonian stage forms subnormal products,
+    # so 2F and F take the same steps and R bit for bit, but their final
+    # matrices may differ in the entries below 2^-1022
+    F = apply_similarity(basic_transform(7, 2.0 ** -1022),
+                         np.diag([1.0, -1.0, 2.0, -2.0]))
+    assert np.abs(F[:2, 2:]).max() == 1.5 * 2.0 ** -1022
+    for form in (FORM_BLOCK_DIAGONAL, FORM_HAMILTONIAN):
+        ref, got = decouple(F, form=form), decouple(2.0 * F, form=form)
+        assert got.transform.steps == ref.transform.steps
+        assert np.array_equal(got.transform.r, ref.transform.r)
+        apart = got.final.matrix != 2.0 * ref.final.matrix
+        assert np.all(np.abs(got.final.matrix[apart]) < 2.0 ** -1022)
+        assert np.all(np.abs(2.0 * ref.final.matrix[apart]) < 2.0 ** -1022)
+    for G in (F, 2.0 * F):  # two real pairs have no normal form
+        with pytest.raises(UnstableBlock):
+            decouple(G, form=FORM_NORMAL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -397,3 +439,85 @@ def test_scaled_quadruple_radius_is_its_eigenvalue_modulus(seed, branch,
     assert res.form == FORM_COMPLEX_CANONICAL
     np.testing.assert_allclose(np.abs(np.linalg.eigvals(F)),
                                res.complex_radius, rtol=1e-12)
+
+
+# Every validity check and zero band compares with its tolerance times the
+# size of what it checks, so 2^k X, |k| <= 60, gets the verdict of X; the
+# inputs sit near each tolerance, where a floor at 1 would accept below
+# unit scale what it rejects at unit scale.
+powers = st.integers(min_value=-60, max_value=60)
+deviations = st.floats(min_value=-13.0, max_value=-7.0)
+
+
+def verdict(call):
+    try:
+        call()
+    except (ValueError, SymdecError) as exc:
+        return type(exc)
+    return None
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(min_value=1, max_value=3),
+       exponent=deviations, k=powers)
+def test_symplex_checks_ignore_units(seed, n, exponent, k):
+    A = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    S, C = symplex_cosymplex_split(A)
+    c = 2.0 ** k
+    for X in (S + 10.0 ** exponent * C, C + 10.0 ** exponent * S):
+        assert is_symplex(c * X) == is_symplex(X)
+        assert is_cosymplex(c * X) == is_cosymplex(X)
+        assert verdict(lambda: Symplex.from_matrix(c * X)) == \
+            verdict(lambda: Symplex.from_matrix(X))
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(min_value=1, max_value=3),
+       exponent=deviations, k=powers)
+def test_sigma_symmetry_check_ignores_units(seed, n, exponent, k):
+    A = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    sigma = A @ A.T + 10.0 ** exponent * (A - A.T)
+    c = 2.0 ** k
+    assert verdict(lambda: SigmaMatrix.from_matrix(c * sigma)) == \
+        verdict(lambda: SigmaMatrix.from_matrix(sigma))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_seeds=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+       phases=st.sampled_from(((0.7, 1.9), (0.4, 2.3), (1.2, 2.8))),
+       k=powers)
+def test_matched_sigma_check_ignores_units(ring_seeds, phases, k):
+    # a report of another ring leaves the fixed point by a relative
+    # amount that no emittance hides; the ring's own report meets it
+    M = conjugated_ring(ring_seeds[0], phases)
+    report = analyze_one_turn(conjugated_ring(ring_seeds[1], phases[::-1]))
+    emit = np.array([1.0, 0.5])
+    assert verdict(lambda: matched_sigma(M, 2.0 ** k * emit,
+                                         report=report)) == \
+        verdict(lambda: matched_sigma(M, emit, report=report))
+    assert verdict(lambda: matched_sigma(M, 2.0 ** k * emit)) is None
+
+
+@PROPERTY
+@given(c=st.lists(normal_range(st.floats(min_value=-1.0, max_value=1.0)),
+                  min_size=10, max_size=10), k=powers)
+def test_spectral_natures_ignore_units(c, k):
+    ref = spectral_invariants(c)
+    got = spectral_invariants([2.0 ** k * x for x in c])
+    assert (got.classification, got.degenerate) == \
+        (ref.classification, ref.degenerate)
+    assert [None if w is None else w.nature
+            for w in (got.omega1, got.omega2)] == \
+        [None if w is None else w.nature for w in (ref.omega1, ref.omega2)]
+
+
+@PROPERTY
+@given(case=conjugated_blocks(), zero=st.integers(min_value=0, max_value=4),
+       exponent=st.floats(min_value=-20.0, max_value=0.0), k=powers)
+def test_block_frequency_natures_ignore_units(case, zero, exponent, k):
+    # one block, if there is one at index zero, is shrunk toward a zero
+    # pair, across the band
+    M = case[0].copy()
+    M[2 * zero:2 * zero + 2, 2 * zero:2 * zero + 2] *= 10.0 ** exponent
+    assert [w.nature for w in _block_frequencies(2.0 ** k * M)] == \
+        [w.nature for w in _block_frequencies(M)]
